@@ -98,6 +98,9 @@ class ThoughtGraph:
     nodes: dict[int, Thought] = field(default_factory=dict)
     stats: dict[int, NodeStats] = field(default_factory=dict)
     history: list[tuple[Action, int]] = field(default_factory=list)
+    # Non-document node ids in creation (so ascending) order: the planners'
+    # pairing candidates, kept here so no step rescans every node.
+    thought_ids: list[int] = field(default_factory=list)
 
     @property
     def generated_count(self) -> int:
@@ -118,6 +121,8 @@ class ThoughtGraph:
             id=node_id, text=text, kind=kind, parents=parents, step=node_id
         )
         self.stats[node_id] = NodeStats()
+        if kind != NodeKind.DOCUMENT:
+            self.thought_ids.append(node_id)
         return node_id
 
     def add_document(self, text: str) -> int:

@@ -177,14 +177,12 @@ def expand(
         if doc is not None:
             partner = graph.add_document(doc.text)
     if partner is None:
-        candidates = sorted(
-            nid for nid, node in graph.nodes.items() if node.kind != NodeKind.DOCUMENT
-        )
+        candidates = graph.thought_ids
         if len(candidates) > config.thought_sample_size:
             picked = rng.choice(
-                np.array(candidates), size=config.thought_sample_size, replace=False
+                len(candidates), size=config.thought_sample_size, replace=False
             )
-            candidates = sorted(int(i) for i in picked)
+            candidates = sorted(candidates[i] for i in picked)
         partner, best_score = None, -math.inf
         for nid in candidates:
             score = graph.stats[nid].mean_score
@@ -300,10 +298,8 @@ def random_search(
     best: int | None = None
     try:
         while graph.generated_count < config.max_steps:
-            pool = sorted(
-                nid for nid, node in graph.nodes.items() if node.kind != NodeKind.DOCUMENT
-            )
-            selected = int(rng.choice(np.array(pool)))
+            pool = graph.thought_ids
+            selected = pool[rng.choice(len(pool))]
             partner: int | None = None
             if ports.retriever is not None and rng.random() < config.p_doc:
                 try:
@@ -312,7 +308,7 @@ def random_search(
                 except ExhaustedCorpusError:
                     partner = None
             if partner is None:
-                partner = int(rng.choice(np.array(pool)))
+                partner = pool[rng.choice(len(pool))]
             child = _generate_from_pair(graph, Action(selected, partner), generator)
             score = simulate(graph, child, ports.scorer, generator)
             scorer_calls += 1
@@ -353,9 +349,7 @@ def greedy_search(
     try:
         while graph.generated_count < config.max_steps:
             items: list[tuple[str, object, str, NodeKind]] = []
-            for nid in sorted(
-                n for n, node in graph.nodes.items() if node.kind != NodeKind.DOCUMENT
-            ):
+            for nid in graph.thought_ids:
                 node = graph.node(nid)
                 items.append(("node", nid, node.text, node.kind))
             if ports.retriever is not None:

@@ -35,7 +35,8 @@ MODEL_FORMAT_VERSION = 1
 
 @dataclass
 class _Tree:
-    """Flat array encoding of a binary regression tree."""
+    """Flat array encoding of one binary regression tree, as saved in a model
+    file. Children always have larger indices than their parent."""
 
     feature: np.ndarray  # int, -1 for leaves
     threshold: np.ndarray
@@ -43,16 +44,125 @@ class _Tree:
     right: np.ndarray
     value: np.ndarray
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(X), dtype=np.int64)
-        while True:
-            internal = self.feature[node] >= 0
-            if not internal.any():
-                return self.value[node]
-            rows = np.nonzero(internal)[0]
-            feats = self.feature[node[rows]]
-            go_left = X[rows, feats] <= self.threshold[node[rows]]
-            node[rows] = np.where(go_left, self.left[node[rows]], self.right[node[rows]])
+
+_TREE_FIELDS = {
+    "feature": np.int64,
+    "threshold": np.float64,
+    "left": np.int64,
+    "right": np.int64,
+    "value": np.float64,
+}
+
+
+def _tree_from_dict(index: int, record: dict) -> _Tree:
+    """Decode one saved tree: every field present, numeric, flat, and as
+    long as `feature`. _check_trees checks the structure."""
+    _require(record, _TREE_FIELDS, f"regressor.trees[{index}]")
+    arrays = {}
+    for name, dtype in _TREE_FIELDS.items():
+        try:
+            arrays[name] = np.asarray(record[name], dtype=dtype)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"regressor.trees[{index}].{name} is not numeric: {exc}") from exc
+        if arrays[name].ndim != 1 or arrays[name].shape != arrays["feature"].shape:
+            raise SchemaError(
+                f"regressor.trees[{index}].{name} has shape {arrays[name].shape}; "
+                f"every field must be a flat list as long as feature"
+            )
+    if len(arrays["feature"]) == 0:
+        raise SchemaError(f"regressor.trees[{index}] has no nodes")
+    return _Tree(**arrays)
+
+
+def _check_trees(trees: Sequence[_Tree], n_features: int) -> None:
+    """Check every node of every tree at once; SchemaError names the tree,
+    field and node. Requiring each child index to exceed its parent's rules
+    out cycles, so every walk ends at a leaf."""
+    if not trees:
+        return
+    sizes = np.array([len(t.feature) for t in trees])
+    tree = np.repeat(np.arange(len(trees)), sizes)
+    node = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    size = sizes[tree]
+    feature = np.concatenate([t.feature for t in trees])
+    leaf = feature == -1
+
+    def fail_where(bad: np.ndarray, name: str, values: np.ndarray, rule: str) -> None:
+        if bad.any():
+            at = int(np.argmax(bad))
+            raise SchemaError(
+                f"regressor.trees[{tree[at]}].{name}[{node[at]}] = {values[at]} "
+                + rule.format(node=node[at], size=size[at])
+            )
+
+    for name in ("left", "right"):
+        child = np.concatenate([getattr(t, name) for t in trees])
+        fail_where(leaf & (child != -1), name, child, "at a leaf, which must have -1")
+        fail_where(
+            ~leaf & ((child <= node) | (child >= size)),
+            name,
+            child,
+            "is not a node after {node} in a tree of {size} nodes",
+        )
+    fail_where(
+        (feature < -1) | (feature >= n_features),
+        "feature",
+        feature,
+        f"is outside [-1, {n_features})",
+    )
+
+
+@dataclass(frozen=True)
+class _Forest:
+    """All trees packed into padded row-major (n_trees, width) tables, stored
+    flat. Leaves and padding point to themselves (with feature 0), so every
+    tree can be walked for the same fixed number of steps."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray  # learning_rate * leaf value
+    roots: np.ndarray  # flat index of each tree's root
+    depth: int  # longest root-to-leaf path over all trees
+
+
+def _compile_forest(trees: Sequence[_Tree], learning_rate: float) -> _Forest:
+    width = max((len(t.feature) for t in trees), default=1)
+    slots = np.arange(len(trees) * width).reshape(len(trees), width)
+    feature = np.full(slots.shape, -1, dtype=np.int64)
+    threshold = np.zeros(slots.shape, dtype=np.float64)
+    left, right = slots.copy(), slots.copy()
+    value = np.zeros(slots.shape, dtype=np.float64)
+    if trees:
+        sizes = np.array([len(t.feature) for t in trees])
+        rows = np.repeat(np.arange(len(trees)), sizes)
+        cols = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        column = lambda name: np.concatenate([getattr(t, name) for t in trees])
+        feature[rows, cols] = column("feature")
+        threshold[rows, cols] = column("threshold")
+        left[rows, cols] = rows * width + column("left")
+        right[rows, cols] = rows * width + column("right")
+        value[rows, cols] = learning_rate * column("value")
+    leaf = feature < 0
+    feature[leaf], left[leaf], right[leaf] = 0, slots[leaf], slots[leaf]
+    left, right, internal = left.ravel(), right.ravel(), ~leaf.ravel()
+    frontier, depth = slots[:, 0], 0
+    while True:  # one level of every tree per step; children follow parents
+        frontier = frontier[internal[frontier]]
+        if not len(frontier):
+            break
+        frontier = np.unique(np.concatenate([left[frontier], right[frontier]]))
+        depth += 1
+    return _Forest(
+        feature=feature.ravel(),
+        threshold=threshold.ravel(),
+        left=left,
+        right=right,
+        value=value.ravel(),
+        roots=slots[:, 0].copy(),
+        depth=depth,
+    )
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float] | None:
@@ -83,8 +193,12 @@ def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float
     return best
 
 
-def _fit_tree(X: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -> _Tree:
+def _fit_tree(
+    X: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int
+) -> tuple[_Tree, np.ndarray]:
+    """Fit one tree; also return each training row's leaf value."""
     feature, threshold, left, right, value = [], [], [], [], []
+    fitted = np.empty(len(y), dtype=np.float64)
 
     def build(rows: np.ndarray, depth: int) -> int:
         node_id = len(feature)
@@ -102,21 +216,28 @@ def _fit_tree(X: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -> _T
                 threshold[node_id] = t
                 left[node_id] = build(rows[mask], depth + 1)
                 right[node_id] = build(rows[~mask], depth + 1)
+                return node_id
+        fitted[rows] = value[node_id]
         return node_id
 
     build(np.arange(len(y)), 0)
-    return _Tree(
+    tree = _Tree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=np.int64),
         right=np.asarray(right, dtype=np.int64),
         value=np.asarray(value, dtype=np.float64),
     )
+    return tree, fitted
 
 
 @dataclass
 class GradientBoostedRegressor:
-    """Squared-loss boosting over depth-limited regression trees."""
+    """Squared-loss boosting over depth-limited regression trees.
+
+    The trees are compiled into one packed forest whenever they are set, and
+    predict walks every tree at once.
+    """
 
     n_rounds: int = 100
     max_depth: int = 3
@@ -124,6 +245,9 @@ class GradientBoostedRegressor:
     min_leaf: int = 1
     base: float = 0.0
     trees: list[_Tree] = field(default_factory=list)
+
+    def __post_init__(self):
+        self._forest = _compile_forest(self.trees, self.learning_rate)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedRegressor":
         X = np.asarray(X, dtype=np.float64)
@@ -133,17 +257,24 @@ class GradientBoostedRegressor:
         current = np.full(len(y), self.base)
         for _ in range(self.n_rounds):
             residual = y - current
-            tree = _fit_tree(X, residual, self.max_depth, self.min_leaf)
+            tree, fitted = _fit_tree(X, residual, self.max_depth, self.min_leaf)
             self.trees.append(tree)
-            current += self.learning_rate * tree.predict(X)
+            current += self.learning_rate * fitted
+        self._forest = _compile_forest(self.trees, self.learning_rate)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Walk all trees for `depth` steps, then add the leaf values onto
+        base in tree order (accumulate, not pairwise sum, to fix the bits)."""
         X = np.asarray(X, dtype=np.float64)
-        out = np.full(len(X), self.base)
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict(X)
-        return out
+        forest = self._forest
+        rows = np.arange(len(X))
+        node = np.repeat(forest.roots[:, None], len(X), axis=1)
+        for _ in range(forest.depth):
+            go_left = X[rows, forest.feature[node]] <= forest.threshold[node]
+            node = np.where(go_left, forest.left[node], forest.right[node])
+        terms = np.concatenate([np.full((1, len(X)), self.base), forest.value[node]])
+        return np.add.accumulate(terms, axis=0)[-1]
 
     def to_dict(self) -> dict:
         return {
@@ -166,25 +297,25 @@ class GradientBoostedRegressor:
         }
 
     @classmethod
-    def from_dict(cls, record: dict) -> "GradientBoostedRegressor":
-        model = cls(
+    def from_dict(cls, record: dict, n_features: int) -> "GradientBoostedRegressor":
+        """Decode and check a saved regressor over n_features inputs."""
+        _require(
+            record,
+            ("n_rounds", "max_depth", "learning_rate", "min_leaf", "base", "trees"),
+            "regressor",
+        )
+        if not isinstance(record["trees"], list):
+            raise SchemaError("regressor.trees must be a list")
+        trees = [_tree_from_dict(i, t) for i, t in enumerate(record["trees"])]
+        _check_trees(trees, n_features)
+        return cls(
             n_rounds=record["n_rounds"],
             max_depth=record["max_depth"],
-            learning_rate=record["learning_rate"],
+            learning_rate=_number(record, "learning_rate", "regressor"),
             min_leaf=record["min_leaf"],
-            base=record["base"],
+            base=_number(record, "base", "regressor"),
+            trees=trees,
         )
-        model.trees = [
-            _Tree(
-                feature=np.asarray(t["feature"], dtype=np.int64),
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                left=np.asarray(t["left"], dtype=np.int64),
-                right=np.asarray(t["right"], dtype=np.int64),
-                value=np.asarray(t["value"], dtype=np.float64),
-            )
-            for t in record["trees"]
-        ]
-        return model
 
 
 @dataclass
@@ -218,18 +349,42 @@ class RidgeRegressor:
         }
 
     @classmethod
-    def from_dict(cls, record: dict) -> "RidgeRegressor":
-        model = cls(alpha=record["alpha"], bias=record["bias"])
-        model.weights = np.asarray(record["weights"], dtype=np.float64)
+    def from_dict(cls, record: dict, n_features: int) -> "RidgeRegressor":
+        _require(record, ("alpha", "weights", "bias"), "regressor")
+        model = cls(alpha=record["alpha"], bias=_number(record, "bias", "regressor"))
+        try:
+            model.weights = np.asarray(record["weights"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"regressor.weights is not numeric: {exc}") from exc
+        if model.weights.shape != (n_features,):
+            raise SchemaError(
+                f"regressor.weights has shape {model.weights.shape}, expected ({n_features},)"
+            )
         return model
 
 
-def _regressor_from_dict(record: dict):
-    kind = record.get("kind")
+def _require(record, keys: Sequence[str], where: str) -> None:
+    if not isinstance(record, dict):
+        raise SchemaError(f"{where} must be an object")
+    for key in keys:
+        if key not in record:
+            raise SchemaError(f"{where} missing field {key!r}")
+
+
+def _number(record: dict, key: str, where: str) -> float:
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}.{key} must be a number, got {value!r}")
+    return value
+
+
+def _regressor_from_dict(record: dict, n_features: int):
+    _require(record, ("kind",), "regressor")
+    kind = record["kind"]
     if kind == "gbrt":
-        return GradientBoostedRegressor.from_dict(record)
+        return GradientBoostedRegressor.from_dict(record, n_features)
     if kind == "ridge":
-        return RidgeRegressor.from_dict(record)
+        return RidgeRegressor.from_dict(record, n_features)
     raise SchemaError(f"unknown regressor kind {kind!r}")
 
 
@@ -466,12 +621,23 @@ def save_model(model: ScorerModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path, expected_embedder_id: str | None = None) -> ScorerModel:
+    """Read and fully check a model file, compiling its trees; a malformed
+    file raises SchemaError here, never later inside a search."""
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read model file {path}: {exc}") from exc
-    if record.get("version") != MODEL_FORMAT_VERSION:
-        raise SchemaError(f"unsupported model version {record.get('version')!r}")
+    _require(record, ("version",), "model file")
+    if record["version"] != MODEL_FORMAT_VERSION:
+        raise SchemaError(f"unsupported model version {record['version']!r}")
+    _require(
+        record,
+        ("embedder_id", "embed_dim", "threshold", "training_report", "regressor"),
+        "model file",
+    )
+    embed_dim = record["embed_dim"]
+    if not isinstance(embed_dim, int) or isinstance(embed_dim, bool) or embed_dim < 1:
+        raise SchemaError(f"model embed_dim must be a positive integer, got {embed_dim!r}")
     if (
         expected_embedder_id is not None
         and record["embedder_id"] != expected_embedder_id
@@ -481,10 +647,10 @@ def load_model(path: str | Path, expected_embedder_id: str | None = None) -> Sco
             f"configured {expected_embedder_id!r}"
         )
     return ScorerModel(
-        regressor=_regressor_from_dict(record["regressor"]),
-        threshold=float(record["threshold"]),
+        regressor=_regressor_from_dict(record["regressor"], n_features=2 * embed_dim),
+        threshold=float(_number(record, "threshold", "model")),
         embedder_id=record["embedder_id"],
-        embed_dim=int(record["embed_dim"]),
+        embed_dim=embed_dim,
         training_report=record["training_report"],
     )
 
@@ -582,7 +748,14 @@ class SelfCriticScorer:
 
 class EstimatorScorer:
     """Estimator as both a node scorer (via the node's parent pair) and the
-    pairwise scorer the greedy planner needs."""
+    pairwise scorer the greedy planner needs.
+
+    One instance serves one search. It memoizes embeddings by text and
+    scores by text pair, so each distinct text is embedded once and each
+    distinct pair predicted once. This is exact: the estimator is a pure
+    function of the two texts, and each predicted row is independent of the
+    rest of its batch.
+    """
 
     def __init__(self, model: ScorerModel, embedder):
         if embedder.embedder_id != model.embedder_id:
@@ -592,21 +765,28 @@ class EstimatorScorer:
             )
         self.model = model
         self.embedder = embedder
+        self._embeddings: dict[str, np.ndarray] = {}
+        self._scores: dict[tuple[str, str], float] = {}
+
+    def _embed(self, text: str) -> np.ndarray:
+        vec = self._embeddings.get(text)
+        if vec is None:
+            vec = self._embeddings[text] = self.embedder.embed(text)
+        return vec
 
     def score(self, graph: ThoughtGraph, node_id: int, generator: Generator) -> float:
         first, second = graph.node(node_id).parents
-        return self.model.predict(
-            self.embedder.embed(graph.node(first).text),
-            self.embedder.embed(graph.node(second).text),
-        )
+        pair = (graph.node(first).text, graph.node(second).text)
+        if pair not in self._scores:
+            self._scores[pair] = self.model.predict(self._embed(pair[0]), self._embed(pair[1]))
+        return self._scores[pair]
 
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        if not pairs:
-            return []
-        features = np.stack(
-            [
-                np.concatenate([self.embedder.embed(a), self.embedder.embed(b)])
-                for a, b in pairs
-            ]
-        )
-        return [float(v) for v in self.model.predict_batch(features)]
+        new = [pair for pair in dict.fromkeys(pairs) if pair not in self._scores]
+        if new:
+            features = np.stack(
+                [np.concatenate([self._embed(a), self._embed(b)]) for a, b in new]
+            )
+            for pair, value in zip(new, self.model.predict_batch(features)):
+                self._scores[pair] = float(value)
+        return [self._scores[pair] for pair in pairs]

@@ -115,6 +115,9 @@ def record_to_graph(record: dict) -> ThoughtGraph:
         graph.stats[node["id"]] = NodeStats(
             visits=node["visits"], cumulative_score=node["score"]
         )
+    graph.thought_ids = sorted(
+        nid for nid, node in graph.nodes.items() if node.kind != NodeKind.DOCUMENT
+    )
     for entry in record["history"]:
         action = Action(first=entry["first"], second=entry["second"])
         graph.history.append((action, entry["produced"]))

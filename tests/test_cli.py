@@ -130,6 +130,22 @@ def test_run_estimation_scorer(workspace, tmp_path):
     assert trace.exists()
 
 
+def test_run_with_malformed_model_is_config_error(workspace, tmp_path, capsys):
+    *_, index, model = workspace
+    record = json.loads(model.read_text())
+    record["regressor"]["trees"][0]["left"][0] = 0  # a node that is its own child
+    bad = tmp_path / "cyclic.json"
+    bad.write_text(json.dumps(record))
+    code = main(
+        [
+            "run", "--mode", "simulated", "--query", "need:k0", "--scorer", "estimation",
+            "--index", str(index), "--model", str(bad), "--trace", str(tmp_path / "t.json"),
+        ]
+    )
+    assert code == 2
+    assert "trees[0].left[0]" in capsys.readouterr().err
+
+
 def test_run_oracle_without_gold_is_config_error(workspace):
     *_, index, model = workspace
     assert (

@@ -376,3 +376,105 @@ def test_estimator_scorer_checks_embedder_id():
     assert 0.0 <= value <= 1.0
     with pytest.raises(ConfigError):
         EstimatorScorer(model, HashedEmbedder(dim=64))
+
+
+# ---------------------------------------------------------------------------
+# Per-search memo of the estimator scorer
+# ---------------------------------------------------------------------------
+
+
+class CountingEmbedder:
+    """HashedEmbedder that counts how often each text is embedded."""
+
+    def __init__(self, dim: int):
+        self.inner = HashedEmbedder(dim=dim)
+        self.calls: dict[str, int] = {}
+
+    @property
+    def embedder_id(self) -> str:
+        return self.inner.embedder_id
+
+    def embed(self, text: str) -> np.ndarray:
+        self.calls[text] = self.calls.get(text, 0) + 1
+        return self.inner.embed(text)
+
+
+class UncachedPairScorer:
+    """The estimator's pair scoring with no memo: embed and predict every pair."""
+
+    def __init__(self, model, embedder):
+        self.model, self.embedder = model, embedder
+
+    def score_pairs(self, pairs):
+        features = np.stack(
+            [np.concatenate([self.embedder.embed(a), self.embedder.embed(b)]) for a, b in pairs]
+        )
+        return [float(v) for v in self.model.predict_batch(features)]
+
+
+def _hashed_gbrt_model(dim: int = 32):
+    return train_estimator(
+        _synthetic_dataset(n=300, dim_each=dim),
+        holdout_fraction=0.2,
+        regressor_config={"regressor": "gbrt", "rounds": 20},
+        embedder_id=HashedEmbedder(dim=dim).embedder_id,
+        seed=0,
+    )
+
+
+def test_estimator_memo_is_exact_and_embeds_each_text_once():
+    model = _hashed_gbrt_model()
+    texts = ["alpha beta", "gamma", "delta delta epsilon", "alpha beta gamma"]
+    pairs = [(a, b) for a in texts for b in texts[:3]]
+    pairs += pairs[2:7]  # repeated pairs, in one batch and across batches
+    expected = UncachedPairScorer(model, HashedEmbedder(dim=32)).score_pairs(pairs)
+    assert expected == [
+        EstimatorScorer(model, HashedEmbedder(dim=32)).score_pairs([pair])[0] for pair in pairs
+    ]
+
+    embedder = CountingEmbedder(dim=32)
+    scorer = EstimatorScorer(model, embedder)
+    rows = []
+    model.predict_batch = lambda features, inner=model.predict_batch: (
+        rows.append(len(features)) or inner(features)
+    )
+    assert scorer.score_pairs(pairs) == expected
+    assert rows == [len(set(pairs))]
+    assert scorer.score_pairs(pairs[3:9]) == expected[3:9]
+    assert rows == [len(set(pairs))]  # every pair was already known
+
+    graph = new_process(texts[0])
+    first = graph.apply_transition(Action(0, 0), texts[1])
+    node = graph.apply_transition(Action(0, first), "unused")
+    assert scorer.score(graph, node, SimulatedGenerator()) == expected[1]
+    assert rows == [len(set(pairs))]
+    assert embedder.calls == {text: 1 for text in texts}
+
+    EstimatorScorer(model, embedder).score_pairs(pairs[:1])  # a new search starts afresh
+    assert embedder.calls[texts[0]] == 2
+
+
+def test_greedy_search_memo_keeps_calls_and_trace(small_index):
+    from thoughtsearch.graph import EpisodeConfig
+    from thoughtsearch.mcts import RetrieverPorts, SearchPorts, greedy_search
+    from thoughtsearch.retrieval import DocumentQueue
+    from thoughtsearch.trace import graph_to_record, trace_text
+
+    model = _hashed_gbrt_model()
+
+    def search(scorer):
+        ports = SearchPorts(
+            generator=SimulatedGenerator(),
+            scorer=scorer,
+            retriever=RetrieverPorts(index=small_index, queue=DocumentQueue(batch_size=2)),
+        )
+        outcome = greedy_search(
+            "need:k1 need:k4 question", ports, EpisodeConfig(max_steps=6, stop_threshold=2.0)
+        )
+        return outcome.scorer_calls, trace_text(graph_to_record(outcome.graph, outcome))
+
+    embedder = CountingEmbedder(dim=32)
+    cached = search(EstimatorScorer(model, embedder))
+    assert cached == search(UncachedPairScorer(model, HashedEmbedder(dim=32)))
+    assert cached[0] > len(embedder.calls)
+    assert all(count == 1 for count in embedder.calls.values())

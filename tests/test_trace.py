@@ -6,8 +6,9 @@ import pytest
 
 from thoughtsearch.errors import SchemaError
 from thoughtsearch.generate import SimulatedGenerator
-from thoughtsearch.graph import Action, EpisodeConfig, new_process
-from thoughtsearch.mcts import SearchPorts, run_search
+from thoughtsearch.graph import Action, EpisodeConfig, NodeKind, new_process
+from thoughtsearch.mcts import RetrieverPorts, SearchPorts, run_search
+from thoughtsearch.retrieval import DocumentQueue
 from thoughtsearch.trace import (
     dump_trace,
     graph_to_record,
@@ -80,6 +81,21 @@ def test_record_to_graph_reconstructs(tmp_path):
     assert rebuilt.nodes == graph.nodes
     assert rebuilt.history == graph.history
     assert rebuilt.stats[3].cumulative_score == 0.5
+
+
+def test_record_to_graph_rebuilds_thought_ids(small_index):
+    ports = SearchPorts(
+        generator=SimulatedGenerator(),
+        scorer=ConstantScorer(0.0),
+        retriever=RetrieverPorts(index=small_index, queue=DocumentQueue(batch_size=2)),
+    )
+    outcome = run_search("q", ports, EpisodeConfig(max_steps=8, stop_threshold=0.9, p_doc=0.6))
+    graph = outcome.graph
+    assert any(node.kind == NodeKind.DOCUMENT for node in graph.nodes.values())
+    rebuilt = record_to_graph(graph_to_record(graph, outcome))
+    assert rebuilt.thought_ids == graph.thought_ids == sorted(
+        nid for nid, node in graph.nodes.items() if node.kind != NodeKind.DOCUMENT
+    )
 
 
 def test_validation_names_offending_field():
