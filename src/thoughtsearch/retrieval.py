@@ -1,7 +1,8 @@
 """Corpus ingestion, hashed TF-IDF embeddings, cosine top-k retrieval, and the
 refill-on-empty per-search document queue.
 
-Corpora are desk-scale, so exhaustive cosine scoring is both the oracle and
+Corpora are desk-scale, so exhaustive cosine scoring of a query's candidate
+rows (its filter key's rows, from a per-key row list) is both the oracle and
 the implementation; there is deliberately no approximate nearest-neighbor
 structure here.
 """
@@ -18,9 +19,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
 import numpy as np
-import requests
 
-from .errors import CorpusError, ExhaustedCorpusError, SchemaError, TransportError
+from .errors import CorpusError, ExhaustedCorpusError, SchemaError
 
 INDEX_FORMAT_VERSION = 1
 
@@ -105,44 +105,25 @@ def fit_idf_embedder(texts: Iterable[str], dim: int) -> HashedEmbedder:
     return HashedEmbedder(dim=dim, idf=idf, n_docs=n_docs)
 
 
-class RemoteEmbedder:
-    """Delegates embedding to an HTTP endpoint: POST {text} -> {embedding}."""
-
-    def __init__(self, endpoint: str, dim: int, timeout_s: float = 30.0, name: str = "default"):
-        self.endpoint = endpoint
-        self.dim = dim
-        self.timeout_s = timeout_s
-        self.name = name
-        self._session = requests.Session()
-
-    @property
-    def embedder_id(self) -> str:
-        return f"remote-v1-d{self.dim}-{self.name}"
-
-    def embed(self, text: str) -> np.ndarray:
-        try:
-            resp = self._session.post(
-                self.endpoint, json={"text": text}, timeout=self.timeout_s
-            )
-            resp.raise_for_status()
-            payload = resp.json()
-        except (requests.RequestException, ValueError) as exc:
-            raise TransportError(f"embedding endpoint failed: {exc}") from exc
-        vec = np.asarray(payload.get("embedding", []), dtype=np.float64)
-        if vec.shape != (self.dim,):
-            raise TransportError(
-                f"embedding endpoint returned shape {vec.shape}, expected ({self.dim},)"
-            )
-        return vec
-
-
 @dataclass
 class CorpusIndex:
-    """Immutable after ingestion; safe to share across concurrent searches."""
+    """Immutable after ingestion; safe to share across concurrent searches.
+
+    documents[i].doc_id == i. `rows_by_key` maps each filter_key to the
+    ascending rows of its documents; it is derived here, on construction,
+    and never written to an index file.
+    """
 
     documents: list[Document]
     embeddings: np.ndarray  # row i embeds documents[i]; rows L2-normalized
     embedder: HashedEmbedder
+    rows_by_key: dict[str | None, tuple[int, ...]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rows: dict[str | None, list[int]] = {}
+        for i, doc in enumerate(self.documents):
+            rows.setdefault(doc.filter_key, []).append(i)
+        self.rows_by_key = {key: tuple(r) for key, r in rows.items()}
 
     @property
     def embedder_id(self) -> str:
@@ -184,6 +165,8 @@ def _read_records(source: str | Path) -> list[tuple[str, str | None, str]]:
                 raise CorpusError(f"{path}:{lineno}: bad record: {exc}") from exc
             if "text" not in rec:
                 raise CorpusError(f"{path}:{lineno}: record missing 'text'")
+            if not isinstance(rec.get("filter_key"), (str, type(None))):
+                raise CorpusError(f"{path}:{lineno}: filter_key must be a string or null")
             records.append(
                 (str(rec.get("source_id", f"record-{lineno}")), rec.get("filter_key"), rec["text"])
             )
@@ -230,21 +213,24 @@ def retrieve(
     filter_key: str | None = None,
     exclude: set[int] | frozenset[int] = frozenset(),
 ) -> list[Document]:
-    """Top-k documents by cosine similarity, ties broken by lowest doc_id."""
+    """Top-k documents by cosine similarity, ties broken by lowest doc_id.
+
+    Only the filter key's own rows are scored, gathered in ascending order,
+    so each similarity is computed exactly as over a filtered full scan.
+    """
     if k < 1:
         raise CorpusError(f"k must be >= 1, got {k}")
-    candidates = [
-        i
-        for i, doc in enumerate(index.documents)
-        if doc.doc_id not in exclude
-        and (filter_key is None or doc.filter_key == filter_key)
-    ]
+    if filter_key is None:
+        rows = range(len(index.documents))
+    else:
+        rows = index.rows_by_key.get(filter_key, ())
+    candidates = [i for i in rows if i not in exclude]
     if not candidates:
         return []
     query_vec = index.embedder.embed(query_text)
     sims = index.embeddings[candidates] @ query_vec
-    ranked = sorted(zip(candidates, sims), key=lambda pair: (-pair[1], pair[0]))
-    return [index.documents[i] for i, _ in ranked[:k]]
+    ranked = np.lexsort((candidates, -sims))[:k]
+    return [index.documents[candidates[j]] for j in ranked]
 
 
 @dataclass
@@ -296,7 +282,53 @@ def _b64_floats(arr: np.ndarray) -> str:
 
 
 def _floats_b64(blob: str, shape: tuple[int, ...]) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(blob), dtype="<f8").reshape(shape).copy()
+    try:
+        return np.frombuffer(base64.b64decode(blob), dtype="<f8").reshape(shape).copy()
+    except ValueError as exc:  # bad base64, or not prod(shape) float64s
+        raise SchemaError(
+            f"index.embeddings does not decode to shape {list(shape)}: {exc}"
+        ) from exc
+
+
+def _field(record: dict, key: str, types: tuple[type, ...], where: str):
+    """record[key], which must be present and of exactly one of `types`, as
+    JSON decodes it (so a bool is no int)."""
+    if key not in record:
+        raise SchemaError(f"{where} missing field {key!r}")
+    value = record[key]
+    if type(value) not in types:
+        raise SchemaError(f"{where}.{key} has unexpected type {type(value).__name__}")
+    return value
+
+
+_MISSING = object()
+_DOCUMENT_FIELDS = {  # in Document's field order
+    "doc_id": (int,),
+    "text": (str,),
+    "source_id": (str,),
+    "filter_key": (str, type(None)),
+    "word_count": (int,),
+}
+
+
+def _documents_from_list(records: list) -> list[Document]:
+    """Check the saved documents one field at a time across all of them: a
+    per-document call per field would add a third to load_index's time."""
+    for i, rec in enumerate(records):
+        if type(rec) is not dict:
+            raise SchemaError(f"index.documents[{i}] must be an object")
+    columns = []
+    for name, types in _DOCUMENT_FIELDS.items():
+        column = [rec.get(name, _MISSING) for rec in records]
+        for i, value in enumerate(column):
+            if type(value) not in types:
+                _field(records[i], name, types, f"index.documents[{i}]")  # raises
+        columns.append(column)
+    doc_ids = columns[0]
+    if doc_ids != list(range(len(doc_ids))):
+        i = next(i for i, doc_id in enumerate(doc_ids) if doc_id != i)
+        raise SchemaError(f"index.documents[{i}].doc_id is {doc_ids[i]}, expected its position {i}")
+    return [Document(*values) for values in zip(*columns)]
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
@@ -329,30 +361,41 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path, expected_embedder_id: str | None = None) -> CorpusIndex:
+    """Read and fully check an index file; a malformed file raises
+    SchemaError naming the field here, never later inside a search."""
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read index file {path}: {exc}") from exc
+    if not isinstance(record, dict):
+        raise SchemaError("index file must be an object")
     if record.get("version") != INDEX_FORMAT_VERSION:
         raise SchemaError(f"unsupported index version {record.get('version')!r}")
-    emb_rec = record["embedder"]
-    embedder = HashedEmbedder(
-        dim=emb_rec["dim"], idf=emb_rec["idf"], n_docs=emb_rec["n_docs"]
-    )
+    emb_rec = _field(record, "embedder", (dict,), "index")
+    dim = _field(emb_rec, "dim", (int,), "index.embedder")
+    n_docs = _field(emb_rec, "n_docs", (int,), "index.embedder")
+    idf = _field(emb_rec, "idf", (dict, type(None)), "index.embedder")
+    if dim < 1 or n_docs < 0:
+        raise SchemaError(
+            f"index.embedder has dim {dim} and n_docs {n_docs}; need dim >= 1, n_docs >= 0"
+        )
+    for token, weight in (idf or {}).items():
+        if type(weight) not in (int, float) or not math.isfinite(weight):
+            raise SchemaError(f"index.embedder.idf[{token!r}] = {weight!r} is not a finite number")
+    embedder = HashedEmbedder(dim=dim, idf=idf, n_docs=n_docs)
     if expected_embedder_id is not None and embedder.embedder_id != expected_embedder_id:
         raise SchemaError(
             f"index embedder_id {embedder.embedder_id!r} does not match "
             f"configured {expected_embedder_id!r}"
         )
-    documents = [
-        Document(
-            doc_id=d["doc_id"],
-            text=d["text"],
-            source_id=d["source_id"],
-            filter_key=d["filter_key"],
-            word_count=d["word_count"],
+    documents = _documents_from_list(_field(record, "documents", (list,), "index"))
+    shape = [len(documents), dim]
+    if _field(record, "shape", (list,), "index") != shape:
+        raise SchemaError(
+            f"index.shape is {record['shape']}, expected {shape} (documents x embedder.dim)"
         )
-        for d in record["documents"]
-    ]
-    embeddings = _floats_b64(record["embeddings"], tuple(record["shape"]))
+    embeddings = _floats_b64(_field(record, "embeddings", (str,), "index"), tuple(shape))
+    finite = np.isfinite(embeddings).all(axis=1)
+    if not finite.all():
+        raise SchemaError(f"index.embeddings row {int(np.argmin(finite))} is not finite")
     return CorpusIndex(documents=documents, embeddings=embeddings, embedder=embedder)

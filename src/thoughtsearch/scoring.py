@@ -165,42 +165,65 @@ def _compile_forest(trees: Sequence[_Tree], learning_rate: float) -> _Forest:
     )
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float] | None:
-    """Exact greedy split maximizing the reduction in squared error."""
-    n = len(y)
-    if n < 2 * min_leaf:
+_SPLIT_BLOCK = 1 << 12  # (feature, row) cells scored at once by _best_split
+
+
+def _best_split(
+    XT: np.ndarray, y: np.ndarray, order: np.ndarray, total: float, min_leaf: int
+) -> tuple[int, float] | None:
+    """Exact greedy split maximizing the reduction in squared error.
+
+    Row f of `order` lists a node's rows in stable ascending order of
+    feature f (the values XT[f]); `total` is the sum of y over those rows.
+    Features are scored a block at a time, so the temporaries stay small,
+    and ties between features go to the first one.
+    """
+    n = order.shape[1]
+    if n < max(2, 2 * min_leaf):
         return None
-    total = y.sum()
-    best_gain, best = 0.0, None
     base = total * total / n
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        left_sum = np.cumsum(y[order])[:-1]
-        left_n = np.arange(1, n)
-        valid = xs[:-1] < xs[1:]
+    left_n = np.arange(1, n)
+    best_gain, best = 0.0, None
+    step = max(1, _SPLIT_BLOCK // n)
+    for start in range(0, len(order), step):
+        rows = order[start : start + step]
+        xs = np.take_along_axis(XT[start : start + step], rows, axis=1)
+        left_sum = np.cumsum(y[rows], axis=1)[:, :-1]
+        valid = xs[:, :-1] < xs[:, 1:]
         if min_leaf > 1:
             valid &= (left_n >= min_leaf) & (n - left_n >= min_leaf)
-        if not valid.any():
-            continue
         right_sum = total - left_sum
-        gain = left_sum**2 / left_n + right_sum**2 / (n - left_n) - base
-        gain = np.where(valid, gain, -np.inf)
-        idx = int(np.argmax(gain))
-        if gain[idx] > best_gain + 1e-12:
-            best_gain = float(gain[idx])
-            best = (f, float((xs[idx] + xs[idx + 1]) / 2.0))
+        # left_sum**2 / left_n + right_sum**2 / (n - left_n) - base, the
+        # same operations in the same order, in place.
+        gain = np.square(left_sum, out=left_sum)
+        gain /= left_n
+        np.square(right_sum, out=right_sum)
+        right_sum /= n - left_n
+        gain += right_sum
+        gain -= base
+        gain[~valid] = -np.inf
+        cut = np.argmax(gain, axis=1)
+        for f, g in enumerate(gain[np.arange(len(cut)), cut].tolist()):
+            if g > best_gain + 1e-12:
+                best_gain = g
+                best = (start + f, float((xs[f, cut[f]] + xs[f, cut[f] + 1]) / 2.0))
     return best
 
 
 def _fit_tree(
-    X: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int
+    X: np.ndarray, y: np.ndarray, order: np.ndarray, max_depth: int, min_leaf: int
 ) -> tuple[_Tree, np.ndarray]:
-    """Fit one tree; also return each training row's leaf value."""
+    """Fit one tree; also return each training row's leaf value.
+
+    `order` is (n_features, n_rows): each feature's rows in stable ascending
+    order of that feature. Each node keeps the part of it that covers its own
+    rows; since those rows ascend, that is exactly a fresh stable argsort of
+    the node's rows."""
     feature, threshold, left, right, value = [], [], [], [], []
     fitted = np.empty(len(y), dtype=np.float64)
+    XT = np.ascontiguousarray(X.T)
 
-    def build(rows: np.ndarray, depth: int) -> int:
+    def build(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
         node_id = len(feature)
         feature.append(-1)
         threshold.append(0.0)
@@ -208,19 +231,23 @@ def _fit_tree(
         right.append(-1)
         value.append(float(y[rows].mean()))
         if depth < max_depth:
-            split = _best_split(X[rows], y[rows], min_leaf)
+            split = _best_split(XT, y, order, y[rows].sum(), min_leaf)
             if split is not None:
                 f, t = split
-                mask = X[rows, f] <= t
+                goes_left = XT[f] <= t
+                mask, in_left = goes_left[rows], goes_left[order]
                 feature[node_id] = f
                 threshold[node_id] = t
-                left[node_id] = build(rows[mask], depth + 1)
-                right[node_id] = build(rows[~mask], depth + 1)
+                width = int(mask.sum())
+                left[node_id] = build(rows[mask], order[in_left].reshape(-1, width), depth + 1)
+                right[node_id] = build(
+                    rows[~mask], order[~in_left].reshape(-1, len(rows) - width), depth + 1
+                )
                 return node_id
         fitted[rows] = value[node_id]
         return node_id
 
-    build(np.arange(len(y)), 0)
+    build(np.arange(len(y)), order, 0)
     tree = _Tree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -255,9 +282,10 @@ class GradientBoostedRegressor:
         self.base = float(y.mean())
         self.trees = []
         current = np.full(len(y), self.base)
+        order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
         for _ in range(self.n_rounds):
             residual = y - current
-            tree, fitted = _fit_tree(X, residual, self.max_depth, self.min_leaf)
+            tree, fitted = _fit_tree(X, residual, order, self.max_depth, self.min_leaf)
             self.trees.append(tree)
             current += self.learning_rate * fitted
         self._forest = _compile_forest(self.trees, self.learning_rate)
@@ -414,23 +442,19 @@ class ScorerModel:
     training_report: dict
 
     def predict(self, emb_i: np.ndarray, emb_j: np.ndarray) -> float:
-        return estimator_predict(self, emb_i, emb_j)
+        """Regressor output on concatenated embeddings, clamped to [0, 1]."""
+        emb_i = np.asarray(emb_i, dtype=np.float64)
+        emb_j = np.asarray(emb_j, dtype=np.float64)
+        if emb_i.shape != (self.embed_dim,) or emb_j.shape != (self.embed_dim,):
+            raise ConfigError(
+                f"embedding dimension mismatch: model expects {self.embed_dim}, "
+                f"got {emb_i.shape} and {emb_j.shape}"
+            )
+        features = np.concatenate([emb_i, emb_j])[None, :]
+        return float(self.predict_batch(features)[0])
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         return np.clip(self.regressor.predict(features), 0.0, 1.0)
-
-
-def estimator_predict(model: ScorerModel, emb_i: np.ndarray, emb_j: np.ndarray) -> float:
-    """Regressor output on concatenated embeddings, clamped to [0, 1]."""
-    emb_i = np.asarray(emb_i, dtype=np.float64)
-    emb_j = np.asarray(emb_j, dtype=np.float64)
-    if emb_i.shape != (model.embed_dim,) or emb_j.shape != (model.embed_dim,):
-        raise ConfigError(
-            f"embedding dimension mismatch: model expects {model.embed_dim}, "
-            f"got {emb_i.shape} and {emb_j.shape}"
-        )
-    features = np.concatenate([emb_i, emb_j])[None, :]
-    return float(model.predict_batch(features)[0])
 
 
 def threshold_fit(scores: Sequence[float], labels: Sequence[int]) -> float:

@@ -1,14 +1,12 @@
 """Seed fan-out. One 64-bit root seed derives independent, stable streams.
 
-The generator algorithm is PCG64, named here so that traces replay across
+The generator algorithm is fixed to PCG64, so that traces replay across
 versions and machines.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-RNG_ALGORITHM = "pcg64"
 
 
 def rng_from(seed: int, *key: int) -> np.random.Generator:

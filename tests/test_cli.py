@@ -146,6 +146,16 @@ def test_run_with_malformed_model_is_config_error(workspace, tmp_path, capsys):
     assert "trees[0].left[0]" in capsys.readouterr().err
 
 
+def test_run_with_truncated_index_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "index.json"
+    bad.write_text('{"version":1}')
+    code = main(
+        ["run", "--mode", "simulated", "--query", "need:k0", "--scorer", "self_critic", "--index", str(bad)]
+    )
+    assert code == 2
+    assert "'embedder'" in capsys.readouterr().err
+
+
 def test_run_oracle_without_gold_is_config_error(workspace):
     *_, index, model = workspace
     assert (

@@ -1,16 +1,19 @@
-"""Compiled GBRT forest: bit-identical to a per-tree reference walk, and
+"""GBRT: the presorted fit grows the same trees as a per-node argsort fit,
+the compiled forest is bit-identical to a per-tree reference walk, and
 model files are fully checked when they load."""
 
 from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thoughtsearch import scoring
 from thoughtsearch.errors import SchemaError
 from thoughtsearch.scoring import (
     GradientBoostedRegressor,
@@ -121,6 +124,94 @@ def test_fitted_model_matches_reference():
     probe = np.vstack([X, rng.normal(size=(20, N_FEATURES))])
     probe[::7, 2] = math.nan
     assert np.array_equal(model.predict(probe), reference_predict(model, probe))
+
+
+def reference_fit(X, y, n_rounds, max_depth, min_leaf, learning_rate=0.1):
+    """Boosting with every feature column argsorted afresh at every node and
+    the features tried one at a time. Returns the trees as saved."""
+
+    def best_split(X, y):
+        n = len(y)
+        if n < 2 * min_leaf:
+            return None
+        total = y.sum()
+        best_gain, best = 0.0, None
+        base = total * total / n
+        for f in range(X.shape[1]):
+            order = np.argsort(X[:, f], kind="stable")
+            xs = X[order, f]
+            left_sum = np.cumsum(y[order])[:-1]
+            left_n = np.arange(1, n)
+            valid = xs[:-1] < xs[1:]
+            if min_leaf > 1:
+                valid &= (left_n >= min_leaf) & (n - left_n >= min_leaf)
+            if not valid.any():
+                continue
+            right_sum = total - left_sum
+            gain = left_sum**2 / left_n + right_sum**2 / (n - left_n) - base
+            gain = np.where(valid, gain, -np.inf)
+            idx = int(np.argmax(gain))
+            if gain[idx] > best_gain + 1e-12:
+                best_gain = float(gain[idx])
+                best = (f, float((xs[idx] + xs[idx + 1]) / 2.0))
+        return best
+
+    def fit_tree(residual):
+        tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+        fitted = np.empty(len(residual))
+
+        def build(rows, depth):
+            node = len(tree["feature"])
+            for name, start in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1)):
+                tree[name].append(start)
+            tree["value"].append(float(residual[rows].mean()))
+            split = best_split(X[rows], residual[rows]) if depth < max_depth else None
+            if split is None:
+                fitted[rows] = tree["value"][node]
+                return node
+            f, t = split
+            mask = X[rows, f] <= t
+            tree["feature"][node], tree["threshold"][node] = f, t
+            tree["left"][node] = build(rows[mask], depth + 1)
+            tree["right"][node] = build(rows[~mask], depth + 1)
+            return node
+
+        build(np.arange(len(residual)), 0)
+        return tree, fitted
+
+    current = np.full(len(y), float(y.mean()))
+    trees = []
+    for _ in range(n_rounds):
+        tree, fitted = fit_tree(y - current)
+        trees.append(tree)
+        current += learning_rate * fitted
+    return trees
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n_rows=st.integers(2, 40),
+    n_features=st.integers(1, 5),
+    max_depth=st.integers(1, 4),
+    min_leaf=st.integers(1, 4),
+    n_rounds=st.integers(1, 6),
+    # Cells per block of split scoring: one feature, a few, or all at once.
+    block=st.sampled_from([1, 60, 1 << 12]),
+)
+def test_presorted_fit_grows_reference_trees(
+    data, n_rows, n_features, max_depth, min_leaf, n_rounds, block
+):
+    # Few distinct values give tied feature values and tied gains.
+    value = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-3, 3, allow_nan=False)
+    row = st.lists(value, min_size=n_features, max_size=n_features)
+    X = np.asarray(data.draw(st.lists(row, min_size=n_rows, max_size=n_rows)))
+    target = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0, 1)
+    y = np.asarray(data.draw(st.lists(target, min_size=n_rows, max_size=n_rows)))
+    model = GradientBoostedRegressor(n_rounds=n_rounds, max_depth=max_depth, min_leaf=min_leaf)
+    with mock.patch.object(scoring, "_SPLIT_BLOCK", block):
+        model.fit(X, y)
+    assert model.to_dict()["trees"] == reference_fit(X, y, n_rounds, max_depth, min_leaf)
 
 
 # ---------------------------------------------------------------------------

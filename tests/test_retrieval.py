@@ -1,18 +1,25 @@
-"""Chunking, embedding, cosine retrieval vs a brute-force oracle, queue refills."""
+"""Chunking, embedding, cosine retrieval vs a brute-force oracle and vs the
+full-scan implementation, queue refills, index files and their load checks."""
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thoughtsearch.errors import CorpusError, ExhaustedCorpusError, SchemaError
 from thoughtsearch.retrieval import (
+    CorpusIndex,
+    Document,
     DocumentQueue,
     HashedEmbedder,
     chunk_words,
+    fit_idf_embedder,
     ingest_corpus,
     load_index,
     queue_next,
@@ -131,6 +138,73 @@ def test_retrieve_matches_bruteforce_oracle(tmp_path):
         assert got == expected
 
 
+def reference_retrieve(index, query_text, k, filter_key=None, exclude=frozenset()):
+    """The full-scan implementation: test every document, then sort every
+    candidate in Python by (-similarity, row)."""
+    candidates = [
+        i
+        for i, doc in enumerate(index.documents)
+        if doc.doc_id not in exclude
+        and (filter_key is None or doc.filter_key == filter_key)
+    ]
+    if not candidates:
+        return []
+    query_vec = index.embedder.embed(query_text)
+    sims = index.embeddings[candidates] @ query_vec
+    ranked = sorted(zip(candidates, sims), key=lambda pair: (-pair[1], pair[0]))
+    return [index.documents[i] for i, _ in ranked[:k]]
+
+
+VOCAB = ["apple", "brick", "cloud", "delta", "ember", "frost", "grove"]
+KEYS = ["p0", "p1", "p2", None]
+
+
+def _index_from(chunks: list[tuple[str, str | None]], dim: int) -> CorpusIndex:
+    """An index built as ingest_corpus builds one, from (text, filter_key)."""
+    documents = [
+        Document(
+            doc_id=i, text=text, source_id=f"s{i}", filter_key=key, word_count=len(text.split())
+        )
+        for i, (text, key) in enumerate(chunks)
+    ]
+    embedder = fit_idf_embedder((d.text for d in documents), dim=dim)
+    embeddings = np.stack([embedder.embed(d.text) for d in documents])
+    return CorpusIndex(documents=documents, embeddings=embeddings, embedder=embedder)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    chunks=st.lists(
+        st.tuples(
+            # One to three words from seven give many duplicate texts, so
+            # exact similarity ties.
+            st.lists(st.sampled_from(VOCAB), min_size=1, max_size=3).map(" ".join),
+            st.sampled_from(KEYS),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    dim=st.sampled_from([4, 16, 64]),
+)
+def test_retrieve_matches_full_scan(data, chunks, dim):
+    index = _index_from(chunks, dim)
+    n = len(chunks)
+    query = " ".join(data.draw(st.lists(st.sampled_from(VOCAB + ["unseen"]), max_size=4)))
+    filter_key = data.draw(st.sampled_from(KEYS + ["absent"]))
+    exclude = data.draw(
+        st.one_of(
+            st.sets(st.integers(0, n - 1)),
+            # Every candidate of the key excluded: nothing is left.
+            st.just({i for i, (_, key) in enumerate(chunks) if filter_key in (None, key)}),
+        )
+    )
+    k = data.draw(st.integers(1, n + 5))
+    got = [d.doc_id for d in retrieve(index, query, k, filter_key=filter_key, exclude=exclude)]
+    want = [d.doc_id for d in reference_retrieve(index, query, k, filter_key, exclude)]
+    assert got == want
+
+
 def test_queue_refill_pattern_batch2_over_5_docs(tmp_path):
     records = [
         {"source_id": f"s{i}", "filter_key": None, "text": f"shared topic doc{i}"}
@@ -171,6 +245,104 @@ def test_index_round_trip_and_embedder_id_check(tmp_path):
     assert np.array_equal(loaded.embeddings, index.embeddings)
     with pytest.raises(SchemaError):
         load_index(out, expected_embedder_id="hashed-tf-v1-d999")
+
+
+def test_rows_by_key_survives_round_trip(tmp_path):
+    records = [
+        {"source_id": f"s{i}", "filter_key": [None, "a", "b"][i % 3], "text": _words(25, f"t{i}_")}
+        for i in range(7)
+    ]
+    index = ingest_corpus(_corpus_file(tmp_path, records), chunk_size=10, dim=32)
+    assert index.rows_by_key == {
+        key: tuple(i for i, d in enumerate(index.documents) if d.filter_key == key)
+        for key in (None, "a", "b")
+    }
+    out = tmp_path / "index.json"
+    save_index(index, out)
+    assert "rows_by_key" not in out.read_text()
+    assert load_index(out).rows_by_key == index.rows_by_key
+
+
+def _add_document(record):
+    record["documents"].append(dict(record["documents"][-1], doc_id=len(record["documents"])))
+
+
+def _drop_last_document(record):
+    record["documents"].pop()
+
+
+def _drop_last_row(record):
+    record["embeddings"] = _b64(_rows(record)[:-1])
+    record["shape"][0] -= 1
+
+
+def _rows(record):
+    blob = base64.b64decode(record["embeddings"])
+    return np.frombuffer(blob, dtype="<f8").reshape(record["shape"])
+
+
+def _b64(rows):
+    return base64.b64encode(np.ascontiguousarray(rows, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _non_finite_row(record):
+    rows = _rows(record).copy()
+    rows[2, 0] = np.nan
+    record["embeddings"] = _b64(rows)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda r: [r.pop(key) for key in list(r) if key != "version"], "missing field 'embedder'"),
+        (lambda r: r["embedder"].pop("dim"), r"index.embedder missing field 'dim'"),
+        (lambda r: r.pop("shape"), "missing field 'shape'"),
+        (lambda r: r["documents"][1].pop("text"), r"documents\[1\] missing field 'text'"),
+        (_add_document, "shape"),
+        (_drop_last_document, "shape"),
+        (_drop_last_row, "shape"),
+        (lambda r: r["shape"].__setitem__(1, 8), "shape"),
+        (lambda r: r.__setitem__("embeddings", r["embeddings"][:-12]), "embeddings"),
+        (lambda r: r["documents"][3].__setitem__("doc_id", 0), r"documents\[3\].doc_id"),
+        (lambda r: r["documents"][0].__setitem__("filter_key", ["a"]), r"documents\[0\].filter_key"),
+        (lambda r: r["documents"][0].__setitem__("filter_key", 7), r"documents\[0\].filter_key"),
+        (lambda r: r["embedder"]["idf"].__setitem__("w0", "x"), "idf"),
+        (_non_finite_row, "row 2 is not finite"),
+    ],
+    ids=[
+        "truncated-to-version",
+        "no-dim",
+        "no-shape",
+        "document-without-text",
+        "more-documents-than-rows",
+        "fewer-documents-than-rows",
+        "fewer-rows-than-documents",
+        "shape-not-embedder-dim",
+        "embeddings-truncated",
+        "doc-id-not-position",
+        "filter-key-unhashable",
+        "filter-key-not-string",
+        "idf-not-numeric",
+        "embeddings-not-finite",
+    ],
+)
+def test_malformed_index_is_rejected_at_load(tmp_path, mutate, message):
+    records = [
+        {"source_id": f"s{i}", "filter_key": "f", "text": _words(20, f"t{i}_")} for i in range(2)
+    ]
+    out = tmp_path / "index.json"
+    save_index(ingest_corpus(_corpus_file(tmp_path, records), chunk_size=10, dim=16), out)
+    record = json.loads(out.read_text())
+    mutate(record)
+    out.write_text(json.dumps(record))
+    with pytest.raises(SchemaError, match=message):
+        load_index(out)
+
+
+def test_ingest_rejects_unhashable_filter_key(tmp_path):
+    path = _corpus_file(tmp_path, [{"source_id": "s", "filter_key": ["a"], "text": "x y"}])
+    with pytest.raises(CorpusError, match="filter_key"):
+        ingest_corpus(path, chunk_size=10)
 
 
 def test_reingest_is_byte_identical(tmp_path):

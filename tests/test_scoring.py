@@ -20,7 +20,6 @@ from thoughtsearch.scoring import (
     OfflineSample,
     OracleScorer,
     collect_offline_dataset,
-    estimator_predict,
     load_dataset,
     load_model,
     oracle_score,
@@ -206,7 +205,7 @@ def test_train_estimator_degenerate_constant():
         for i in range(12)
     ]
     model = train_estimator(data, holdout_fraction=0.25, seed=0)
-    assert estimator_predict(model, np.ones(dim), np.ones(dim)) == pytest.approx(0.5)
+    assert model.predict(np.ones(dim), np.ones(dim)) == pytest.approx(0.5)
     assert model.training_report["holdout_mse"] == pytest.approx(0.0)
     # An explicit regressor config must not break the degenerate path.
     model = train_estimator(
@@ -215,7 +214,7 @@ def test_train_estimator_degenerate_constant():
         regressor_config={"regressor": "gbrt", "rounds": 100, "depth": 3, "learning_rate": 0.1},
         seed=0,
     )
-    assert estimator_predict(model, np.zeros(dim), np.ones(dim)) == pytest.approx(0.5)
+    assert model.predict(np.zeros(dim), np.ones(dim)) == pytest.approx(0.5)
 
 
 def test_train_estimator_requires_min_samples():
@@ -234,10 +233,10 @@ def test_estimator_predict_constant_and_clamp():
         regressor_config={"regressor": "gbrt", "rounds": 10},
         seed=0,
     )
-    value = estimator_predict(model, np.array([3.0]), np.array([0.0]))
+    value = model.predict(np.array([3.0]), np.array([0.0]))
     assert 0.0 <= value <= 1.0
     with pytest.raises(ConfigError):
-        estimator_predict(model, np.zeros(2), np.zeros(1))
+        model.predict(np.zeros(2), np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +260,7 @@ def test_model_round_trip_and_embedder_check(tmp_path):
     assert path.read_bytes() == first
     loaded = load_model(path, expected_embedder_id="hashed-tf-v1-d4")
     probe_i, probe_j = np.ones(4) * 0.3, np.ones(4) * -0.2
-    assert estimator_predict(loaded, probe_i, probe_j) == estimator_predict(
-        model, probe_i, probe_j
-    )
+    assert loaded.predict(probe_i, probe_j) == model.predict(probe_i, probe_j)
     with pytest.raises(SchemaError):
         load_model(path, expected_embedder_id="other-embedder")
 
