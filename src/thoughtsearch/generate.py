@@ -180,6 +180,8 @@ class HttpGenerator:
         self._session = requests.Session()
 
     def _post(self, payload: dict) -> dict:
+        """POST one request. 5xx replies, timeouts and connection errors are
+        retried up to `retries` times; a 4xx reply fails at once."""
         headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -190,16 +192,21 @@ class HttpGenerator:
                     resp = self._session.post(
                         self.endpoint, json=payload, timeout=self.timeout_s, headers=headers
                     )
-                if resp.status_code >= 500:
-                    last_error = TransportError(f"server error {resp.status_code}")
-                    continue
-                resp.raise_for_status()
-                return resp.json()
             except requests.RequestException as exc:
                 last_error = exc
-        raise TransportError(f"completion endpoint failed: {last_error}") from (
-            last_error if isinstance(last_error, Exception) else None
-        )
+                continue
+            if resp.status_code >= 500:
+                last_error = TransportError(f"server error {resp.status_code}")
+                continue
+            if resp.status_code >= 400:
+                raise TransportError(
+                    f"completion endpoint rejected the request with HTTP {resp.status_code}"
+                )
+            try:
+                return resp.json()
+            except ValueError as exc:
+                raise GenerationError(f"backend reply is not JSON: {exc}") from exc
+        raise TransportError(f"completion endpoint failed: {last_error}") from last_error
 
     def _complete(
         self, prompt: str, logprob_tokens: Sequence[str] | None = None
@@ -210,9 +217,15 @@ class HttpGenerator:
         if logprob_tokens:
             payload["logprob_tokens"] = list(logprob_tokens)
         body = self._post(payload)
-        return GenerationResult(
-            text=body.get("text", ""), token_scores=body.get("token_logprobs")
-        )
+        if not isinstance(body, dict):
+            raise GenerationError(f"backend reply is a JSON {type(body).__name__}, not an object")
+        text = body.get("text", "")
+        if not isinstance(text, str):
+            raise GenerationError("backend reply field 'text' is not a string")
+        token_scores = body.get("token_logprobs")
+        if token_scores is not None and not isinstance(token_scores, dict):
+            raise GenerationError("backend reply field 'token_logprobs' is not an object")
+        return GenerationResult(text=text, token_scores=token_scores)
 
     def _nonempty(self, text: str, what: str) -> str:
         if not text.strip():
@@ -250,7 +263,10 @@ class HttpGenerator:
         missing = [tok for tok in tokens if tok not in result.token_scores]
         if missing:
             raise CapabilityError(f"backend omitted log-probabilities for {missing}")
-        return {tok: float(result.token_scores[tok]) for tok in tokens}
+        try:
+            return {tok: float(result.token_scores[tok]) for tok in tokens}
+        except (TypeError, ValueError) as exc:
+            raise GenerationError(f"backend log-probability is not a number: {exc}") from exc
 
     def complete(self, prompt: str) -> str:
         return self._nonempty(self._complete(prompt).text, "completion")

@@ -101,6 +101,10 @@ class ThoughtGraph:
     # Non-document node ids in creation (so ascending) order: the planners'
     # pairing candidates, kept here so no step rescans every node.
     thought_ids: list[int] = field(default_factory=list)
+    # ancestors[i] has bit j set iff non-document node j is a proper ancestor
+    # of node i, so backpropagation reads the set instead of walking parent
+    # links. Node i's mask holds at most i bits: N**2 / 8 bytes at most in all.
+    ancestors: list[int] = field(default_factory=list, repr=False)
 
     @property
     def generated_count(self) -> int:
@@ -123,7 +127,17 @@ class ThoughtGraph:
         self.stats[node_id] = NodeStats()
         if kind != NodeKind.DOCUMENT:
             self.thought_ids.append(node_id)
+        self.ancestors.append(self.ancestor_mask(parents))
         return node_id
+
+    def ancestor_mask(self, parents: tuple[int, ...]) -> int:
+        """The union of the parents' masks and their own bits, documents
+        excluded (they carry no statistics and have no parents)."""
+        mask = 0
+        for parent in parents:
+            if self.nodes[parent].kind != NodeKind.DOCUMENT:
+                mask |= self.ancestors[parent] | 1 << parent
+        return mask
 
     def add_document(self, text: str) -> int:
         """Inject a retrieved document as a parentless source node."""

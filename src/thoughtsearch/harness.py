@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from .config import EngineConfig
-from .errors import ConfigError, EngineError
+from .errors import ConfigError, EngineError, SchemaError
 from .generate import CountingGenerator, Generator
 from .metrics import best_token_f1, exact_match, parse_boolean, parse_quantity_mg
 from .mcts import (
@@ -314,6 +314,43 @@ def curve_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_example(line: str, where: str, default_id: str) -> QAExample:
+    """One example line; a malformed one raises SchemaError naming `where`
+    (path:line) and the field."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where}: bad JSON: {exc}") from exc
+    if not isinstance(rec, dict):
+        raise SchemaError(f"{where}: example must be an object, got {type(rec).__name__}")
+    if not isinstance(rec.get("query"), str):
+        raise SchemaError(f"{where}: field 'query' is missing or not a string")
+    if not isinstance(rec.get("filter_key"), (str, type(None))):
+        raise SchemaError(f"{where}: field 'filter_key' must be a string or null")
+    answers = rec.get("answers", rec.get("answer"))
+    if isinstance(answers, str):
+        answers = [answers]
+    if not isinstance(answers, list):
+        raise SchemaError(f"{where}: field 'answers' must be a string or a list")
+    try:
+        task = Task(rec.get("task", "simulated_fact"))
+    except ValueError:
+        raise SchemaError(
+            f"{where}: field 'task' has unknown value {rec.get('task')!r}; "
+            f"choose from {[t.value for t in Task]}"
+        ) from None
+    if task == Task.BOOLEAN:
+        answers = ["1" if str(a).strip().lower() in ("1", "true", "yes") else "0" for a in answers]
+    return QAExample(
+        query_id=str(rec.get("id", default_id)),
+        query=rec["query"],
+        gold_answers=[str(a) for a in answers],
+        task=task,
+        filter_key=rec.get("filter_key"),
+        split=rec.get("split", "test"),
+    )
+
+
 def load_examples(
     path: str | Path,
     split: str | None = None,
@@ -325,26 +362,17 @@ def load_examples(
     Fields: query (required), answers (list or string), task, id, filter_key,
     split. mg_answers_only keeps only examples whose every answer looks like
     'X mg' with X a number (the extractive dosage task's loader filter).
+    An unreadable file or a malformed line raises SchemaError.
     """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read examples file {path}: {exc}") from exc
     examples = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        answers = rec.get("answers", rec.get("answer"))
-        if isinstance(answers, str):
-            answers = [answers]
-        task = Task(rec.get("task", "simulated_fact"))
-        if task == Task.BOOLEAN:
-            answers = ["1" if str(a).strip().lower() in ("1", "true", "yes") else "0" for a in answers]
-        example = QAExample(
-            query_id=str(rec.get("id", f"q{lineno:05d}")),
-            query=rec["query"],
-            gold_answers=[str(a) for a in answers],
-            task=task,
-            filter_key=rec.get("filter_key"),
-            split=rec.get("split", "test"),
-        )
+        example = _parse_example(line, f"{path}:{lineno}", default_id=f"q{lineno:05d}")
         if mg_answers_only and not all(
             parse_quantity_mg(a) == a for a in example.gold_answers
         ):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, count
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -31,6 +32,9 @@ from .graph import (
     new_process,
 )
 from .retrieval import CorpusIndex, DocumentQueue, consume_pending, queue_next, refill_if_empty
+
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class Termination(str, Enum):
@@ -205,23 +209,19 @@ def simulate(graph: ThoughtGraph, node_id: int, scorer: Scorer, generator: Gener
 def backpropagate(graph: ThoughtGraph, node_id: int, score: float) -> None:
     """Credit every distinct proper ancestor exactly once.
 
-    The walk follows parent links, stops at document nodes (they carry no
-    statistics), and deduplicates shared ancestors so a diamond updates the
+    The ancestors are the set bits of the node's mask (see
+    ThoughtGraph.ancestors): document nodes (they carry no statistics) are
+    not in it, and a shared ancestor is one bit, so a diamond updates the
     root once, not once per path.
     """
-    seen: set[int] = set()
-    stack = [pid for pid in graph.node(node_id).parents]
-    while stack:
-        current = stack.pop()
-        if current in seen or current == node_id:
-            continue
-        seen.add(current)
-        if graph.node(current).kind == NodeKind.DOCUMENT:
-            continue
-        stats = graph.stats[current]
-        stats.visits += 1
-        stats.cumulative_score += score
-        stack.extend(graph.node(current).parents)
+    graph.node(node_id)  # an unknown id raises GraphError
+    # Bit i of the mask is character i of its reversed binary string.
+    flags = bin(graph.ancestors[node_id])[:1:-1].encode().translate(_BIT_FLAGS)
+    stats = graph.stats
+    for ancestor in compress(count(), flags):
+        entry = stats[ancestor]
+        entry.visits += 1
+        entry.cumulative_score += score
 
 
 def _finish(

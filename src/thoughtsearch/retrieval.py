@@ -66,6 +66,18 @@ class HashedEmbedder:
     dim: int = 256
     idf: dict[str, float] | None = None
     n_docs: int = 0
+    # Derived on construction: the (bucket, weight) of every IDF token, so
+    # that embed hashes only tokens outside the vocabulary, and the weight of
+    # those (1.0 unfitted; the smooth IDF's df=0 weight when fitted).
+    _terms: dict[str, tuple[int, float]] = field(init=False, repr=False, compare=False)
+    _unseen_weight: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._terms = {
+            token: (token_bucket(token, self.dim), weight)
+            for token, weight in (self.idf or {}).items()
+        }
+        self._unseen_weight = 1.0 if self.idf is None else math.log(1.0 + self.n_docs) + 1.0
 
     @property
     def embedder_id(self) -> str:
@@ -77,16 +89,12 @@ class HashedEmbedder:
         blob = json.dumps(sorted(self.idf.items()), separators=(",", ":"))
         return hashlib.blake2b(blob.encode("utf-8"), digest_size=6).hexdigest()
 
-    def _weight(self, token: str) -> float:
-        if self.idf is None:
-            return 1.0
-        # Smooth IDF; unseen tokens get the df=0 weight.
-        return self.idf.get(token, math.log(1.0 + self.n_docs) + 1.0)
-
     def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=np.float64)
+        terms, dim, unseen = self._terms, self.dim, self._unseen_weight
         for token, count in Counter(_tokens(text)).items():
-            vec[token_bucket(token, self.dim)] += count * self._weight(token)
+            bucket, weight = terms.get(token) or (token_bucket(token, dim), unseen)
+            vec[bucket] += count * weight
         norm = float(np.linalg.norm(vec))
         return vec / norm if norm else vec
 

@@ -206,8 +206,17 @@ def _best_split(
         for f, g in enumerate(gain[np.arange(len(cut)), cut].tolist()):
             if g > best_gain + 1e-12:
                 best_gain = g
-                best = (start + f, float((xs[f, cut[f]] + xs[f, cut[f] + 1]) / 2.0))
+                best = (start + f, _split_threshold(xs[f, cut[f]], xs[f, cut[f] + 1]))
     return best
+
+
+def _split_threshold(lo: float, hi: float) -> float:
+    """The midpoint of two adjacent distinct values, or `lo` where the
+    midpoint rounds onto `hi` (or overflows): `x <= t` must send lo left
+    and hi right, so neither child is empty."""
+    lo, hi = float(lo), float(hi)
+    mid = (lo + hi) / 2.0
+    return mid if lo <= mid < hi else lo
 
 
 def _fit_tree(

@@ -156,6 +156,34 @@ def test_run_with_truncated_index_is_config_error(tmp_path, capsys):
     assert "'embedder'" in capsys.readouterr().err
 
 
+_GOOD_EXAMPLE = '{"id": "ok", "query": "need:k0 q", "answers": ["v"], "split": "train"}'
+
+
+@pytest.mark.parametrize(
+    "bad_line, field",
+    [
+        ('{"query": "q", "answers": ["v"]', "bad JSON"),
+        ('["query", "q"]', "must be an object"),
+        ('{"answers": ["v"], "split": "train"}', "'query'"),
+        ('{"query": "q", "answers": ["v"], "task": "nope", "split": "train"}', "'task'"),
+    ],
+    ids=["bad_json", "not_an_object", "missing_query", "unknown_task"],
+)
+@pytest.mark.parametrize("command", ["eval", "train-scorer"])
+def test_malformed_example_line_is_config_error(workspace, tmp_path, capsys, command, bad_line, field):
+    *_, index, _model = workspace
+    bad = tmp_path / "examples.jsonl"
+    bad.write_text(_GOOD_EXAMPLE + "\n" + bad_line + "\n")
+    common = ["--mode", "simulated", "--examples", str(bad), "--index", str(index)]
+    if command == "eval":
+        argv = ["eval", *common, "--methods", "llm_only", "--out", str(tmp_path / "out")]
+    else:
+        argv = ["train-scorer", *common, "--split", "train", "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:2" in err and field in err
+
+
 def test_run_oracle_without_gold_is_config_error(workspace):
     *_, index, model = workspace
     assert (

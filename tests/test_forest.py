@@ -153,7 +153,10 @@ def reference_fit(X, y, n_rounds, max_depth, min_leaf, learning_rate=0.1):
             idx = int(np.argmax(gain))
             if gain[idx] > best_gain + 1e-12:
                 best_gain = float(gain[idx])
-                best = (f, float((xs[idx] + xs[idx + 1]) / 2.0))
+                lo, hi = float(xs[idx]), float(xs[idx + 1])
+                mid = (lo + hi) / 2.0
+                # A midpoint that rounds onto hi (or overflows) would split nothing off.
+                best = (f, mid if lo <= mid < hi else lo)
         return best
 
     def fit_tree(residual):
@@ -212,6 +215,23 @@ def test_presorted_fit_grows_reference_trees(
     with mock.patch.object(scoring, "_SPLIT_BLOCK", block):
         model.fit(X, y)
     assert model.to_dict()["trees"] == reference_fit(X, y, n_rounds, max_depth, min_leaf)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (-5e-324, 0.0),  # the midpoint rounds to -0.0, and 0.0 <= -0.0
+        (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),  # rounds onto hi
+        (1.5e308, 1.7e308),  # the sum overflows
+    ],
+)
+def test_split_between_adjacent_values_separates_them(lo, hi):
+    X = np.array([[lo], [lo], [hi], [hi]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    model = GradientBoostedRegressor(n_rounds=1, max_depth=1, learning_rate=1.0).fit(X, y)
+    tree = model.trees[0]
+    assert tree.feature[0] == 0 and lo <= tree.threshold[0] < hi
+    assert model.predict(X).tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

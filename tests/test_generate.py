@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from thoughtsearch.config import default_config
 from thoughtsearch.errors import CapabilityError, ConfigError, GenerationError, TransportError
 from thoughtsearch.generate import (
     HttpGenerator,
@@ -20,6 +21,7 @@ from thoughtsearch.generate import (
     parse_needs,
 )
 from thoughtsearch.graph import NodeKind
+from thoughtsearch.harness import EnginePorts, Method, QAExample, Task, run_benchmark
 from thoughtsearch.templates import SLOTS, TEMPLATE_NAMES, PromptTemplate, TemplateSet
 
 # ---------------------------------------------------------------------------
@@ -141,24 +143,30 @@ def test_parse_facts_never_crashes(text):
 
 
 class _Backend(BaseHTTPRequestHandler):
-    fail_next = 0
+    fail_next = 0  # reply 503 to this many requests
+    reject_with = 0  # when set, reply this status to every request
+    bad_bodies: list[bytes] = []  # reply these bodies (with 200), one per request
     omit_logprobs = False
+    requests_seen = 0
 
     def do_POST(self):
         cls = type(self)
-        if cls.fail_next > 0:
-            cls.fail_next -= 1
-            self.send_response(503)
-            self.end_headers()
-            return
+        cls.requests_seen += 1
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
+        if cls.fail_next > 0 or cls.reject_with:
+            if not cls.reject_with:
+                cls.fail_next -= 1
+            self.send_response(cls.reject_with or 503)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
         body: dict = {"text": f"echo {len(payload['prompt'])}"}
         if payload.get("logprob_tokens") and not cls.omit_logprobs:
             body["token_logprobs"] = {
                 tok: math.log(0.5) for tok in payload["logprob_tokens"]
             }
-        data = json.dumps(body).encode("utf-8")
+        data = cls.bad_bodies.pop(0) if cls.bad_bodies else json.dumps(body).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -172,10 +180,13 @@ class _Backend(BaseHTTPRequestHandler):
 @pytest.fixture()
 def backend():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Backend)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     _Backend.fail_next = 0
+    _Backend.reject_with = 0
+    _Backend.bad_bodies = []
     _Backend.omit_logprobs = False
+    _Backend.requests_seen = 0
     yield f"http://127.0.0.1:{server.server_port}/complete"
     server.shutdown()
 
@@ -214,3 +225,60 @@ def test_http_retries_then_transport_error(backend):
     _Backend.fail_next = 5
     with pytest.raises(TransportError):
         gen.answer("q")
+
+
+def test_http_retries_server_errors_up_to_retries(backend):
+    _Backend.fail_next = 5
+    with pytest.raises(TransportError, match="503"):
+        _client(backend, retries=2).answer("q")
+    assert _Backend.requests_seen == 3
+
+
+@pytest.mark.parametrize("status", [400, 404, 422])
+def test_http_client_error_fails_fast(backend, status):
+    _Backend.reject_with = status
+    with pytest.raises(TransportError, match=str(status)):
+        _client(backend, retries=2).answer("q")
+    assert _Backend.requests_seen == 1
+
+
+@pytest.mark.parametrize(
+    "body, call",
+    [
+        (b"[]", "answer"),
+        (b'"just text"', "answer"),
+        (b"not json", "answer"),
+        (b'{"text": 5}', "answer"),
+        (b'{"text": ["a"]}', "thought"),
+        (b'{"text": "", "token_logprobs": [0.0]}', "score"),
+        (b'{"text": "", "token_logprobs": {"1": "high", "0": -1.0}}', "score"),
+    ],
+    ids=["array", "string", "not_json", "int_text", "list_text", "list_logprobs", "text_logprob"],
+)
+def test_http_malformed_reply_is_generation_error(backend, body, call):
+    _Backend.bad_bodies = [body]
+    gen = _client(backend)
+    with pytest.raises(GenerationError):
+        if call == "answer":
+            gen.answer("q")
+        elif call == "thought":
+            gen.generate_thought([("t", NodeKind.GENERATED), ("d", NodeKind.DOCUMENT)], "q")
+        else:
+            gen.score_tokens("prompt", ["1", "0"])
+    assert _Backend.requests_seen == 1  # a bad reply is not retried
+
+
+def test_bad_reply_fails_one_example_and_the_rest_are_graded(backend):
+    examples = [
+        QAExample(query_id=f"q{i}", query=f"question {i}", gold_answers=[f"echo {i}"], task=Task.SIMULATED_FACT)
+        for i in range(4)
+    ]
+    ports = EnginePorts(generator=_client(backend), templates=TemplateSet.builtin("boolq"))
+    _Backend.bad_bodies = [b"[]"]
+    report = run_benchmark(examples, Method.LLM_ONLY, ports, default_config("boolq"))
+    failed = [row for row in report.per_example if row.error]
+    assert [row.query_id for row in failed] == ["q0"]
+    assert "not an object" in failed[0].error
+    graded = [row for row in report.per_example if not row.error]
+    assert len(graded) == 3 and all(row.answer.startswith("echo ") for row in graded)
+    assert _Backend.requests_seen == 4

@@ -7,7 +7,7 @@ import pytest
 
 from thoughtsearch import simenv
 from thoughtsearch.config import default_config
-from thoughtsearch.errors import EngineError
+from thoughtsearch.errors import EngineError, SchemaError
 from thoughtsearch.generate import SimulatedGenerator
 from thoughtsearch.harness import (
     EnginePorts,
@@ -208,3 +208,23 @@ def test_load_examples_loaders(tmp_path):
     mg_only = load_examples(path, mg_answers_only=True)
     assert [e.query_id for e in mg_only if e.task == Task.EXTRACTIVE_MG] == ["c"]
     assert load_examples(path, limit=2) == examples[:2]
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ({"query": "q"}, "'answers'"),
+        ({"query": "q", "answers": {"a": 1}}, "'answers'"),
+        ({"query": 7, "answers": ["v"]}, "'query'"),
+        ({"query": "q", "answers": ["v"], "filter_key": ["k"]}, "'filter_key'"),
+    ],
+)
+def test_load_examples_names_line_and_field(tmp_path, record, field):
+    path = write_jsonl(tmp_path / "examples.jsonl", [{"query": "fine", "answers": ["v"]}, record])
+    with pytest.raises(SchemaError, match=rf"examples.jsonl:2: field {field}"):
+        load_examples(path)
+
+
+def test_load_examples_missing_file_is_schema_error(tmp_path):
+    with pytest.raises(SchemaError, match="cannot read examples file"):
+        load_examples(tmp_path / "absent.jsonl")

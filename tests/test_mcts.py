@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from thoughtsearch.errors import ConfigError
+from thoughtsearch.errors import ConfigError, SchemaError
 from thoughtsearch.generate import SimulatedGenerator, parse_facts
 from thoughtsearch.graph import Action, EpisodeConfig, NodeKind, new_process
 from thoughtsearch.mcts import (
@@ -28,6 +28,7 @@ from thoughtsearch.mcts import (
 from thoughtsearch.retrieval import DocumentQueue
 from thoughtsearch.scoring import OracleScorer
 from thoughtsearch.metrics import best_token_f1
+from thoughtsearch.trace import graph_to_record, record_to_graph
 
 # ---------------------------------------------------------------------------
 # UCT
@@ -180,6 +181,54 @@ def test_backprop_matches_ancestor_oracle_on_random_dags():
         total_before = sum(v for v, _ in before.values())
         total_after = sum(s.visits for s in graph.stats.values())
         assert total_after == total_before + len(expected)
+
+
+def _mask_members(mask):
+    return {bit for bit in range(mask.bit_length()) if mask >> bit & 1}
+
+
+def test_ancestor_masks_track_oracle_through_appends_and_backprop():
+    rng = np.random.default_rng(99)
+    for _ in range(60):
+        graph = new_process("q")
+        for _ in range(int(rng.integers(1, 40))):
+            roll = rng.random()
+            if roll < 0.2:
+                graph.add_document("chunk")
+            elif roll < 0.7:
+                first, second = (int(rng.choice(len(graph.nodes))) for _ in range(2))
+                child = graph.apply_transition(Action(first, second), "t")
+                for parent in dict.fromkeys((first, second)):
+                    graph.stats[parent].children.append(child)
+            else:
+                backpropagate(graph, int(rng.choice(len(graph.nodes))), float(rng.uniform()))
+            assert len(graph.ancestors) == len(graph.nodes)
+            for node_id in graph.nodes:
+                assert _mask_members(graph.ancestors[node_id]) == _ancestors_oracle(graph, node_id)
+        rebuilt = record_to_graph(graph_to_record(graph))
+        assert rebuilt.ancestors == graph.ancestors
+
+
+def test_ancestor_mask_of_a_diamond_holds_each_ancestor_once():
+    graph = new_process("q")
+    doc = graph.add_document("chunk")
+    t1 = graph.apply_transition(Action(0, doc), "t1")
+    t2 = graph.apply_transition(Action(0, 0), "t2")
+    t3 = graph.apply_transition(Action(t1, t2), "t3")
+    assert graph.ancestors == [0, 0, 1 << 0, 1 << 0, 1 << 0 | 1 << t1 | 1 << t2]
+
+
+def test_record_to_graph_rejects_forward_parent_references():
+    graph = new_process("q")
+    graph.apply_transition(Action(0, 0), "t1")
+    record = graph_to_record(graph)
+    record["nodes"][1]["parents"] = [0, 1]
+    with pytest.raises(SchemaError, match=r"nodes\[1\]\.parents"):
+        record_to_graph(record)
+    record = graph_to_record(graph)
+    record["nodes"][1]["id"] = 5
+    with pytest.raises(SchemaError, match=r"nodes\[1\]\.id"):
+        record_to_graph(record)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -80,6 +81,47 @@ def test_embedder_determinism_and_norm():
     assert np.array_equal(v1, v2)
     assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-9)
     assert np.array_equal(emb.embed(""), np.zeros(128))
+
+
+def _reference_embed(embedder, text):
+    """embed as it was before the term table: hash every token, weigh it by
+    its IDF (or the df=0 weight when unseen, 1.0 when unfitted)."""
+    vec = np.zeros(embedder.dim, dtype=np.float64)
+    for token, count in Counter(text.lower().split()).items():
+        if embedder.idf is None:
+            weight = 1.0
+        else:
+            weight = embedder.idf.get(token, math.log(1.0 + embedder.n_docs) + 1.0)
+        vec[token_bucket(token, embedder.dim)] += count * weight
+    norm = float(np.linalg.norm(vec))
+    return vec / norm if norm else vec
+
+
+_vocab = st.sampled_from(["alpha", "Beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"])
+_words_st = st.lists(_vocab | st.text(min_size=1, max_size=6).filter(lambda t: not t.isspace()), max_size=30)
+
+
+@given(
+    corpus=st.lists(st.lists(_vocab, min_size=1, max_size=12).map(" ".join), min_size=1, max_size=8),
+    queries=st.lists(_words_st.map(" ".join), min_size=1, max_size=5),
+    dim=st.sampled_from([1, 7, 64, 256]),
+)
+@settings(max_examples=100, deadline=None)
+def test_embed_matches_reference(corpus, queries, dim):
+    fitted = fit_idf_embedder(corpus, dim=dim)
+    unfitted = HashedEmbedder(dim=dim)
+    for text in corpus + queries:  # queries carry tokens outside the vocabulary
+        for embedder in (fitted, unfitted):
+            got, want = embedder.embed(text), _reference_embed(embedder, text)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_term_table_is_not_part_of_equality_or_repr():
+    embedder = fit_idf_embedder(["alpha beta", "beta gamma"], dim=16)
+    same = HashedEmbedder(dim=16, idf=dict(embedder.idf), n_docs=embedder.n_docs)
+    assert embedder == same
+    assert "_terms" not in repr(embedder) and "_unseen_weight" not in repr(embedder)
+    assert embedder != HashedEmbedder(dim=16, idf=None, n_docs=embedder.n_docs)
 
 
 def test_disjoint_vocabulary_cosine_zero():

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thoughtsearch.errors import SchemaError
 from thoughtsearch.generate import SimulatedGenerator
@@ -122,3 +127,81 @@ def test_best_thought_highlighted_in_dot():
     outcome = run_search("q", ports, EpisodeConfig(max_steps=3, stop_threshold=0.5))
     dot = to_dot(graph_to_record(outcome.graph, outcome))
     assert "color=red" in dot
+
+
+# ---------------------------------------------------------------------------
+# trace_text against json.dumps, the writer's reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_text(record):
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
+_tricky_text = st.sampled_from(
+    ["", "%", "%s", "%(x)s", "%%", '"', "\\", "\x00", "\x1f\x7f", "\n\t", "\u2028", "é", "日本", "😀", "a\ud800b"]
+)
+_texts = _tricky_text | st.text(max_size=12)
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e16, 1e-7, 5e-324, 1.7976931348623157e308]
+)
+_scalars = st.none() | st.booleans() | st.integers() | _floats | _texts
+_json_values = st.recursive(
+    _scalars,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_texts, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def _random_records(draw):
+    """A random graph's trace record, with random statistics, an optional
+    outcome and arbitrary extra keys at the top level and on nodes."""
+    graph = new_process(draw(_texts.filter(lambda t: t.strip())))
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            graph.add_document(draw(_texts))
+        else:
+            ids = st.integers(0, len(graph.nodes) - 1)
+            graph.apply_transition(Action(draw(ids), draw(ids)), draw(_texts))
+    for stats in graph.stats.values():
+        stats.visits = draw(st.integers(0, 50))
+        stats.cumulative_score = draw(_floats)
+    record = graph_to_record(graph)
+    if draw(st.booleans()):
+        record["outcome"] = {
+            "best_thought": draw(st.integers(0, len(graph.nodes))),
+            "terminated_by": draw(st.sampled_from(["threshold_reached", "budget_exhausted"])),
+            "generator_calls": draw(st.integers(0, 100)),
+            "scorer_calls": draw(st.integers(0, 100)),
+        }
+    record.update(draw(st.dictionaries(_texts, _json_values, max_size=3)))
+    for node in record["nodes"]:
+        node.update(draw(st.dictionaries(_texts, _json_values, max_size=2)))
+    return record
+
+
+@given(_random_records())
+@settings(max_examples=150, deadline=None)
+def test_trace_text_matches_json_dumps_on_records(record):
+    assert trace_text(record) == _reference_text(record)
+
+
+@given(_json_values)
+@settings(max_examples=300, deadline=None)
+def test_trace_text_matches_json_dumps_on_json_values(value):
+    assert trace_text(value) == _reference_text(value)
+
+
+def test_trace_text_matches_json_dumps_on_search_traces(small_index):
+    ports = SearchPorts(
+        generator=SimulatedGenerator(),
+        scorer=ConstantScorer(0.1),
+        retriever=RetrieverPorts(index=small_index, queue=DocumentQueue(batch_size=2)),
+    )
+    outcome = run_search("need:k0 q", ports, EpisodeConfig(max_steps=12, stop_threshold=0.9, p_doc=0.5))
+    record = graph_to_record(outcome.graph, outcome)
+    assert trace_text(record) == _reference_text(record)
+    assert trace_text({"pair": (1, 2.5), "empty": ()}) == _reference_text({"pair": (1, 2.5), "empty": ()})
+    with pytest.raises(TypeError):
+        trace_text({"bytes": b"raw"})
