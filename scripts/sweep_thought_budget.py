@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from thoughtsearch import simenv
 from thoughtsearch.config import default_config
+from thoughtsearch.errors import ConfigError
 from thoughtsearch.generate import SimulatedGenerator
 from thoughtsearch.harness import (
     EnginePorts,
@@ -38,6 +40,11 @@ def main() -> int:
     args = parser.parse_args()
 
     method = Method(args.method)
+    base = default_config("simulated")
+    try:
+        configs = [replace(base, max_steps=int(t)) for t in args.budgets.split(",")]
+    except (ConfigError, ValueError) as exc:
+        parser.error(str(exc))
     suite = simenv.build_suite(n_train=0, n_test=args.tasks, seed=args.seed)
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp) / "corpus.jsonl"
@@ -49,11 +56,7 @@ def main() -> int:
         index=index,
     )
 
-    reports = []
-    for t in (int(b) for b in args.budgets.split(",")):
-        config = default_config("simulated")
-        config.max_steps = t
-        reports.append(run_benchmark(suite.test, method, ports, config))
+    reports = [run_benchmark(suite.test, method, ports, config) for config in configs]
     rows = accuracy_vs_size_curve(reports)
     print(f"{'T':>4} {'accuracy':>9} {'mean llm calls':>15}")
     for row in rows:

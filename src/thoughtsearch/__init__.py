@@ -12,7 +12,6 @@ from .graph import (
     NodeStats,
     Thought,
     ThoughtGraph,
-    episodic_return,
     new_process,
 )
 from .mcts import (
@@ -44,7 +43,6 @@ __all__ = [
     "Thought",
     "ThoughtGraph",
     "backpropagate",
-    "episodic_return",
     "expand",
     "greedy_search",
     "new_process",

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration/schema errors, 3 runtime port errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,12 +27,9 @@ from .config import (
 from .errors import ConfigError, EngineError, SchemaError
 from .generate import HttpGenerator, SimulatedGenerator
 from .harness import EnginePorts, Method, QAExample, Task
-from .mcts import SearchPorts, greedy_search, run_search
+from .mcts import SearchPorts
 from .retrieval import HashedEmbedder, ingest_corpus, load_index, save_index
 from .scoring import (
-    EstimatorScorer,
-    OracleScorer,
-    SelfCriticScorer,
     collect_offline_dataset,
     load_model,
     save_dataset,
@@ -50,6 +48,14 @@ _TASK_FOR_MODE = {
     "boolq": Task.BOOLEAN,
     "emrqa": Task.EXTRACTIVE_MG,
     "simulated": Task.SIMULATED_FACT,
+}
+
+# The benchmark method each `run --planner/--scorer` pair runs.
+_RUN_METHODS = {
+    ("mcts", "oracle"): Method.MCTS_ORACLE,
+    ("mcts", "self_critic"): Method.MCTS_SELF_CRITIC,
+    ("mcts", "estimation"): Method.MCTS_ESTIMATION,
+    ("greedy", "estimation"): Method.GREEDY_ESTIMATION,
 }
 
 
@@ -140,47 +146,24 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_args_config(args)
-    ports = _ports(
-        config,
-        need_index=False,
-        need_model=(config.scorer == "estimation"),
-    )
+    method = _RUN_METHODS.get((args.planner, config.scorer))
+    if method is None:
+        raise ConfigError(f"the {args.planner} planner cannot use the {config.scorer} scorer")
+    ports = _ports(config, need_model=(config.scorer == "estimation"))
     task = _TASK_FOR_MODE[config.task_mode]
-    if config.scorer == "oracle":
-        if not args.gold:
-            raise ConfigError("the oracle scorer requires --gold answers")
-        gold = list(args.gold)
-        if task == Task.BOOLEAN:
-            gold = ["1" if g.strip().lower() in ("1", "true", "yes") else "0" for g in gold]
-        parse = None
-        if task in (Task.BOOLEAN, Task.EXTRACTIVE_MG):
-            parse = lambda raw: harness.extract_answer(task, raw)
-        scorer = OracleScorer(gold, harness.oracle_metric_for(config), parse)
-    elif config.scorer == "self_critic":
-        scorer = SelfCriticScorer(ports.templates)
-    else:
-        scorer = EstimatorScorer(ports.scorer_model, ports.scoring_embedder)
-
-    retriever = None
-    if ports.index is not None:
-        from .mcts import RetrieverPorts
-        from .retrieval import DocumentQueue
-
-        retriever = RetrieverPorts(
-            index=ports.index,
-            queue=DocumentQueue(batch_size=config.doc_batch_size, filter_key=args.filter_key),
-            query_mode=config.retrieval.query_mode,
-        )
-    search_ports = SearchPorts(generator=ports.generator, scorer=scorer, retriever=retriever)
-    episode = config.episode(stop_threshold=config.stop_thresholds[config.scorer])
-    search = greedy_search if args.planner == "greedy" else run_search
-    outcome = search(args.query, search_ports, episode, rng_from(config.seed, 0))
+    example = QAExample(
+        query_id="run",
+        query=args.query,
+        gold_answers=harness.normalize_gold(task, args.gold or []),
+        task=task,
+        filter_key=args.filter_key,
+    )
+    outcome = harness.search_example(method, example, ports, config, rng_from(config.seed, 0))
 
     best_text = outcome.graph.node(outcome.best_thought).text
     raw = ports.generator.answer(args.query, best_text)
     answer = harness.extract_answer(task, raw)
-    record = graph_to_record(outcome.graph, outcome)
-    dump_trace(record, args.trace)
+    dump_trace(graph_to_record(outcome.graph, outcome), args.trace)
     print(f"answer: {answer if answer else raw}")
     print(
         f"thoughts={outcome.graph.generated_count} terminated_by={outcome.terminated_by.value} "
@@ -245,6 +228,11 @@ def _parse_methods(selector: str) -> list[Method]:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _load_args_config(args)
     methods = _parse_methods(args.methods)
+    budgets = args.sweep_t.split(",") if args.sweep_t else []
+    try:
+        sweep = [dataclasses.replace(config, max_steps=int(t)) for t in budgets]
+    except ValueError as exc:
+        raise ConfigError(f"--sweep-t takes comma-separated integers: {exc}") from None
     needs_model = bool(
         {Method.MCTS_ESTIMATION, Method.GREEDY_ESTIMATION} & set(methods)
     )
@@ -256,7 +244,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    sweep = [int(t) for t in args.sweep_t.split(",")] if args.sweep_t else []
     summary: dict = {"config_hash": config_hash(config), "n_examples": len(examples), "methods": {}}
 
     for method in methods:
@@ -278,14 +265,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "max_steps": report.max_steps,
         }
         if sweep and method in harness.PLANNER_METHODS:
-            sweep_reports = []
-            for t in sweep:
-                sweep_config = load_config(
-                    None, task_mode=config.task_mode, overrides={**_config_as_overrides(config), "max_steps": t}
-                )
-                sweep_reports.append(
-                    harness.run_benchmark(examples, method, ports, sweep_config)
-                )
+            sweep_reports = [
+                harness.run_benchmark(examples, method, ports, sweep_config)
+                for sweep_config in sweep
+            ]
             rows = harness.accuracy_vs_size_curve(sweep_reports)
             (outdir / f"{method.value}_curve.csv").write_text(
                 harness.curve_to_csv(rows), encoding="utf-8"
@@ -297,12 +280,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     print(f"reports written to {outdir} (config {summary['config_hash']})")
     return EXIT_OK
-
-
-def _config_as_overrides(config: EngineConfig) -> dict:
-    data = config.to_dict()
-    data.pop("task_mode")
-    return data
 
 
 def cmd_export_trace(args: argparse.Namespace) -> int:

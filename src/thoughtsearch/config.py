@@ -71,16 +71,12 @@ class ScoringConfig:
 class EngineConfig:
     task_mode: str = "simulated"
     max_steps: int = 10
-    gamma: float = 1.0
     exploration_c: float = math.sqrt(2.0)
     p_doc: float = 0.5
     doc_batch_size: int = 2
     thought_sample_size: int = 5
     stop_thresholds: dict = field(
         default_factory=lambda: {"oracle": 0.5, "self_critic": 0.49, "estimation": 0.21}
-    )
-    accuracy_thresholds: dict = field(
-        default_factory=lambda: {"self_critic": 0.9, "estimation": 0.21}
     )
     scorer: str = "self_critic"
     seed: int = 0
@@ -112,7 +108,6 @@ class EngineConfig:
             stop_threshold = self.stop_thresholds[self.scorer]
         return EpisodeConfig(
             max_steps=self.max_steps,
-            gamma=self.gamma,
             stop_threshold=stop_threshold,
             exploration_c=self.exploration_c,
             p_doc=self.p_doc,

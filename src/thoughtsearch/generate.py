@@ -13,9 +13,11 @@ by brute force. The simulated text convention:
 from __future__ import annotations
 
 import math
+import random
 import re
 import threading
 from dataclasses import dataclass
+from time import sleep
 from typing import Protocol, Sequence
 
 import requests
@@ -25,6 +27,10 @@ from .graph import NodeKind
 from .templates import TemplateSet
 
 ParentText = tuple[str, NodeKind]
+
+# Full-jitter exponential backoff between HTTP retries, in seconds.
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
 
 FACT_TOKEN = re.compile(r"fact:([A-Za-z0-9_]+)=([A-Za-z0-9_]+)")
 NEED_TOKEN = re.compile(r"need:([A-Za-z0-9_]+)")
@@ -181,12 +187,16 @@ class HttpGenerator:
 
     def _post(self, payload: dict) -> dict:
         """POST one request. 5xx replies, timeouts and connection errors are
-        retried up to `retries` times; a 4xx reply fails at once."""
+        retried up to `retries` times, retry k (from 0) after sleeping
+        uniform(0, min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2**k)) s; a 4xx reply
+        fails at once."""
         headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
-        for _ in range(self.retries + 1):
+        for attempt in range(self.retries + 1):
+            if attempt:
+                sleep(random.uniform(0.0, min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2 ** (attempt - 1))))
             try:
                 with self._semaphore:
                     resp = self._session.post(

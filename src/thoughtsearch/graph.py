@@ -1,4 +1,4 @@
-"""Thought-graph state machine: nodes, pairing actions, transitions, episodic return.
+"""Thought-graph state machine: nodes, pairing actions, transitions.
 
 A graph starts from a single query node. Retrieval injects parentless
 document nodes; every generated node records the ordered pair of nodes it
@@ -62,7 +62,6 @@ class EpisodeConfig:
     """Knobs for one search episode. Bounds are enforced on construction."""
 
     max_steps: int = 10
-    gamma: float = 1.0
     stop_threshold: float = 0.5
     exploration_c: float = math.sqrt(2.0)
     p_doc: float = 0.5
@@ -72,8 +71,6 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.exploration_c < 0.0:
             raise ConfigError(f"exploration_c must be >= 0, got {self.exploration_c}")
         if not 0.0 <= self.p_doc <= 1.0:
@@ -169,12 +166,3 @@ def new_process(query: str, max_generated: int | None = None) -> ThoughtGraph:
     graph = ThoughtGraph(query_text=query, max_generated=max_generated)
     graph._append(query, NodeKind.QUERY, ())
     return graph
-
-
-def episodic_return(reward_at_end: float, horizon: int, gamma: float) -> float:
-    """Discounted return of an episode that pays out only at the final step."""
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    if not 0.0 < gamma <= 1.0:
-        raise ConfigError(f"gamma must be in (0, 1], got {gamma}")
-    return gamma**horizon * reward_at_end

@@ -72,8 +72,6 @@ class QAExample:
     split: str = "test"
 
     def __post_init__(self):
-        if not self.gold_answers:
-            raise ConfigError(f"example {self.query_id}: gold_answers must be non-empty")
         if self.task == Task.BOOLEAN and any(
             gold not in ("0", "1") for gold in self.gold_answers
         ):
@@ -139,6 +137,8 @@ def oracle_metric_for(config: EngineConfig) -> Callable[[str, list[str]], float]
 
 def make_scorer(method: Method, example: QAExample, ports: EnginePorts, config: EngineConfig):
     if method in (Method.MCTS_ORACLE, Method.MCTS_ORACLE_NO_IR):
+        if not example.gold_answers:
+            raise ConfigError(f"method {method.value} requires gold answers")
         parse = None
         if example.task in (Task.BOOLEAN, Task.EXTRACTIVE_MG):
             parse = lambda raw: extract_answer(example.task, raw)
@@ -183,6 +183,25 @@ def example_search_ports(
     )
 
 
+def search_example(
+    method: Method,
+    example: QAExample,
+    ports: EnginePorts,
+    config: EngineConfig,
+    rng,
+    search_fn: Callable[..., SearchOutcome] | None = None,
+) -> SearchOutcome:
+    """Search one example with a planning method's ports, its scorer's stop
+    threshold and its planner: greedy_search for the greedy method,
+    run_search for the others. search_fn overrides the planner (experiments
+    use random_search as a uniform-pairing control)."""
+    search_ports = example_search_ports(method, example, ports, config)
+    episode = config.episode(stop_threshold=_stop_threshold(method, config))
+    if search_fn is None:
+        search_fn = greedy_search if method == Method.GREEDY_ESTIMATION else run_search
+    return search_fn(example.query, search_ports, episode, rng)
+
+
 def run_example(
     method: Method,
     example: QAExample,
@@ -192,10 +211,7 @@ def run_example(
     search_fn: Callable[..., SearchOutcome] | None = None,
     trace_sink: Callable[[QAExample, SearchOutcome], None] | None = None,
 ) -> ExampleResult:
-    """One example end to end: search (if the method plans), answer, grade.
-
-    search_fn overrides the planner (experiments use random_search as a
-    uniform-pairing control)."""
+    """One example end to end: search (if the method plans), answer, grade."""
     generator = CountingGenerator(ports.generator)
     if method in (Method.LLM_ONLY, Method.RAG):
         context = None
@@ -213,11 +229,7 @@ def run_example(
             answer=pred,
         )
 
-    search_ports = example_search_ports(method, example, ports, config)
-    episode = config.episode(stop_threshold=_stop_threshold(method, config))
-    if search_fn is None:
-        search_fn = greedy_search if method == Method.GREEDY_ESTIMATION else run_search
-    outcome = search_fn(example.query, search_ports, episode, rng)
+    outcome = search_example(method, example, ports, config, rng, search_fn)
     if trace_sink is not None:
         trace_sink(example, outcome)
     best_text = outcome.graph.node(outcome.best_thought).text
@@ -314,6 +326,14 @@ def curve_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def normalize_gold(task: Task, answers: list) -> list[str]:
+    """Gold answers as strings; boolean golds normalize to "1" (1, true,
+    yes) or "0" (anything else)."""
+    if task == Task.BOOLEAN:
+        return ["1" if str(a).strip().lower() in ("1", "true", "yes") else "0" for a in answers]
+    return [str(a) for a in answers]
+
+
 def _parse_example(line: str, where: str, default_id: str) -> QAExample:
     """One example line; a malformed one raises SchemaError naming `where`
     (path:line) and the field."""
@@ -332,6 +352,8 @@ def _parse_example(line: str, where: str, default_id: str) -> QAExample:
         answers = [answers]
     if not isinstance(answers, list):
         raise SchemaError(f"{where}: field 'answers' must be a string or a list")
+    if not answers:
+        raise SchemaError(f"{where}: field 'answers' must not be empty")
     try:
         task = Task(rec.get("task", "simulated_fact"))
     except ValueError:
@@ -339,12 +361,10 @@ def _parse_example(line: str, where: str, default_id: str) -> QAExample:
             f"{where}: field 'task' has unknown value {rec.get('task')!r}; "
             f"choose from {[t.value for t in Task]}"
         ) from None
-    if task == Task.BOOLEAN:
-        answers = ["1" if str(a).strip().lower() in ("1", "true", "yes") else "0" for a in answers]
     return QAExample(
         query_id=str(rec.get("id", default_id)),
         query=rec["query"],
-        gold_answers=[str(a) for a in answers],
+        gold_answers=normalize_gold(task, answers),
         task=task,
         filter_key=rec.get("filter_key"),
         split=rec.get("split", "test"),

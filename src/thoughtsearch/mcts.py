@@ -1,14 +1,15 @@
 """Planners over the thought graph.
 
-run_search loops Selection -> Expansion -> Simulation -> Backpropagation
-until the newest thought clears the stop threshold or the generated-node
-budget is spent. greedy_search skips the bandit machinery and always applies
-the argmax pair under a pairwise reward estimator. random_search is the
+Every planner runs the same episode (_search): add one thought per step
+until the newest one clears the stop threshold or the generated-node budget
+is spent. A planner only supplies the step. run_search's step is Selection
+-> Expansion -> Simulation -> Backpropagation; greedy_search's applies the
+argmax pair under a pairwise reward estimator; random_search's is the
 uniform-pairing control used by experiments.
 
-One search is one sequential loop; each search owns its graph, queue, and
-RNG. Ports (generator, index, scorer) may be shared across concurrent
-searches when they are themselves safe to share.
+Each search owns its graph, queue, and RNG. Ports (generator, index,
+scorer) may be shared across concurrent searches when they are themselves
+safe to share.
 """
 
 from __future__ import annotations
@@ -17,20 +18,13 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, count
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, EngineError, ExhaustedCorpusError, SearchError
 from .generate import CountingGenerator, Generator
-from .graph import (
-    ROOT_ID,
-    Action,
-    EpisodeConfig,
-    NodeKind,
-    ThoughtGraph,
-    new_process,
-)
+from .graph import ROOT_ID, Action, EpisodeConfig, ThoughtGraph, new_process
 from .retrieval import CorpusIndex, DocumentQueue, consume_pending, queue_next, refill_if_empty
 
 
@@ -139,18 +133,37 @@ def _best_generated(graph: ThoughtGraph) -> int | None:
     return best
 
 
-def _query_provider(graph: ThoughtGraph, ports: SearchPorts):
+def _query_provider(graph: ThoughtGraph, retriever: RetrieverPorts | None, generator: Generator):
     """Refill queries: either the raw question or an LLM-formulated query
     seeded with the best-scored thought so far."""
+    if retriever is None or retriever.query_mode != "formulated":
+        return lambda: graph.query_text
 
-    def provider() -> str:
-        if ports.retriever is not None and ports.retriever.query_mode == "formulated":
-            best = _best_generated(graph)
-            seed_text = graph.node(best).text if best is not None else graph.query_text
-            return ports.generator.formulate_retrieval_query(seed_text, graph.query_text)
-        return graph.query_text
+    def formulated() -> str:
+        best = _best_generated(graph)
+        seed_text = graph.node(best).text if best is not None else graph.query_text
+        return generator.formulate_retrieval_query(seed_text, graph.query_text)
 
-    return provider
+    return formulated
+
+
+def _document_partner(
+    graph: ThoughtGraph,
+    retriever: RetrieverPorts | None,
+    rng: np.random.Generator,
+    p_doc: float,
+    query_provider,
+) -> int | None:
+    """With probability p_doc, add the next queued document (a refill
+    retrieval fires when the queue is empty) and return its id. None when
+    there is no retriever, the draw misses, or the corpus is exhausted."""
+    if retriever is None or not rng.random() < p_doc:
+        return None
+    try:
+        doc = queue_next(retriever.queue, retriever.index, query_provider)
+    except ExhaustedCorpusError:
+        return None
+    return graph.add_document(doc.text)
 
 
 def expand(
@@ -164,22 +177,15 @@ def expand(
 ) -> int:
     """Pair the selected node with a document or an existing thought.
 
-    With probability p_doc the partner is the next queued document (a refill
-    retrieval fires when the queue is empty); otherwise up to
-    thought_sample_size candidate partners are sampled uniformly from the
-    non-document nodes and the one with the highest current mean score wins.
-    An exhausted corpus falls back to thought pairing.
+    With probability p_doc the partner is the next queued document;
+    otherwise, or when the corpus is exhausted, up to thought_sample_size
+    candidate partners are sampled uniformly from the non-document nodes and
+    the one with the highest current mean score wins.
     """
     graph.node(selected)
-    partner: int | None = None
-    if retriever is not None and rng.random() < config.p_doc:
-        provider = query_provider or (lambda: graph.query_text)
-        try:
-            doc = queue_next(retriever.queue, retriever.index, provider)
-        except ExhaustedCorpusError:
-            doc = None
-        if doc is not None:
-            partner = graph.add_document(doc.text)
+    partner = _document_partner(
+        graph, retriever, rng, config.p_doc, query_provider or (lambda: graph.query_text)
+    )
     if partner is None:
         candidates = graph.thought_ids
         if len(candidates) > config.thought_sample_size:
@@ -187,7 +193,7 @@ def expand(
                 len(candidates), size=config.thought_sample_size, replace=False
             )
             candidates = sorted(candidates[i] for i in picked)
-        partner, best_score = None, -math.inf
+        best_score = -math.inf
         for nid in candidates:
             score = graph.stats[nid].mean_score
             if score > best_score:
@@ -196,14 +202,18 @@ def expand(
     return _generate_from_pair(graph, action, generator)
 
 
-def simulate(graph: ThoughtGraph, node_id: int, scorer: Scorer, generator: Generator) -> float:
-    """Score a fresh node and install the result as its initial statistics."""
-    score = float(scorer.score(graph, node_id, generator))
-    score = min(1.0, max(0.0, score))
+def _install_score(graph: ThoughtGraph, node_id: int, score: float) -> float:
+    """Clamp a fresh node's score into [0, 1] and make it its only visit."""
+    score = min(1.0, max(0.0, float(score)))
     stats = graph.stats[node_id]
     stats.visits = 1
     stats.cumulative_score = score
     return score
+
+
+def simulate(graph: ThoughtGraph, node_id: int, scorer: Scorer, generator: Generator) -> float:
+    """Score a fresh node and install the result as its initial statistics."""
+    return _install_score(graph, node_id, scorer.score(graph, node_id, generator))
 
 
 def backpropagate(graph: ThoughtGraph, node_id: int, score: float) -> None:
@@ -224,14 +234,32 @@ def backpropagate(graph: ThoughtGraph, node_id: int, score: float) -> None:
         entry.cumulative_score += score
 
 
-def _finish(
-    graph: ThoughtGraph,
-    best: int | None,
-    terminated: Termination,
-    generator: CountingGenerator,
-    scorer_calls: int,
-    simulation_scores: dict[int, float],
-) -> SearchOutcome:
+# One step adds one thought: (graph, counting generator, refill-query
+# provider) -> (new node id, its score in [0, 1], scorer calls spent).
+Step = Callable[[ThoughtGraph, CountingGenerator, Callable[[], str]], tuple[int, float, int]]
+
+
+def _search(query: str, ports: SearchPorts, config: EpisodeConfig, step: Step) -> SearchOutcome:
+    """The episode every planner shares: add one thought per step until one
+    scores at least the stop threshold (it is the answer) or the budget is
+    spent (the best mean score among generated nodes is)."""
+    graph = new_process(query, max_generated=config.max_steps)
+    generator = CountingGenerator(ports.generator)
+    provider = _query_provider(graph, ports.retriever, generator)
+    scorer_calls = 0
+    simulation_scores: dict[int, float] = {}
+    terminated = Termination.BUDGET_EXHAUSTED
+    best: int | None = None
+    try:
+        while graph.generated_count < config.max_steps:
+            child, score, calls = step(graph, generator, provider)
+            scorer_calls += calls
+            simulation_scores[child] = score
+            if score >= config.stop_threshold:
+                terminated, best = Termination.THRESHOLD_REACHED, child
+                break
+    except EngineError as exc:
+        raise SearchError(f"search failed after {graph.generated_count} thoughts: {exc}", graph=graph) from exc
     if best is None:
         best = _best_generated(graph)
         if best is None:  # max_steps >= 1 guarantees at least one node
@@ -254,30 +282,15 @@ def run_search(
 ) -> SearchOutcome:
     """Full bandit search. Deterministic given (query, ports, config, seed)."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    graph = new_process(query, max_generated=config.max_steps)
-    generator = CountingGenerator(ports.generator)
-    provider = _query_provider(graph, SearchPorts(generator, ports.scorer, ports.retriever))
-    scorer_calls = 0
-    simulation_scores: dict[int, float] = {}
-    terminated = Termination.BUDGET_EXHAUSTED
-    best: int | None = None
-    try:
-        while graph.generated_count < config.max_steps:
-            selected = select(graph, config.exploration_c)
-            child = expand(
-                graph, selected, ports.retriever, generator, rng, config, provider
-            )
-            score = simulate(graph, child, ports.scorer, generator)
-            scorer_calls += 1
-            simulation_scores[child] = score
-            backpropagate(graph, child, score)
-            if score >= config.stop_threshold:
-                terminated = Termination.THRESHOLD_REACHED
-                best = child
-                break
-    except EngineError as exc:
-        raise SearchError(f"search failed after {graph.generated_count} thoughts: {exc}", graph=graph) from exc
-    return _finish(graph, best, terminated, generator, scorer_calls, simulation_scores)
+
+    def step(graph, generator, provider):
+        selected = select(graph, config.exploration_c)
+        child = expand(graph, selected, ports.retriever, generator, rng, config, provider)
+        score = simulate(graph, child, ports.scorer, generator)
+        backpropagate(graph, child, score)
+        return child, score, 1
+
+    return _search(query, ports, config, step)
 
 
 def random_search(
@@ -289,37 +302,17 @@ def random_search(
     """Uniform-random pairing control: same termination contract as
     run_search, no score guidance anywhere."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    graph = new_process(query, max_generated=config.max_steps)
-    generator = CountingGenerator(ports.generator)
-    provider = _query_provider(graph, SearchPorts(generator, ports.scorer, ports.retriever))
-    scorer_calls = 0
-    simulation_scores: dict[int, float] = {}
-    terminated = Termination.BUDGET_EXHAUSTED
-    best: int | None = None
-    try:
-        while graph.generated_count < config.max_steps:
-            pool = graph.thought_ids
-            selected = pool[rng.choice(len(pool))]
-            partner: int | None = None
-            if ports.retriever is not None and rng.random() < config.p_doc:
-                try:
-                    doc = queue_next(ports.retriever.queue, ports.retriever.index, provider)
-                    partner = graph.add_document(doc.text)
-                except ExhaustedCorpusError:
-                    partner = None
-            if partner is None:
-                partner = pool[rng.choice(len(pool))]
-            child = _generate_from_pair(graph, Action(selected, partner), generator)
-            score = simulate(graph, child, ports.scorer, generator)
-            scorer_calls += 1
-            simulation_scores[child] = score
-            if score >= config.stop_threshold:
-                terminated = Termination.THRESHOLD_REACHED
-                best = child
-                break
-    except EngineError as exc:
-        raise SearchError(f"search failed after {graph.generated_count} thoughts: {exc}", graph=graph) from exc
-    return _finish(graph, best, terminated, generator, scorer_calls, simulation_scores)
+
+    def step(graph, generator, provider):
+        pool = graph.thought_ids
+        selected = pool[rng.choice(len(pool))]
+        partner = _document_partner(graph, ports.retriever, rng, config.p_doc, provider)
+        if partner is None:
+            partner = pool[rng.choice(len(pool))]
+        child = _generate_from_pair(graph, Action(selected, partner), generator)
+        return child, simulate(graph, child, ports.scorer, generator), 1
+
+    return _search(query, ports, config, step)
 
 
 def greedy_search(
@@ -336,62 +329,35 @@ def greedy_search(
     The chosen action is invariant under any strictly increasing transform of
     the estimator's scores.
     """
-    pair_scorer = ports.scorer
+    pair_scorer, retriever = ports.scorer, ports.retriever
     if not hasattr(pair_scorer, "score_pairs"):
         raise ConfigError("greedy_search requires a pairwise scorer port")
-    graph = new_process(query, max_generated=config.max_steps)
-    generator = CountingGenerator(ports.generator)
-    provider = _query_provider(graph, SearchPorts(generator, ports.scorer, ports.retriever))
-    scorer_calls = 0
-    simulation_scores: dict[int, float] = {}
-    terminated = Termination.BUDGET_EXHAUSTED
-    best: int | None = None
-    try:
-        while graph.generated_count < config.max_steps:
-            items: list[tuple[str, object, str, NodeKind]] = []
-            for nid in graph.thought_ids:
-                node = graph.node(nid)
-                items.append(("node", nid, node.text, node.kind))
-            if ports.retriever is not None:
-                refill_if_empty(ports.retriever.queue, ports.retriever.index, provider)
-                for doc in ports.retriever.queue.pending:
-                    items.append(("doc", doc, doc.text, NodeKind.DOCUMENT))
-            pairs = [
-                (i, j) for i in range(len(items)) for j in range(i + 1, len(items))
-            ]
-            if pairs:
-                scores = pair_scorer.score_pairs(
-                    [(items[i][2], items[j][2]) for i, j in pairs]
-                )
-                scorer_calls += len(pairs)
-                best_idx = max(range(len(pairs)), key=lambda k: (scores[k], -k))
-                chosen, chosen_score = pairs[best_idx], float(scores[best_idx])
-            else:  # only the root exists and no documents are available
-                chosen, chosen_score = None, float(
-                    pair_scorer.score_pairs([(graph.query_text, graph.query_text)])[0]
-                )
-                scorer_calls += 1
 
-            def realize(entry) -> int:
-                kind_tag, ref = entry[0], entry[1]
-                if kind_tag == "node":
-                    return ref
-                consume_pending(ports.retriever.queue, ref)
-                return graph.add_document(ref.text)
+    def step(graph, generator, provider):
+        nodes, docs = graph.thought_ids, []
+        if retriever is not None:
+            refill_if_empty(retriever.queue, retriever.index, provider)
+            docs = list(retriever.queue.pending)
+        texts = [graph.node(nid).text for nid in nodes] + [doc.text for doc in docs]
+        pairs = [(i, j) for i in range(len(texts)) for j in range(i + 1, len(texts))]
+        if not pairs:  # only the root exists and no documents are available
+            score = pair_scorer.score_pairs([(graph.query_text, graph.query_text)])[0]
+            child = _generate_from_pair(graph, Action(ROOT_ID, ROOT_ID), generator)
+            return child, _install_score(graph, child, score), 1
+        scores = pair_scorer.score_pairs([(texts[i], texts[j]) for i, j in pairs])
+        best_idx = max(range(len(pairs)), key=lambda k: (scores[k], -k))
 
-            if chosen is None:
-                action = Action(ROOT_ID, ROOT_ID)
-            else:
-                action = Action(realize(items[chosen[0]]), realize(items[chosen[1]]))
-            child = _generate_from_pair(graph, action, generator)
-            stats = graph.stats[child]
-            stats.visits = 1
-            stats.cumulative_score = min(1.0, max(0.0, chosen_score))
-            simulation_scores[child] = stats.cumulative_score
-            if stats.cumulative_score >= config.stop_threshold:
-                terminated = Termination.THRESHOLD_REACHED
-                best = child
-                break
-    except EngineError as exc:
-        raise SearchError(f"search failed after {graph.generated_count} thoughts: {exc}", graph=graph) from exc
-    return _finish(graph, best, terminated, generator, scorer_calls, simulation_scores)
+        n_nodes = len(nodes)
+
+        def realize(i: int) -> int:
+            if i < n_nodes:
+                return nodes[i]
+            doc = docs[i - n_nodes]
+            consume_pending(retriever.queue, doc)
+            return graph.add_document(doc.text)
+
+        first, second = pairs[best_idx]
+        child = _generate_from_pair(graph, Action(realize(first), realize(second)), generator)
+        return child, _install_score(graph, child, scores[best_idx]), len(pairs)
+
+    return _search(query, ports, config, step)

@@ -2,13 +2,30 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from thoughtsearch.cli import main
-from thoughtsearch.harness import Method
+from thoughtsearch.config import load_config
+from thoughtsearch.generate import SimulatedGenerator
+from thoughtsearch.harness import EnginePorts, Method, load_examples, run_benchmark
+from thoughtsearch.retrieval import HashedEmbedder, load_index
+from thoughtsearch.scoring import load_model
+from thoughtsearch.templates import TemplateSet
+from thoughtsearch.trace import dump_trace, graph_to_record
+
+
+def _load_script(name: str):
+    """Import scripts/<name>.py as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -166,8 +183,9 @@ _GOOD_EXAMPLE = '{"id": "ok", "query": "need:k0 q", "answers": ["v"], "split": "
         ('["query", "q"]', "must be an object"),
         ('{"answers": ["v"], "split": "train"}', "'query'"),
         ('{"query": "q", "answers": ["v"], "task": "nope", "split": "train"}', "'task'"),
+        ('{"query": "q", "answers": [], "split": "train"}', "'answers'"),
     ],
-    ids=["bad_json", "not_an_object", "missing_query", "unknown_task"],
+    ids=["bad_json", "not_an_object", "missing_query", "unknown_task", "empty_answers"],
 )
 @pytest.mark.parametrize("command", ["eval", "train-scorer"])
 def test_malformed_example_line_is_config_error(workspace, tmp_path, capsys, command, bad_line, field):
@@ -192,6 +210,51 @@ def test_run_oracle_without_gold_is_config_error(workspace):
         )
         == 2
     )
+
+
+def test_run_greedy_planner_needs_estimation_scorer(workspace):
+    *_, index, _model = workspace
+    argv = ["run", "--mode", "simulated", "--query", "need:k0", "--index", str(index)]
+    assert main([*argv, "--planner", "greedy", "--scorer", "self_critic"]) == 2
+
+
+@pytest.mark.parametrize(
+    "planner, scorer, method",
+    [("mcts", "self_critic", Method.MCTS_SELF_CRITIC), ("greedy", "estimation", Method.GREEDY_ESTIMATION)],
+)
+def test_run_trace_equals_harness_trace(workspace, tmp_path, planner, scorer, method):
+    """`run` and the benchmark harness wire the same search: for one example
+    at rng index 0 they write the same trace bytes."""
+    tmp, corpus, examples, index, model = workspace
+    example = load_examples(examples, split="test")[0]
+    trace = tmp_path / "run.json"
+    argv = [
+        "run", "--mode", "simulated", "--query", example.query, "--index", str(index),
+        "--model", str(model), "--planner", planner, "--scorer", scorer,
+        "--filter-key", example.filter_key, "--trace", str(trace),
+    ]
+    assert main(argv) == 0
+
+    config = load_config(task_mode="simulated")
+    embedder = HashedEmbedder(dim=config.scoring.embed_dim)
+    ports = EnginePorts(
+        generator=SimulatedGenerator(),
+        templates=TemplateSet.builtin("simulated"),
+        index=load_index(index),
+        scorer_model=load_model(model, expected_embedder_id=embedder.embedder_id),
+        scoring_embedder=embedder,
+    )
+    sunk = tmp_path / "harness.json"
+    sink = lambda ex, outcome: dump_trace(graph_to_record(outcome.graph, outcome), sunk)
+    run_benchmark([example], method, ports, config, trace_sink=sink)
+    assert trace.read_bytes() == sunk.read_bytes()
+
+
+def test_config_file_setting_gamma_is_unknown_field(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"task_mode": "simulated", "gamma": 0.9}))
+    assert main(["run", "--config", str(config), "--query", "q"]) == 2
+    assert "unknown config field 'gamma'" in capsys.readouterr().err
 
 
 def test_run_missing_model_is_config_error(workspace):
@@ -323,6 +386,35 @@ def test_eval_sweep_emits_curve(workspace, tmp_path):
     assert len(curve) == 3
 
 
+@pytest.mark.parametrize(
+    "budgets, message", [("0,2", "max_steps must be >= 1"), ("2,x", "comma-separated integers")]
+)
+def test_eval_bad_sweep_budget_fails_before_running(workspace, tmp_path, capsys, budgets, message):
+    tmp, corpus, examples, index, model = workspace
+    outdir = tmp_path / "sweep"
+    argv = [
+        "eval", "--mode", "simulated", "--examples", str(examples), "--methods", "mcts_oracle",
+        "--index", str(index), "--out", str(outdir), "--sweep-t", budgets,
+    ]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_sweep_script_rejects_zero_budget_up_front(monkeypatch, capsys):
+    module = _load_script("sweep_thought_budget")
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("the suite was built before the budgets were checked")
+
+    monkeypatch.setattr(module.simenv, "build_suite", no_suite)
+    monkeypatch.setattr(sys, "argv", ["sweep_thought_budget.py", "--budgets", "0,2"])
+    with pytest.raises(SystemExit) as exc:
+        module.main()
+    assert exc.value.code == 2
+    assert "max_steps must be >= 1" in capsys.readouterr().err
+
+
 def test_export_trace_round_trip_and_dot(workspace, tmp_path, capsys):
     tmp, corpus, examples, index, model = workspace
     example = json.loads(examples.read_text().splitlines()[0])
@@ -365,16 +457,10 @@ def test_export_malformed_trace_names_field(tmp_path, capsys):
 
 def test_run_through_wire_backend(workspace, tmp_path, capsys):
     """Full flow over the HTTP wire protocol, served by the backend script."""
-    import importlib.util
     import threading
     from http.server import ThreadingHTTPServer
 
-    spec = importlib.util.spec_from_file_location(
-        "serve_sim_backend",
-        Path(__file__).resolve().parent.parent / "scripts" / "serve_sim_backend.py",
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _load_script("serve_sim_backend")
     module.Handler.log_message = lambda *a, **k: None
     server = ThreadingHTTPServer(("127.0.0.1", 0), module.Handler)
     threading.Thread(target=server.serve_forever, daemon=True).start()

@@ -41,13 +41,6 @@ def test_mode_defaults_carry_benchmark_hyperparameters():
     assert sim.scoring.embed_dim == 64
 
 
-def test_accuracy_thresholds_separate_from_stop_thresholds():
-    config = default_config("boolq")
-    assert config.accuracy_thresholds["self_critic"] == 0.9
-    assert config.accuracy_thresholds["estimation"] == 0.21
-    assert config.stop_thresholds["self_critic"] == 0.49
-
-
 def test_config_round_trip_identity(tmp_path):
     config = default_config("emrqa")
     config.seed = 1234567
@@ -96,8 +89,6 @@ def test_bounds_validated_on_construction():
         EngineConfig(task_mode="nope")
     with pytest.raises(ConfigError):
         EngineConfig(p_doc=1.5)
-    with pytest.raises(ConfigError):
-        EngineConfig(gamma=0.0)
     with pytest.raises(ConfigError):
         EngineConfig(workers=0)
     with pytest.raises(ConfigError):

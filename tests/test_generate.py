@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from thoughtsearch import generate
 from thoughtsearch.config import default_config
 from thoughtsearch.errors import CapabilityError, ConfigError, GenerationError, TransportError
 from thoughtsearch.generate import (
@@ -232,6 +233,41 @@ def test_http_retries_server_errors_up_to_retries(backend):
     with pytest.raises(TransportError, match="503"):
         _client(backend, retries=2).answer("q")
     assert _Backend.requests_seen == 3
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    """Record each backoff sleep as (requests seen so far, seconds) instead of sleeping."""
+    seen: list[tuple[int, float]] = []
+    monkeypatch.setattr(generate, "sleep", lambda s: seen.append((_Backend.requests_seen, s)))
+    return seen
+
+
+@pytest.mark.parametrize("retries", [3, 8])
+def test_http_backoff_between_retries_only(backend, sleeps, retries):
+    _Backend.fail_next = 100
+    with pytest.raises(TransportError):
+        _client(backend, retries=retries).answer("q")
+    assert _Backend.requests_seen == retries + 1
+    assert [seen for seen, _ in sleeps] == list(range(1, retries + 1))  # none after the last
+    for k, (_, seconds) in enumerate(sleeps):
+        assert 0.0 <= seconds <= min(generate.BACKOFF_CAP_S, generate.BACKOFF_BASE_S * 2**k)
+
+
+def test_http_backoff_draws_full_jitter_up_to_the_cap(backend, sleeps, monkeypatch):
+    monkeypatch.setattr(generate.random, "uniform", lambda lo, hi: hi)
+    _Backend.fail_next = 7
+    assert _client(backend, retries=8).answer("q")
+    base, cap = generate.BACKOFF_BASE_S, generate.BACKOFF_CAP_S
+    assert [seconds for _, seconds in sleeps] == [min(cap, base * 2**k) for k in range(7)]
+    assert sleeps[-1][1] == cap
+
+
+def test_http_client_error_does_not_back_off(backend, sleeps):
+    _Backend.reject_with = 404
+    with pytest.raises(TransportError):
+        _client(backend, retries=3).answer("q")
+    assert sleeps == []
 
 
 @pytest.mark.parametrize("status", [400, 404, 422])

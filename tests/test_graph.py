@@ -1,4 +1,4 @@
-"""Core state machine: construction, transitions, episodic return, replay."""
+"""Core state machine: construction, transitions, replay."""
 
 from __future__ import annotations
 
@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thoughtsearch.errors import BudgetError, ConfigError, GraphError
-from thoughtsearch.graph import (
-    Action,
-    NodeKind,
-    episodic_return,
-    new_process,
-)
+from thoughtsearch.errors import BudgetError, GraphError
+from thoughtsearch.graph import Action, NodeKind, new_process
 
 
 def test_new_process_single_query_node():
@@ -147,26 +142,3 @@ def test_history_replay_reproduces_graph(ops):
     assert replayed.nodes == graph.nodes
     assert replayed.history == graph.history
 
-
-def test_episodic_return_values():
-    assert episodic_return(1.0, 5, 1.0) == 1.0
-    assert episodic_return(1.0, 2, 0.5) == 0.25
-    assert episodic_return(0.0, 7, 0.9) == 0.0
-
-
-@given(
-    st.floats(min_value=0, max_value=1),
-    st.integers(min_value=1, max_value=50),
-    st.floats(min_value=0.01, max_value=1.0),
-)
-def test_episodic_return_collapse(reward, horizon, gamma):
-    assert episodic_return(reward, horizon, gamma) == gamma**horizon * reward
-
-
-def test_episodic_return_rejects_bad_bounds():
-    with pytest.raises(ConfigError):
-        episodic_return(1.0, 0, 1.0)
-    with pytest.raises(ConfigError):
-        episodic_return(1.0, 1, 0.0)
-    with pytest.raises(ConfigError):
-        episodic_return(1.0, 1, 1.5)

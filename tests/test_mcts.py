@@ -342,6 +342,26 @@ def test_run_search_threshold_after_one_thought(constant_scorer):
     assert outcome.best_thought == outcome.graph.generated_ids()[0]
 
 
+class _HalfScorer:
+    """Scores every node and every pair 0.5, so each planner can use it."""
+
+    def score(self, graph, node_id, generator):
+        return 0.5
+
+    def score_pairs(self, pairs):
+        return [0.5] * len(pairs)
+
+
+@pytest.mark.parametrize("planner", [run_search, random_search, greedy_search])
+def test_score_equal_to_threshold_stops_every_planner(planner):
+    ports = SearchPorts(generator=SimulatedGenerator(), scorer=_HalfScorer())
+    outcome = planner("q", ports, EpisodeConfig(max_steps=10, stop_threshold=0.5))
+    assert outcome.terminated_by == Termination.THRESHOLD_REACHED
+    assert outcome.graph.generated_ids() == [outcome.best_thought]
+    assert outcome.simulation_scores == {outcome.best_thought: 0.5}
+    assert outcome.scorer_calls == 1
+
+
 def test_run_search_budget_exhausted(constant_scorer):
     ports = SearchPorts(generator=SimulatedGenerator(), scorer=constant_scorer(0.0))
     outcome = run_search("q", ports, EpisodeConfig(max_steps=10, stop_threshold=0.5))
