@@ -167,7 +167,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"answer: {answer if answer else raw}")
     print(
         f"thoughts={outcome.graph.generated_count} terminated_by={outcome.terminated_by.value} "
-        f"generator_calls={outcome.generator_calls} scorer_calls={outcome.scorer_calls}"
+        f"generator_calls={outcome.generator_calls} backend_calls={outcome.backend_calls} "
+        f"scorer_calls={outcome.scorer_calls}"
     )
     print(f"trace written to {args.trace}")
     return EXIT_OK
@@ -263,6 +264,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "aggregate": report.aggregate,
             "n": len(report.per_example),
             "max_steps": report.max_steps,
+            "generator_calls": sum(r.generator_calls for r in report.per_example),
+            "backend_calls": sum(r.backend_calls for r in report.per_example),
         }
         if sweep and method in harness.PLANNER_METHODS:
             sweep_reports = [

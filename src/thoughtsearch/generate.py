@@ -45,7 +45,12 @@ class GenerationResult:
 
 
 class Generator(Protocol):
-    """Completion-backed operations every backend must provide."""
+    """Completion-backed operations every backend must provide.
+
+    A backend whose reply is a function of the call alone may also set
+    `deterministic = True`; each search then sends it every distinct call
+    once (see CountingGenerator). Without the attribute it counts as False.
+    """
 
     def generate_thought(self, parents: Sequence[ParentText], query: str) -> str: ...
 
@@ -59,31 +64,51 @@ class Generator(Protocol):
 
 
 class CountingGenerator:
-    """Delegating wrapper that counts every backend invocation."""
+    """Delegating wrapper for one search: counts every call and, when the
+    inner generator is deterministic, answers a repeated call from a memo.
+
+    `calls` counts the calls the caller asked for; `backend_calls` counts
+    those that reached the inner generator. The memo is keyed by method and
+    arguments as given (parents keep their order and kinds), stores only
+    results (a call that raised is retried next time), and lives as long as
+    this wrapper, so it needs no lock and nothing leaks between searches.
+    """
 
     def __init__(self, inner: Generator):
         self.inner = inner
         self.calls = 0
+        self.backend_calls = 0
+        self._memo: dict | None = {} if getattr(inner, "deterministic", False) else None
+
+    def _ask(self, key: tuple, fn, *args):
+        self.calls += 1
+        memo = self._memo
+        if memo is not None and key in memo:
+            return memo[key]
+        self.backend_calls += 1
+        result = fn(*args)
+        if memo is not None:
+            memo[key] = result
+        return result
 
     def generate_thought(self, parents: Sequence[ParentText], query: str) -> str:
-        self.calls += 1
-        return self.inner.generate_thought(parents, query)
+        key = ("generate_thought", tuple((text, kind) for text, kind in parents), query)
+        return self._ask(key, self.inner.generate_thought, parents, query)
 
     def answer(self, query: str, context: str | None = None) -> str:
-        self.calls += 1
-        return self.inner.answer(query, context)
+        return self._ask(("answer", query, context), self.inner.answer, query, context)
 
     def formulate_retrieval_query(self, thoughts: str, query: str) -> str:
-        self.calls += 1
-        return self.inner.formulate_retrieval_query(thoughts, query)
+        key = ("formulate_retrieval_query", thoughts, query)
+        return self._ask(key, self.inner.formulate_retrieval_query, thoughts, query)
 
     def score_tokens(self, prompt: str, tokens: Sequence[str]) -> dict[str, float]:
-        self.calls += 1
-        return self.inner.score_tokens(prompt, tokens)
+        key = ("score_tokens", prompt, tuple(tokens))
+        # A copy per call: a caller that edits its dict cannot edit the memo.
+        return dict(self._ask(key, self.inner.score_tokens, prompt, tokens))
 
     def complete(self, prompt: str) -> str:
-        self.calls += 1
-        return self.inner.complete(prompt)
+        return self._ask(("complete", prompt), self.inner.complete, prompt)
 
 
 def parse_facts(text: str) -> dict[str, str]:
@@ -106,6 +131,8 @@ class SimulatedGenerator:
     query's requirement keys in the context facts. Identical inputs always
     produce identical outputs.
     """
+
+    deterministic = True
 
     def generate_thought(self, parents: Sequence[ParentText], query: str) -> str:
         if len(parents) != 2:
@@ -184,6 +211,11 @@ class HttpGenerator:
         self.api_key = api_key
         self._semaphore = threading.BoundedSemaphore(max_concurrency)
         self._session = requests.Session()
+
+    @property
+    def deterministic(self) -> bool:
+        """Greedy decoding: a search may reuse a reply to an identical call."""
+        return self.temperature == 0
 
     def _post(self, payload: dict) -> dict:
         """POST one request. 5xx replies, timeouts and connection errors are

@@ -87,6 +87,7 @@ class ExampleResult:
     thought_count: int
     generator_calls: int
     scorer_calls: int
+    backend_calls: int = 0
     terminated_by: str = ""
     answer: str = ""
     error: str = ""
@@ -226,6 +227,7 @@ def run_example(
             thought_count=0,
             generator_calls=generator.calls,
             scorer_calls=0,
+            backend_calls=generator.backend_calls,
             answer=pred,
         )
 
@@ -241,6 +243,7 @@ def run_example(
         thought_count=outcome.graph.generated_count,
         generator_calls=outcome.generator_calls + generator.calls,
         scorer_calls=outcome.scorer_calls,
+        backend_calls=outcome.backend_calls + generator.backend_calls,
         terminated_by=outcome.terminated_by.value,
         answer=pred,
     )

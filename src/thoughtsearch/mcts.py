@@ -69,7 +69,8 @@ class SearchOutcome:
     graph: ThoughtGraph
     best_thought: int
     terminated_by: Termination
-    generator_calls: int
+    generator_calls: int  # calls the planner and scorer asked for
+    backend_calls: int  # of those, the ones the memo did not answer
     scorer_calls: int
     simulation_scores: dict[int, float] = field(default_factory=dict)
 
@@ -269,6 +270,7 @@ def _search(query: str, ports: SearchPorts, config: EpisodeConfig, step: Step) -
         best_thought=best,
         terminated_by=terminated,
         generator_calls=generator.calls,
+        backend_calls=generator.backend_calls,
         scorer_calls=scorer_calls,
         simulation_scores=simulation_scores,
     )

@@ -220,11 +220,14 @@ def retrieve(
     k: int,
     filter_key: str | None = None,
     exclude: set[int] | frozenset[int] = frozenset(),
+    query_vectors: dict[str, np.ndarray] | None = None,
 ) -> list[Document]:
     """Top-k documents by cosine similarity, ties broken by lowest doc_id.
 
     Only the filter key's own rows are scored, gathered in ascending order,
     so each similarity is computed exactly as over a filtered full scan.
+    query_vectors, when given, memoizes query embeddings by text: a text
+    already in it is not embedded again, and a new one is added.
     """
     if k < 1:
         raise CorpusError(f"k must be >= 1, got {k}")
@@ -235,7 +238,11 @@ def retrieve(
     candidates = [i for i in rows if i not in exclude]
     if not candidates:
         return []
-    query_vec = index.embedder.embed(query_text)
+    query_vec = query_vectors.get(query_text) if query_vectors is not None else None
+    if query_vec is None:
+        query_vec = index.embedder.embed(query_text)
+        if query_vectors is not None:
+            query_vectors[query_text] = query_vec
     sims = index.embeddings[candidates] @ query_vec
     ranked = np.lexsort((candidates, -sims))[:k]
     return [index.documents[candidates[j]] for j in ranked]
@@ -243,13 +250,18 @@ def retrieve(
 
 @dataclass
 class DocumentQueue:
-    """Per-search FIFO of retrieved chunks. Never hands out a chunk twice."""
+    """Per-search FIFO of retrieved chunks. Never hands out a chunk twice.
+
+    query_vectors holds the embedding of every refill text so far, so a
+    search that refills with the same text embeds it once.
+    """
 
     batch_size: int
     filter_key: str | None = None
     pending: list[Document] = field(default_factory=list)
     served: set[int] = field(default_factory=set)
     refills: int = 0
+    query_vectors: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
 
 def refill_if_empty(
@@ -264,6 +276,7 @@ def refill_if_empty(
         k=queue.batch_size,
         filter_key=queue.filter_key,
         exclude=queue.served,
+        query_vectors=queue.query_vectors,
     )
 
 

@@ -118,6 +118,12 @@ def test_run_answers_planted_query(workspace, tmp_path, capsys):
     record = json.loads(trace.read_text())
     assert record["outcome"]["terminated_by"] == "threshold_reached"
     assert len(record["nodes"]) >= 2
+    counts = dict(
+        field.split("=") for field in next(l for l in out.splitlines() if l.startswith("thoughts=")).split()
+    )
+    assert int(counts["generator_calls"]) == record["outcome"]["generator_calls"]
+    assert 1 <= int(counts["backend_calls"]) <= int(counts["generator_calls"])
+    assert "backend_calls" not in record["outcome"]  # trace v1 is unchanged
 
 
 def test_run_estimation_scorer(workspace, tmp_path):
@@ -323,6 +329,14 @@ def test_eval_all_methods_writes_seven_reports(workspace, tmp_path):
     summary = json.loads((outdir / "summary.json").read_text())
     assert set(summary["methods"]) == {m.value for m in Method}
     assert "config_hash" in summary
+    for method, entry in summary["methods"].items():
+        header, *rows = (outdir / f"{method}.csv").read_text().splitlines()
+        assert header == "query_id,correct,thought_count,generator_calls,scorer_calls,terminated_by,answer,error"
+        assert entry["generator_calls"] == sum(int(row.split(",")[3]) for row in rows)
+        assert 0 < entry["backend_calls"] <= entry["generator_calls"]
+    # The simulated generator is deterministic, so repeated calls are memoized.
+    self_critic = summary["methods"]["mcts_self_critic"]
+    assert self_critic["backend_calls"] < self_critic["generator_calls"]
 
 
 def test_eval_rerun_byte_identical_reports_and_traces(workspace, tmp_path):

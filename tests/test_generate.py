@@ -16,6 +16,7 @@ from thoughtsearch import generate
 from thoughtsearch.config import default_config
 from thoughtsearch.errors import CapabilityError, ConfigError, GenerationError, TransportError
 from thoughtsearch.generate import (
+    CountingGenerator,
     HttpGenerator,
     SimulatedGenerator,
     parse_facts,
@@ -139,6 +140,117 @@ def test_parse_facts_never_crashes(text):
 
 
 # ---------------------------------------------------------------------------
+# The per-search completion memo in CountingGenerator
+# ---------------------------------------------------------------------------
+
+
+class _FakeBackend:
+    """Inner generator that logs every call it gets and numbers its replies,
+    so a reply served from the memo is the earlier reply, not a new one."""
+
+    def __init__(self, deterministic: bool | None = True, failures: int = 0):
+        if deterministic is not None:
+            self.deterministic = deterministic
+        self.failures = failures  # raise GenerationError on this many calls
+        self.seen: list[tuple] = []
+
+    def _reply(self, *call) -> str:
+        self.seen.append(call)
+        if self.failures:
+            self.failures -= 1
+            raise GenerationError("flaky backend")
+        return f"reply {len(self.seen)}"
+
+    def generate_thought(self, parents, query):
+        return self._reply("thought", list(parents), query)
+
+    def answer(self, query, context=None):
+        return self._reply("answer", query, context)
+
+    def formulate_retrieval_query(self, thoughts, query):
+        return self._reply("formulate", thoughts, query)
+
+    def score_tokens(self, prompt, tokens):
+        reply = self._reply("score", prompt, list(tokens))
+        return {tok: -float(len(reply) + i) for i, tok in enumerate(tokens)}
+
+    def complete(self, prompt):
+        return self._reply("complete", prompt)
+
+
+def _every_call(gen):
+    parents = [("t", NodeKind.GENERATED), ("d", NodeKind.DOCUMENT)]
+    return [
+        gen.generate_thought(parents, "q"),
+        gen.answer("q", "ctx"),
+        gen.formulate_retrieval_query("t", "q"),
+        gen.score_tokens("p", ["1", "0"]),
+        gen.complete("p"),
+    ]
+
+
+def test_memo_sends_a_repeated_call_to_the_backend_once():
+    inner = _FakeBackend()
+    gen = CountingGenerator(inner)
+    first, second = _every_call(gen), _every_call(gen)
+    assert first == second
+    assert len(inner.seen) == 5
+    assert (gen.calls, gen.backend_calls) == (10, 5)
+
+
+def test_memo_keys_parents_by_order_and_kind_and_every_argument():
+    inner = _FakeBackend()
+    gen = CountingGenerator(inner)
+    for parents in (
+        [("a", NodeKind.GENERATED), ("b", NodeKind.DOCUMENT)],
+        [("b", NodeKind.DOCUMENT), ("a", NodeKind.GENERATED)],
+        [("a", NodeKind.DOCUMENT), ("b", NodeKind.DOCUMENT)],
+        (("a", NodeKind.GENERATED), ("b", NodeKind.DOCUMENT)),  # a tuple is the first list
+    ):
+        gen.generate_thought(parents, "q")
+    gen.answer("q")
+    gen.answer("q", "")
+    gen.score_tokens("p", ["1", "0"])
+    gen.score_tokens("p", ["0", "1"])
+    gen.complete("p")
+    gen.formulate_retrieval_query("p", "q")
+    assert (gen.calls, gen.backend_calls) == (10, 9)
+    assert len(inner.seen) == 9
+
+
+@pytest.mark.parametrize("deterministic", [False, None], ids=["false", "no_attribute"])
+def test_memo_is_off_unless_the_backend_says_it_is_deterministic(deterministic):
+    inner = _FakeBackend(deterministic=deterministic)
+    gen = CountingGenerator(inner)
+    first, second = _every_call(gen), _every_call(gen)
+    assert first != second  # every reply is a fresh one
+    assert (gen.calls, gen.backend_calls, len(inner.seen)) == (10, 10, 10)
+
+
+def test_memo_retries_a_call_that_raised():
+    inner = _FakeBackend(failures=1)
+    gen = CountingGenerator(inner)
+    with pytest.raises(GenerationError, match="flaky"):
+        gen.answer("q")
+    assert gen.answer("q") == gen.answer("q") == "reply 2"
+    assert (gen.calls, gen.backend_calls, len(inner.seen)) == (3, 2, 2)
+
+
+def test_memo_hands_out_a_fresh_score_dict_each_time():
+    gen = CountingGenerator(_FakeBackend())
+    scores = gen.score_tokens("p", ["1", "0"])
+    want = dict(scores)
+    scores["1"] = 0.0
+    scores.pop("0")
+    assert gen.score_tokens("p", ["1", "0"]) == want
+    assert gen.backend_calls == 1
+
+
+def test_simulated_generator_is_deterministic():
+    assert SimulatedGenerator.deterministic is True
+
+
+# ---------------------------------------------------------------------------
 # HTTP generator against a local wire-protocol server
 # ---------------------------------------------------------------------------
 
@@ -192,10 +304,20 @@ def backend():
     server.shutdown()
 
 
-def _client(endpoint, retries=2):
+def _client(endpoint, retries=2, temperature=0.0):
     return HttpGenerator(
-        endpoint, TemplateSet.builtin("boolq"), timeout_s=5.0, retries=retries
+        endpoint, TemplateSet.builtin("boolq"), timeout_s=5.0, retries=retries, temperature=temperature
     )
+
+
+@pytest.mark.parametrize("temperature, requests", [(0.0, 1), (0.7, 2)])
+def test_http_memo_only_at_temperature_zero(backend, temperature, requests):
+    client = _client(backend, temperature=temperature)
+    assert client.deterministic is (temperature == 0)
+    gen = CountingGenerator(client)
+    assert gen.score_tokens("prompt", ["1", "0"]) == gen.score_tokens("prompt", ["1", "0"])
+    assert _Backend.requests_seen == gen.backend_calls == requests
+    assert gen.calls == 2
 
 
 def test_http_smoke_generate_answer_query(backend):

@@ -65,7 +65,7 @@ def test_llm_only_scores_zero_on_two_hop(sim):
     suite, ports, config = sim
     report = run_benchmark(suite.test, Method.LLM_ONLY, ports, config)
     assert report.aggregate == 0.0
-    assert all(r.generator_calls == 1 for r in report.per_example)
+    assert all(r.generator_calls == r.backend_calls == 1 for r in report.per_example)
 
 
 def test_report_audit_aggregate_matches_rows(sim):

@@ -26,9 +26,10 @@ from thoughtsearch.mcts import (
     uct_value,
 )
 from thoughtsearch.retrieval import DocumentQueue
-from thoughtsearch.scoring import OracleScorer
+from thoughtsearch.scoring import OracleScorer, SelfCriticScorer
 from thoughtsearch.metrics import best_token_f1
-from thoughtsearch.trace import graph_to_record, record_to_graph
+from thoughtsearch.templates import TemplateSet
+from thoughtsearch.trace import graph_to_record, record_to_graph, trace_text
 
 # ---------------------------------------------------------------------------
 # UCT
@@ -417,6 +418,50 @@ def test_run_search_deterministic_under_seed(small_index, constant_scorer):
     assert a.simulation_scores == b.simulation_scores
     c = one(8)
     assert a.graph.nodes != c.graph.nodes  # a different seed takes another path
+
+
+class _Tally:
+    """A generator that counts the calls it answers and reports the given
+    `deterministic`, which turns a search's completion memo on or off."""
+
+    def __init__(self, inner, deterministic: bool):
+        self.inner, self.deterministic, self.answered = inner, deterministic, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.inner, name)
+
+        def call(*args):
+            self.answered += 1
+            return method(*args)
+
+        return call
+
+
+def _self_critic_search(index, generator, query_mode="raw", seed=3):
+    ports = SearchPorts(
+        generator=generator,
+        scorer=SelfCriticScorer(TemplateSet.builtin("simulated")),
+        retriever=_retriever(index, query_mode=query_mode),
+    )
+    config = EpisodeConfig(max_steps=30, stop_threshold=2.0, p_doc=0.5)
+    return run_search("need:k1 need:k2 q", ports, config, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("query_mode", ["raw", "formulated"])
+def test_memo_keeps_trace_bytes_and_generator_calls(small_index, query_mode):
+    on, off = _Tally(SimulatedGenerator(), True), _Tally(SimulatedGenerator(), False)
+    memo, plain = (_self_critic_search(small_index, gen, query_mode) for gen in (on, off))
+    assert trace_text(graph_to_record(memo.graph, memo)) == trace_text(graph_to_record(plain.graph, plain))
+    assert memo.generator_calls == plain.generator_calls == plain.backend_calls == off.answered
+    assert on.answered == memo.backend_calls < memo.generator_calls
+
+
+def test_searches_sharing_a_generator_each_pay_for_their_calls(small_index):
+    shared = _Tally(SimulatedGenerator(), True)
+    first = _self_critic_search(small_index, shared)
+    second = _self_critic_search(small_index, shared)
+    assert first.backend_calls == second.backend_calls < first.generator_calls
+    assert shared.answered == first.backend_calls + second.backend_calls
 
 
 def test_run_search_no_retriever_runs_thought_only(constant_scorer):

@@ -245,6 +245,10 @@ def test_retrieve_matches_full_scan(data, chunks, dim):
     got = [d.doc_id for d in retrieve(index, query, k, filter_key=filter_key, exclude=exclude)]
     want = [d.doc_id for d in reference_retrieve(index, query, k, filter_key, exclude)]
     assert got == want
+    vectors: dict = {}
+    for _ in range(2):  # the first call fills the vector memo, the second reads it
+        memoized = retrieve(index, query, k, filter_key=filter_key, exclude=exclude, query_vectors=vectors)
+        assert [d.doc_id for d in memoized] == want
 
 
 def test_queue_refill_pattern_batch2_over_5_docs(tmp_path):
@@ -397,3 +401,22 @@ def test_reingest_is_byte_identical(tmp_path):
     save_index(ingest_corpus(path, chunk_size=10, dim=64), out1)
     save_index(ingest_corpus(path, chunk_size=10, dim=64), out2)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_queue_embeds_each_refill_text_once(tmp_path, monkeypatch):
+    records = [
+        {"source_id": f"s{i}", "filter_key": None, "text": f"shared topic doc{i}"}
+        for i in range(5)
+    ]
+    index = ingest_corpus(_corpus_file(tmp_path, records), chunk_size=50, dim=64)
+    want = [d.doc_id for d in reference_retrieve(index, "shared topic", k=5)]
+    embedded = []
+    embed = HashedEmbedder.embed
+    monkeypatch.setattr(HashedEmbedder, "embed", lambda self, text: embedded.append(text) or embed(self, text))
+    queue = DocumentQueue(batch_size=2)
+    seen = [queue_next(queue, index, lambda: "shared topic").doc_id for _ in range(5)]
+    assert queue.refills == 3 and embedded == ["shared topic"]
+    assert seen == want
+    with pytest.raises(ExhaustedCorpusError):  # nothing left: no embedding either
+        queue_next(queue, index, lambda: "a new text")
+    assert embedded == ["shared topic"] and "a new text" not in queue.query_vectors

@@ -175,9 +175,10 @@ def _random_records(draw):
             "generator_calls": draw(st.integers(0, 100)),
             "scorer_calls": draw(st.integers(0, 100)),
         }
-    record.update(draw(st.dictionaries(_texts, _json_values, max_size=3)))
+    # Nodes first: an extra top-level key may replace "nodes" itself.
     for node in record["nodes"]:
         node.update(draw(st.dictionaries(_texts, _json_values, max_size=2)))
+    record.update(draw(st.dictionaries(_texts, _json_values, max_size=3)))
     return record
 
 
