@@ -27,15 +27,8 @@ from .config import (
 from .errors import ConfigError, EngineError, SchemaError
 from .generate import HttpGenerator, SimulatedGenerator
 from .harness import EnginePorts, Method, QAExample, Task
-from .mcts import SearchPorts
-from .retrieval import HashedEmbedder, ingest_corpus, load_index, save_index
-from .scoring import (
-    collect_offline_dataset,
-    load_model,
-    save_dataset,
-    save_model,
-    train_estimator,
-)
+from .retrieval import ingest_corpus, load_index, save_index
+from .scoring import load_model, save_dataset, save_model
 from .seeding import rng_from
 from .templates import TemplateSet
 from .trace import dump_trace, graph_to_record, load_trace, to_dot, trace_text
@@ -84,10 +77,6 @@ def _generator(config: EngineConfig, templates: TemplateSet):
     raise ConfigError(f"unknown generator backend {config.generator.backend!r}")
 
 
-def _scoring_embedder(config: EngineConfig) -> HashedEmbedder:
-    return HashedEmbedder(dim=config.scoring.embed_dim)
-
-
 def _ports(config: EngineConfig, need_index: bool = False, need_model: bool = False) -> EnginePorts:
     templates = _templates(config)
     index = None
@@ -103,7 +92,7 @@ def _ports(config: EngineConfig, need_index: bool = False, need_model: bool = Fa
     model = None
     embedder = None
     if config.model_file:
-        embedder = _scoring_embedder(config)
+        embedder = harness.scoring_embedder(config)
         model = load_model(config.model_file, expected_embedder_id=embedder.embedder_id)
     elif need_model:
         raise ConfigError("estimation methods require model_file (or --model)")
@@ -158,17 +147,21 @@ def cmd_run(args: argparse.Namespace) -> int:
         task=task,
         filter_key=args.filter_key,
     )
-    outcome = harness.search_example(method, example, ports, config, rng_from(config.seed, 0))
-
-    best_text = outcome.graph.node(outcome.best_thought).text
-    raw = ports.generator.answer(args.query, best_text)
-    answer = harness.extract_answer(task, raw)
-    dump_trace(graph_to_record(outcome.graph, outcome), args.trace)
-    print(f"answer: {answer if answer else raw}")
+    result = harness.run_example(
+        method,
+        example,
+        ports,
+        config,
+        rng_from(config.seed, 0),
+        trace_sink=lambda _, outcome: dump_trace(
+            graph_to_record(outcome.graph, outcome), args.trace
+        ),
+    )
+    print(f"answer: {result.answer}")
     print(
-        f"thoughts={outcome.graph.generated_count} terminated_by={outcome.terminated_by.value} "
-        f"generator_calls={outcome.generator_calls} backend_calls={outcome.backend_calls} "
-        f"scorer_calls={outcome.scorer_calls}"
+        f"thoughts={result.thought_count} terminated_by={result.terminated_by} "
+        f"generator_calls={result.generator_calls} backend_calls={result.backend_calls} "
+        f"scorer_calls={result.scorer_calls}"
     )
     print(f"trace written to {args.trace}")
     return EXIT_OK
@@ -180,25 +173,10 @@ def cmd_train_scorer(args: argparse.Namespace) -> int:
     examples = harness.load_examples(args.examples, split=args.split)
     if not examples:
         raise ConfigError(f"no examples with split={args.split!r} in {args.examples}")
-    embedder = _scoring_embedder(config)
-
-    def ports_factory(example: QAExample, rng) -> SearchPorts:
-        return harness.example_search_ports(Method.MCTS_ORACLE, example, ports, config)
-
-    episode = config.episode(stop_threshold=config.stop_thresholds["oracle"])
-    samples = collect_offline_dataset(
-        examples, ports_factory, episode, embedder, seed=config.seed
-    )
+    model, samples = harness.train_scorer(examples, ports, config)
     if args.dataset_out:
         save_dataset(samples, args.dataset_out)
         print(f"dataset written to {args.dataset_out}")
-    model = train_estimator(
-        samples,
-        holdout_fraction=config.scoring.holdout_fraction,
-        regressor_config=config.scoring.regressor_config(),
-        embedder_id=embedder.embedder_id,
-        seed=config.seed,
-    )
     save_model(model, args.out)
     report = model.training_report
     print(
@@ -260,12 +238,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         (outdir / f"{method.value}.csv").write_text(
             harness.report_to_csv(report), encoding="utf-8"
         )
+        results = report.per_example
+        n = len(results)
+        generator_calls = sum(r.generator_calls for r in results)
         summary["methods"][method.value] = {
             "aggregate": report.aggregate,
-            "n": len(report.per_example),
+            "n": n,
             "max_steps": report.max_steps,
-            "generator_calls": sum(r.generator_calls for r in report.per_example),
-            "backend_calls": sum(r.backend_calls for r in report.per_example),
+            "generator_calls": generator_calls,
+            "backend_calls": sum(r.backend_calls for r in results),
         }
         if sweep and method in harness.PLANNER_METHODS:
             sweep_reports = [
@@ -276,7 +257,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             (outdir / f"{method.value}_curve.csv").write_text(
                 harness.curve_to_csv(rows), encoding="utf-8"
             )
-        print(f"{method.value}: accuracy={report.aggregate:.4f} over {len(report.per_example)} examples")
+        print(
+            f"{method.value}: accuracy={report.aggregate:.4f} "
+            f"thoughts={sum(r.thought_count for r in results) / n:.2f} "
+            f"generator_calls={generator_calls / n:.2f} over {n} examples"
+        )
 
     (outdir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -1,11 +1,11 @@
 """Benchmark runner.
 
-Executes one of seven methods per QA example: two single-shot baselines
+Executes one of eight methods per QA example: two single-shot baselines
 (closed-book LLM, one-document RAG), the bandit planner under three scoring
-models, the no-retrieval ablation, and the greedy estimator planner. Parses
-answers per task, applies the task metric, and emits per-example rows plus
-the aggregate. Rows are keyed by query id so concurrent execution assembles
-an order-independent report.
+models, the no-retrieval ablation, the greedy estimator planner, and the
+uniform-random pairing control. Parses answers per task, applies the task
+metric, and emits per-example rows plus the aggregate. Rows are keyed by
+query id so concurrent execution assembles an order-independent report.
 """
 
 from __future__ import annotations
@@ -27,10 +27,19 @@ from .mcts import (
     SearchOutcome,
     SearchPorts,
     greedy_search,
+    random_search,
     run_search,
 )
-from .retrieval import CorpusIndex, DocumentQueue, retrieve
-from .scoring import EstimatorScorer, OracleScorer, ScorerModel, SelfCriticScorer
+from .retrieval import CorpusIndex, DocumentQueue, HashedEmbedder, retrieve
+from .scoring import (
+    EstimatorScorer,
+    OfflineSample,
+    OracleScorer,
+    ScorerModel,
+    SelfCriticScorer,
+    collect_offline_dataset,
+    train_estimator,
+)
 from .seeding import rng_from
 from .templates import TemplateSet
 
@@ -51,6 +60,7 @@ class Method(str, Enum):
     MCTS_SELF_CRITIC = "mcts_self_critic"
     MCTS_ESTIMATION = "mcts_estimation"
     GREEDY_ESTIMATION = "greedy_estimation"
+    RANDOM_CONTROL = "random_control"
 
 
 PLANNER_METHODS = {
@@ -59,6 +69,7 @@ PLANNER_METHODS = {
     Method.MCTS_SELF_CRITIC,
     Method.MCTS_ESTIMATION,
     Method.GREEDY_ESTIMATION,
+    Method.RANDOM_CONTROL,
 }
 
 
@@ -126,10 +137,6 @@ def extract_answer(task: Task, completion: str) -> str:
     return completion
 
 
-def grade(task: Task, prediction: str, gold_answers: list[str]) -> int:
-    return exact_match(prediction, gold_answers)
-
-
 def oracle_metric_for(config: EngineConfig) -> Callable[[str, list[str]], float]:
     if config.scoring.oracle_metric == "token_f1":
         return best_token_f1
@@ -137,7 +144,7 @@ def oracle_metric_for(config: EngineConfig) -> Callable[[str, list[str]], float]
 
 
 def make_scorer(method: Method, example: QAExample, ports: EnginePorts, config: EngineConfig):
-    if method in (Method.MCTS_ORACLE, Method.MCTS_ORACLE_NO_IR):
+    if method in (Method.MCTS_ORACLE, Method.MCTS_ORACLE_NO_IR, Method.RANDOM_CONTROL):
         if not example.gold_answers:
             raise ConfigError(f"method {method.value} requires gold answers")
         parse = None
@@ -160,6 +167,7 @@ def _stop_threshold(method: Method, config: EngineConfig) -> float:
         Method.MCTS_SELF_CRITIC: "self_critic",
         Method.MCTS_ESTIMATION: "estimation",
         Method.GREEDY_ESTIMATION: "estimation",
+        Method.RANDOM_CONTROL: "oracle",
     }[method]
     return config.stop_thresholds[kind]
 
@@ -190,17 +198,50 @@ def search_example(
     ports: EnginePorts,
     config: EngineConfig,
     rng,
-    search_fn: Callable[..., SearchOutcome] | None = None,
 ) -> SearchOutcome:
     """Search one example with a planning method's ports, its scorer's stop
     threshold and its planner: greedy_search for the greedy method,
-    run_search for the others. search_fn overrides the planner (experiments
-    use random_search as a uniform-pairing control)."""
+    random_search for the random control, run_search for the others. The
+    planners are looked up as module globals on each call, so a wrapper
+    installed on them sees every search."""
     search_ports = example_search_ports(method, example, ports, config)
     episode = config.episode(stop_threshold=_stop_threshold(method, config))
-    if search_fn is None:
-        search_fn = greedy_search if method == Method.GREEDY_ESTIMATION else run_search
-    return search_fn(example.query, search_ports, episode, rng)
+    if method == Method.GREEDY_ESTIMATION:
+        search = greedy_search
+    elif method == Method.RANDOM_CONTROL:
+        search = random_search
+    else:
+        search = run_search
+    return search(example.query, search_ports, episode, rng)
+
+
+def scoring_embedder(config: EngineConfig) -> HashedEmbedder:
+    """The embedder the reward estimator is trained and queried with."""
+    return HashedEmbedder(dim=config.scoring.embed_dim)
+
+
+def train_scorer(
+    examples: list[QAExample], ports: EnginePorts, config: EngineConfig
+) -> tuple[ScorerModel, list[OfflineSample]]:
+    """Collect the offline dataset from oracle-scored MCTS searches over
+    `examples` and fit the reward estimator on it; returns the model and
+    the samples."""
+    embedder = scoring_embedder(config)
+    samples = collect_offline_dataset(
+        examples,
+        lambda example, rng: example_search_ports(Method.MCTS_ORACLE, example, ports, config),
+        config.episode(stop_threshold=config.stop_thresholds["oracle"]),
+        embedder,
+        seed=config.seed,
+    )
+    model = train_estimator(
+        samples,
+        holdout_fraction=config.scoring.holdout_fraction,
+        regressor_config=config.scoring.regressor_config(),
+        embedder_id=embedder.embedder_id,
+        seed=config.seed,
+    )
+    return model, samples
 
 
 def run_example(
@@ -209,7 +250,6 @@ def run_example(
     ports: EnginePorts,
     config: EngineConfig,
     rng,
-    search_fn: Callable[..., SearchOutcome] | None = None,
     trace_sink: Callable[[QAExample, SearchOutcome], None] | None = None,
 ) -> ExampleResult:
     """One example end to end: search (if the method plans), answer, grade."""
@@ -223,7 +263,7 @@ def run_example(
         pred = extract_answer(example.task, raw)
         return ExampleResult(
             query_id=example.query_id,
-            correct=grade(example.task, pred, example.gold_answers),
+            correct=exact_match(pred, example.gold_answers),
             thought_count=0,
             generator_calls=generator.calls,
             scorer_calls=0,
@@ -231,7 +271,7 @@ def run_example(
             answer=pred,
         )
 
-    outcome = search_example(method, example, ports, config, rng, search_fn)
+    outcome = search_example(method, example, ports, config, rng)
     if trace_sink is not None:
         trace_sink(example, outcome)
     best_text = outcome.graph.node(outcome.best_thought).text
@@ -239,7 +279,7 @@ def run_example(
     pred = extract_answer(example.task, raw)
     return ExampleResult(
         query_id=example.query_id,
-        correct=grade(example.task, pred, example.gold_answers),
+        correct=exact_match(pred, example.gold_answers),
         thought_count=outcome.graph.generated_count,
         generator_calls=outcome.generator_calls + generator.calls,
         scorer_calls=outcome.scorer_calls,
@@ -254,7 +294,6 @@ def run_benchmark(
     method: Method,
     ports: EnginePorts,
     config: EngineConfig,
-    search_fn: Callable[..., SearchOutcome] | None = None,
     trace_sink: Callable[[QAExample, SearchOutcome], None] | None = None,
 ) -> BenchmarkReport:
     """Run one method over a dataset. Per-example failures are recorded as
@@ -264,7 +303,7 @@ def run_benchmark(
         idx, example = idx_example
         rng = rng_from(config.seed, idx)
         try:
-            return run_example(method, example, ports, config, rng, search_fn, trace_sink)
+            return run_example(method, example, ports, config, rng, trace_sink)
         except EngineError as exc:
             log.warning("example %s failed: %s", example.query_id, exc)
             return ExampleResult(

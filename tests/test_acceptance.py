@@ -25,6 +25,8 @@ from thoughtsearch.harness import (
     Method,
     example_search_ports,
     run_benchmark,
+    scoring_embedder,
+    train_scorer,
 )
 from thoughtsearch.mcts import (
     RetrieverPorts,
@@ -32,7 +34,6 @@ from thoughtsearch.mcts import (
     Termination,
     backpropagate,
     expand,
-    random_search,
     run_search,
     select,
     uct_value,
@@ -40,7 +41,6 @@ from thoughtsearch.mcts import (
 from thoughtsearch.metrics import exact_match, rouge_l, token_f1
 from thoughtsearch.retrieval import (
     DocumentQueue,
-    HashedEmbedder,
     chunk_words,
     ingest_corpus,
     queue_next,
@@ -48,7 +48,6 @@ from thoughtsearch.retrieval import (
 )
 from thoughtsearch.scoring import (
     OfflineSample,
-    collect_offline_dataset,
     score_from_logprobs,
     threshold_fit,
     train_estimator,
@@ -247,23 +246,8 @@ def benchmark_env(tmp_path_factory):
         templates=TemplateSet.builtin("simulated"),
         index=index,
     )
-    embedder = HashedEmbedder(dim=config.scoring.embed_dim)
-    samples = collect_offline_dataset(
-        suite.train,
-        lambda ex, rng: example_search_ports(Method.MCTS_ORACLE, ex, ports, config),
-        config.episode(stop_threshold=config.stop_thresholds["oracle"]),
-        embedder,
-        seed=config.seed,
-    )
-    model = train_estimator(
-        samples,
-        holdout_fraction=0.2,
-        regressor_config=config.scoring.regressor_config(),
-        embedder_id=embedder.embedder_id,
-        seed=config.seed,
-    )
-    ports.scorer_model = model
-    ports.scoring_embedder = embedder
+    ports.scorer_model, _ = train_scorer(suite.train, ports, config)
+    ports.scoring_embedder = scoring_embedder(config)
     return suite, ports, config
 
 
@@ -271,9 +255,7 @@ def test_simulated_two_hop_benchmark(benchmark_env):
     start = time.perf_counter()
     suite, ports, config = benchmark_env
     oracle = run_benchmark(suite.test, Method.MCTS_ORACLE, ports, config)
-    control = run_benchmark(
-        suite.test, Method.MCTS_ORACLE, ports, config, search_fn=random_search
-    )
+    control = run_benchmark(suite.test, Method.RANDOM_CONTROL, ports, config)
     greedy = run_benchmark(suite.test, Method.GREEDY_ESTIMATION, ports, config)
     llm = run_benchmark(suite.test, Method.LLM_ONLY, ports, config)
     elapsed = time.perf_counter() - start

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -12,8 +11,8 @@ import pytest
 from thoughtsearch.cli import main
 from thoughtsearch.config import load_config
 from thoughtsearch.generate import SimulatedGenerator
-from thoughtsearch.harness import EnginePorts, Method, load_examples, run_benchmark
-from thoughtsearch.retrieval import HashedEmbedder, load_index
+from thoughtsearch.harness import EnginePorts, Method, load_examples, run_benchmark, scoring_embedder
+from thoughtsearch.retrieval import load_index
 from thoughtsearch.scoring import load_model
 from thoughtsearch.templates import TemplateSet
 from thoughtsearch.trace import dump_trace, graph_to_record
@@ -121,9 +120,23 @@ def test_run_answers_planted_query(workspace, tmp_path, capsys):
     counts = dict(
         field.split("=") for field in next(l for l in out.splitlines() if l.startswith("thoughts=")).split()
     )
-    assert int(counts["generator_calls"]) == record["outcome"]["generator_calls"]
+    # The search's calls plus the final answer call.
+    assert int(counts["generator_calls"]) == record["outcome"]["generator_calls"] + 1
     assert 1 <= int(counts["backend_calls"]) <= int(counts["generator_calls"])
     assert "backend_calls" not in record["outcome"]  # trace v1 is unchanged
+
+    # `eval` on the same example at the same rng index reports the same.
+    outdir = tmp_path / "eval"
+    argv = [
+        "eval", "--mode", "simulated", "--examples", str(examples), "--split", "train",
+        "--limit", "1", "--methods", "mcts_oracle", "--index", str(index), "--out", str(outdir),
+    ]
+    assert main(argv) == 0
+    row = (outdir / "mcts_oracle.csv").read_text().splitlines()[1].split(",")
+    summary = json.loads((outdir / "summary.json").read_text())["methods"]["mcts_oracle"]
+    assert row[0] == example["id"] and f"answer: {row[6]}\n" in out
+    assert int(counts["generator_calls"]) == int(row[3])
+    assert int(counts["backend_calls"]) == summary["backend_calls"]
 
 
 def test_run_estimation_scorer(workspace, tmp_path):
@@ -242,7 +255,7 @@ def test_run_trace_equals_harness_trace(workspace, tmp_path, planner, scorer, me
     assert main(argv) == 0
 
     config = load_config(task_mode="simulated")
-    embedder = HashedEmbedder(dim=config.scoring.embed_dim)
+    embedder = scoring_embedder(config)
     ports = EnginePorts(
         generator=SimulatedGenerator(),
         templates=TemplateSet.builtin("simulated"),
@@ -299,7 +312,7 @@ def test_unreachable_endpoint_is_transport_error(workspace, tmp_path):
     assert main(["run", "--config", str(config), "--query", "q"]) == 3
 
 
-def test_eval_all_methods_writes_seven_reports(workspace, tmp_path):
+def test_eval_all_methods_writes_eight_reports(workspace, tmp_path):
     tmp, corpus, examples, index, model = workspace
     outdir = tmp_path / "reports"
     code = main(
@@ -326,6 +339,7 @@ def test_eval_all_methods_writes_seven_reports(workspace, tmp_path):
     assert code == 0
     csvs = sorted(p.name for p in outdir.glob("*.csv"))
     assert csvs == sorted(f"{m.value}.csv" for m in Method)
+    assert len(csvs) == 8 and (outdir / "random_control.csv").exists()
     summary = json.loads((outdir / "summary.json").read_text())
     assert set(summary["methods"]) == {m.value for m in Method}
     assert "config_hash" in summary
@@ -413,20 +427,6 @@ def test_eval_bad_sweep_budget_fails_before_running(workspace, tmp_path, capsys,
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not outdir.exists()
-
-
-def test_sweep_script_rejects_zero_budget_up_front(monkeypatch, capsys):
-    module = _load_script("sweep_thought_budget")
-
-    def no_suite(*args, **kwargs):
-        raise AssertionError("the suite was built before the budgets were checked")
-
-    monkeypatch.setattr(module.simenv, "build_suite", no_suite)
-    monkeypatch.setattr(sys, "argv", ["sweep_thought_budget.py", "--budgets", "0,2"])
-    with pytest.raises(SystemExit) as exc:
-        module.main()
-    assert exc.value.code == 2
-    assert "max_steps must be >= 1" in capsys.readouterr().err
 
 
 def test_export_trace_round_trip_and_dot(workspace, tmp_path, capsys):

@@ -13,47 +13,45 @@ import pytest
 from thoughtsearch import simenv
 from thoughtsearch.config import default_config
 from thoughtsearch.generate import SimulatedGenerator
-from thoughtsearch.harness import EnginePorts, Method, example_search_ports, run_benchmark
-from thoughtsearch.mcts import random_search
-from thoughtsearch.retrieval import HashedEmbedder, ingest_corpus
-from thoughtsearch.scoring import collect_offline_dataset, train_estimator
+from thoughtsearch.harness import (
+    EnginePorts,
+    Method,
+    run_benchmark,
+    scoring_embedder,
+    train_scorer,
+)
+from thoughtsearch.retrieval import ingest_corpus
 from thoughtsearch.templates import TemplateSet
 from thoughtsearch.trace import graph_to_record, trace_text
 
-GOLDEN = {  # id: (method, planner override, rows sha256, trace bytes sha256)
+GOLDEN = {  # id: (method, rows sha256, trace bytes sha256)
     "mcts_self_critic": (
         Method.MCTS_SELF_CRITIC,
-        None,
         "d8fefd22832cb33e334e15960621df0eab2578320d85b2d2336768d6687e429a",
         "c17fa760a2e9ba5061553ecb240228ecc1a666af5a1dab22b72578cba857ad1e",
     ),
     "mcts_oracle": (
         Method.MCTS_ORACLE,
-        None,
         "d8fefd22832cb33e334e15960621df0eab2578320d85b2d2336768d6687e429a",
         "c829c139ad3a60c124f0666a920444c0127ca2d01f4be2463be4c2468969d236",
     ),
     "greedy_estimation": (
         Method.GREEDY_ESTIMATION,
-        None,
         "0c6ef9a3917502bf5796603c65aba35b53c3d9ebebbe58e4618a849f1ebd0458",
         "37112a7f430f11f6431efb8bd093d56210c4f72cc1549e6c183a26ab3fd56178",
     ),
     "mcts_estimation": (
         Method.MCTS_ESTIMATION,
-        None,
         "9c153a00b56453395753f4c1460ba7eddb5f0e45dceefb2123280e632c80deaf",
         "70bdbbc814a7c332e66ebc4eee1906474bbf1e81e86f85aba5cbd7a8dbd38233",
     ),
     "mcts_oracle_no_ir": (
         Method.MCTS_ORACLE_NO_IR,
-        None,
         "aa5c88d5c70836be0fd60eddb48e2d5246511a3bc80f1dc22b94b7311057fdd6",
         "d4f71bac8ce41585485c5e25c666e81986104c0f5348f4c0bbf8594ad69a7fa7",
     ),
     "random_control": (
-        Method.MCTS_ORACLE,
-        random_search,
+        Method.RANDOM_CONTROL,
         "7c0d3f4d523376dbc5be975168cdab80f35dbb027087f7730e4bdcfd321565da",
         "2bda482aeac205ea40ee2c0bb7a7da19d0911d1f81afb9d91eaf7c90e73e60dc",
     ),
@@ -71,36 +69,22 @@ def engine(tmp_path_factory):
         templates=TemplateSet.builtin("simulated"),
         index=ingest_corpus(tmp / "corpus.jsonl", chunk_size=100, dim=256),
     )
-    embedder = HashedEmbedder(dim=config.scoring.embed_dim)
-    samples = collect_offline_dataset(
-        suite.train,
-        lambda ex, rng: example_search_ports(Method.MCTS_ORACLE, ex, ports, config),
-        config.episode(stop_threshold=config.stop_thresholds["oracle"]),
-        embedder,
-        seed=config.seed,
-    )
-    ports.scorer_model = train_estimator(
-        samples,
-        holdout_fraction=0.2,
-        regressor_config=config.scoring.regressor_config(),
-        embedder_id=embedder.embedder_id,
-        seed=config.seed,
-    )
-    ports.scoring_embedder = embedder
+    ports.scorer_model, _ = train_scorer(suite.train, ports, config)
+    ports.scoring_embedder = scoring_embedder(config)
     return suite.test, ports, config
 
 
 @pytest.mark.parametrize("case", list(GOLDEN))
 def test_rows_and_trace_bytes_match_golden_digests(engine, case):
     examples, ports, config = engine
-    method, search_fn, *golden = GOLDEN[case]
+    method, *golden = GOLDEN[case]
     traces = hashlib.sha256()
 
     def sink(example, outcome):
         text = trace_text(graph_to_record(outcome.graph, outcome))
         traces.update(f"{example.query_id}\n{text}".encode("utf-8"))
 
-    report = run_benchmark(examples, method, ports, config, search_fn=search_fn, trace_sink=sink)
+    report = run_benchmark(examples, method, ports, config, trace_sink=sink)
     rows = hashlib.sha256()
     for r in report.per_example:
         rows.update(

@@ -15,15 +15,14 @@ from thoughtsearch.harness import (
     QAExample,
     Task,
     accuracy_vs_size_curve,
-    example_search_ports,
     extract_answer,
     load_examples,
     report_to_csv,
     run_benchmark,
+    scoring_embedder,
+    train_scorer,
 )
-from thoughtsearch.mcts import random_search
-from thoughtsearch.retrieval import HashedEmbedder, ingest_corpus
-from thoughtsearch.scoring import collect_offline_dataset, train_estimator
+from thoughtsearch.retrieval import ingest_corpus
 from thoughtsearch.templates import TemplateSet
 from tests.conftest import write_jsonl
 
@@ -41,23 +40,8 @@ def sim(tmp_path_factory):
         templates=TemplateSet.builtin("simulated"),
         index=index,
     )
-    embedder = HashedEmbedder(dim=config.scoring.embed_dim)
-    samples = collect_offline_dataset(
-        suite.train,
-        lambda ex, rng: example_search_ports(Method.MCTS_ORACLE, ex, ports, config),
-        config.episode(stop_threshold=config.stop_thresholds["oracle"]),
-        embedder,
-        seed=config.seed,
-    )
-    model = train_estimator(
-        samples,
-        holdout_fraction=0.2,
-        regressor_config=config.scoring.regressor_config(),
-        embedder_id=embedder.embedder_id,
-        seed=config.seed,
-    )
-    ports.scorer_model = model
-    ports.scoring_embedder = embedder
+    ports.scorer_model, _ = train_scorer(suite.train, ports, config)
+    ports.scoring_embedder = scoring_embedder(config)
     return suite, ports, config
 
 
@@ -89,9 +73,7 @@ def test_baseline_ordering_on_simulated_tasks(sim):
 def test_oracle_beats_random_control(sim):
     suite, ports, config = sim
     oracle = run_benchmark(suite.test, Method.MCTS_ORACLE, ports, config)
-    control = run_benchmark(
-        suite.test, Method.MCTS_ORACLE, ports, config, search_fn=random_search
-    )
+    control = run_benchmark(suite.test, Method.RANDOM_CONTROL, ports, config)
     assert oracle.aggregate > control.aggregate
 
 
