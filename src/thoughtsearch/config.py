@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -46,25 +46,18 @@ class RetrievalConfig:
 @dataclass
 class ScoringConfig:
     embed_dim: int = 256
-    regressor: str = "gbrt"  # "gbrt" | "ridge"
     gbrt_rounds: int = 100
     gbrt_depth: int = 3
     gbrt_learning_rate: float = 0.1
-    ridge_alpha: float = 1.0
     holdout_fraction: float = 0.2
     oracle_metric: str = "exact"  # "exact" | "token_f1"
 
     def regressor_config(self) -> dict:
-        if self.regressor == "gbrt":
-            return {
-                "regressor": "gbrt",
-                "rounds": self.gbrt_rounds,
-                "depth": self.gbrt_depth,
-                "learning_rate": self.gbrt_learning_rate,
-            }
-        if self.regressor == "ridge":
-            return {"regressor": "ridge", "alpha": self.ridge_alpha}
-        raise ConfigError(f"unknown regressor {self.regressor!r}")
+        return {
+            "rounds": self.gbrt_rounds,
+            "depth": self.gbrt_depth,
+            "learning_rate": self.gbrt_learning_rate,
+        }
 
 
 @dataclass
@@ -95,6 +88,10 @@ class EngineConfig:
         for kind in SCORER_KINDS:
             if kind not in self.stop_thresholds:
                 raise ConfigError(f"stop_thresholds missing entry for {kind!r}")
+            if type(self.stop_thresholds[kind]) not in (int, float):
+                raise ConfigError(f"stop_thresholds[{kind!r}] must be a number")
+        if self.doc_batch_size < 1:
+            raise ConfigError(f"doc_batch_size must be >= 1, got {self.doc_batch_size}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not 0 <= self.seed < 2**64:
@@ -111,7 +108,6 @@ class EngineConfig:
             stop_threshold=stop_threshold,
             exploration_c=self.exploration_c,
             p_doc=self.p_doc,
-            doc_batch_size=self.doc_batch_size,
             thought_sample_size=self.thought_sample_size,
         )
 
@@ -174,12 +170,31 @@ def _apply_overrides(config: EngineConfig, overrides: dict) -> EngineConfig:
     return config_from_dict(data)
 
 
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
+
+
+def _check_types(cls, values: dict, where: str = "") -> None:
+    """Each value must have the JSON type of its field's default: an integer
+    is not a bool, a number may be an integer, and a section is an object."""
+    for f in fields(cls):
+        if f.name not in values:
+            continue
+        default = f.default if f.default is not MISSING else f.default_factory()
+        want = dict if is_dataclass(default) else type(default)
+        value = values[f.name]
+        if type(value) is not want and not (want is float and type(value) is int):
+            raise ConfigError(
+                f"config field {where}{f.name} must be {_JSON_TYPES[want]}, got {value!r}"
+            )
+
+
 def config_from_dict(data: dict) -> EngineConfig:
     data = dict(data)
     known = {f.name for f in fields(EngineConfig)}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    _check_types(EngineConfig, data)
 
     def sub(cls, key):
         raw = data.get(key, {})
@@ -187,6 +202,7 @@ def config_from_dict(data: dict) -> EngineConfig:
         bad = set(raw) - names
         if bad:
             raise ConfigError(f"unknown config fields in {key}: {sorted(bad)}")
+        _check_types(cls, raw, f"{key}.")
         return cls(**raw)
 
     data["generator"] = sub(GeneratorConfig, "generator")
@@ -207,6 +223,8 @@ def load_config(
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {path} must hold an object, got {data!r}")
         mode = task_mode or data.get("task_mode", "simulated")
         config = _apply_overrides(default_config(mode), data)
         if task_mode is not None:

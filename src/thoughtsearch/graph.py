@@ -65,7 +65,6 @@ class EpisodeConfig:
     stop_threshold: float = 0.5
     exploration_c: float = math.sqrt(2.0)
     p_doc: float = 0.5
-    doc_batch_size: int = 2
     thought_sample_size: int = 5
 
     def __post_init__(self):
@@ -75,8 +74,6 @@ class EpisodeConfig:
             raise ConfigError(f"exploration_c must be >= 0, got {self.exploration_c}")
         if not 0.0 <= self.p_doc <= 1.0:
             raise ConfigError(f"p_doc must be in [0, 1], got {self.p_doc}")
-        if self.doc_batch_size < 1:
-            raise ConfigError(f"doc_batch_size must be >= 1, got {self.doc_batch_size}")
         if self.thought_sample_size < 1:
             raise ConfigError(
                 f"thought_sample_size must be >= 1, got {self.thought_sample_size}"

@@ -171,8 +171,10 @@ def _read_records(source: str | Path) -> list[tuple[str, str | None, str]]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: bad record: {exc}") from exc
-            if "text" not in rec:
-                raise CorpusError(f"{path}:{lineno}: record missing 'text'")
+            if not isinstance(rec, dict):
+                raise CorpusError(f"{path}:{lineno}: record must be an object")
+            if not isinstance(rec.get("text"), str):
+                raise CorpusError(f"{path}:{lineno}: record needs a string 'text'")
             if not isinstance(rec.get("filter_key"), (str, type(None))):
                 raise CorpusError(f"{path}:{lineno}: filter_key must be a string or null")
             records.append(

@@ -4,11 +4,12 @@ Three scorers share one protocol: a metric-backed oracle (needs gold
 answers, so training/evaluation only), a critic-prompt probability ratio,
 and a pairwise reward estimator trained offline on (parent embeddings,
 terminal reward) samples. The estimator's regressor is a small in-repo
-gradient-boosted tree ensemble with a ridge fallback.
+gradient-boosted tree ensemble.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -338,9 +339,11 @@ class GradientBoostedRegressor:
         """Decode and check a saved regressor over n_features inputs."""
         _require(
             record,
-            ("n_rounds", "max_depth", "learning_rate", "min_leaf", "base", "trees"),
+            ("kind", "n_rounds", "max_depth", "learning_rate", "min_leaf", "base", "trees"),
             "regressor",
         )
+        if record["kind"] != "gbrt":
+            raise SchemaError(f"unknown regressor kind {record['kind']!r}")
         if not isinstance(record["trees"], list):
             raise SchemaError("regressor.trees must be a list")
         trees = [_tree_from_dict(i, t) for i, t in enumerate(record["trees"])]
@@ -353,51 +356,6 @@ class GradientBoostedRegressor:
             base=_number(record, "base", "regressor"),
             trees=trees,
         )
-
-
-@dataclass
-class RidgeRegressor:
-    """Closed-form L2-regularized linear fallback (config: regressor="ridge")."""
-
-    alpha: float = 1.0
-    weights: np.ndarray | None = None
-    bias: float = 0.0
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "RidgeRegressor":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        mean_x = X.mean(axis=0)
-        mean_y = float(y.mean())
-        Xc, yc = X - mean_x, y - mean_y
-        gram = Xc.T @ Xc + self.alpha * np.eye(X.shape[1])
-        self.weights = np.linalg.solve(gram, Xc.T @ yc)
-        self.bias = mean_y - float(mean_x @ self.weights)
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.weights + self.bias
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "ridge",
-            "alpha": self.alpha,
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict, n_features: int) -> "RidgeRegressor":
-        _require(record, ("alpha", "weights", "bias"), "regressor")
-        model = cls(alpha=record["alpha"], bias=_number(record, "bias", "regressor"))
-        try:
-            model.weights = np.asarray(record["weights"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"regressor.weights is not numeric: {exc}") from exc
-        if model.weights.shape != (n_features,):
-            raise SchemaError(
-                f"regressor.weights has shape {model.weights.shape}, expected ({n_features},)"
-            )
-        return model
 
 
 def _require(record, keys: Sequence[str], where: str) -> None:
@@ -413,16 +371,6 @@ def _number(record: dict, key: str, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}.{key} must be a number, got {value!r}")
     return value
-
-
-def _regressor_from_dict(record: dict, n_features: int):
-    _require(record, ("kind",), "regressor")
-    kind = record["kind"]
-    if kind == "gbrt":
-        return GradientBoostedRegressor.from_dict(record, n_features)
-    if kind == "ridge":
-        return RidgeRegressor.from_dict(record, n_features)
-    raise SchemaError(f"unknown regressor kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -444,23 +392,11 @@ class OfflineSample:
 class ScorerModel:
     """Trained pairwise reward predictor plus its decision threshold."""
 
-    regressor: GradientBoostedRegressor | RidgeRegressor
+    regressor: GradientBoostedRegressor
     threshold: float
     embedder_id: str
     embed_dim: int
     training_report: dict
-
-    def predict(self, emb_i: np.ndarray, emb_j: np.ndarray) -> float:
-        """Regressor output on concatenated embeddings, clamped to [0, 1]."""
-        emb_i = np.asarray(emb_i, dtype=np.float64)
-        emb_j = np.asarray(emb_j, dtype=np.float64)
-        if emb_i.shape != (self.embed_dim,) or emb_j.shape != (self.embed_dim,):
-            raise ConfigError(
-                f"embedding dimension mismatch: model expects {self.embed_dim}, "
-                f"got {emb_i.shape} and {emb_j.shape}"
-            )
-        features = np.concatenate([emb_i, emb_j])[None, :]
-        return float(self.predict_batch(features)[0])
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         return np.clip(self.regressor.predict(features), 0.0, 1.0)
@@ -511,7 +447,6 @@ def train_estimator(
     if not 0.0 < holdout_fraction < 1.0:
         raise ConfigError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     cfg = dict(regressor_config or {})
-    kind = cfg.pop("regressor", "gbrt")
 
     dim = len(dataset[0].emb_i)
     for sample in dataset:
@@ -525,17 +460,12 @@ def train_estimator(
     n_holdout = max(1, int(round(len(y) * holdout_fraction)))
     hold_idx, train_idx = order[:n_holdout], order[n_holdout:]
 
-    if kind == "gbrt":
-        regressor = GradientBoostedRegressor(
-            n_rounds=cfg.pop("rounds", 100),
-            max_depth=cfg.pop("depth", 3),
-            learning_rate=cfg.pop("learning_rate", 0.1),
-            min_leaf=cfg.pop("min_leaf", 1),
-        )
-    elif kind == "ridge":
-        regressor = RidgeRegressor(alpha=cfg.pop("alpha", 1.0))
-    else:
-        raise ConfigError(f"unknown regressor kind {kind!r}")
+    regressor = GradientBoostedRegressor(
+        n_rounds=cfg.pop("rounds", 100),
+        max_depth=cfg.pop("depth", 3),
+        learning_rate=cfg.pop("learning_rate", 0.1),
+        min_leaf=cfg.pop("min_leaf", 1),
+    )
     if cfg:
         raise ConfigError(f"unknown regressor options: {sorted(cfg)}")
     if bool(np.allclose(y, y[0])):
@@ -621,23 +551,6 @@ def save_dataset(samples: Sequence[OfflineSample], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_dataset(path: str | Path) -> list[OfflineSample]:
-    samples = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        samples.append(
-            OfflineSample(
-                emb_i=np.asarray(rec["emb_i"], dtype=np.float64),
-                emb_j=np.asarray(rec["emb_j"], dtype=np.float64),
-                reward=float(rec["reward"]),
-                query_id=rec.get("query_id", ""),
-            )
-        )
-    return samples
-
-
 def save_model(model: ScorerModel, path: str | Path) -> None:
     record = {
         "version": MODEL_FORMAT_VERSION,
@@ -680,7 +593,7 @@ def load_model(path: str | Path, expected_embedder_id: str | None = None) -> Sco
             f"configured {expected_embedder_id!r}"
         )
     return ScorerModel(
-        regressor=_regressor_from_dict(record["regressor"], n_features=2 * embed_dim),
+        regressor=GradientBoostedRegressor.from_dict(record["regressor"], n_features=2 * embed_dim),
         threshold=float(_number(record, "threshold", "model")),
         embedder_id=record["embedder_id"],
         embed_dim=embed_dim,
@@ -693,55 +606,24 @@ def load_model(path: str | Path, expected_embedder_id: str | None = None) -> Sco
 # ---------------------------------------------------------------------------
 
 
-def oracle_score(
-    thought_text: str,
-    query: str,
-    gold_answers: list[str],
-    answerer: Callable[[str, str], str],
-    metric: Callable[[str, list[str]], float],
-) -> float:
-    """Task-metric score of the answer extracted from one thought.
-
-    Requires gold answers, so this signal exists only for training and
-    evaluation, never at inference.
-    """
-    return float(metric(answerer(query, thought_text), gold_answers))
-
-
 def score_from_logprobs(logprob_yes: float, logprob_no: float) -> float:
     """Probability ratio p1 / (p1 + p0), computed in the shift-stable form."""
     return 1.0 / (1.0 + math.exp(logprob_no - logprob_yes))
 
 
-_FALLBACK_WARNED = False
-
-
-def self_critic_score(
-    thought_text: str, query: str, generator: Generator, templates: TemplateSet
-) -> float:
-    """Critic-prompt score. Falls back to parsing the completion's first
-    digit when the backend cannot report token log-probabilities."""
-    global _FALLBACK_WARNED
-    prompt = templates["SelfCritic"].render(query=query, thought=thought_text)
-    try:
-        logprobs = generator.score_tokens(prompt, ["1", "0"])
-        return score_from_logprobs(logprobs["1"], logprobs["0"])
-    except CapabilityError:
-        if not _FALLBACK_WARNED:
-            log.warning("backend lacks token log-probabilities; degrading to first-digit parsing")
-            _FALLBACK_WARNED = True
-        completion = generator.complete(prompt).strip()
-        first = completion[:1]
-        if first == "1":
-            return 1.0
-        if first == "0":
-            return 0.0
-        return 0.5
+@functools.cache
+def _warn_no_logprobs() -> None:
+    """Log the self-critic's first-digit fallback once per process."""
+    log.warning("backend lacks token log-probabilities; degrading to first-digit parsing")
 
 
 class OracleScorer:
-    """Scorer port wrapping oracle_score; optional parser maps the raw
-    completion to the task's answer space before the metric is applied."""
+    """Task-metric score of the answer extracted from a node's thought.
+
+    Requires gold answers, so this signal exists only for training and
+    evaluation, never at inference. The optional parser maps the raw
+    completion to the task's answer space before the metric is applied.
+    """
 
     def __init__(
         self,
@@ -754,29 +636,30 @@ class OracleScorer:
         self.parse = parse
 
     def score(self, graph: ThoughtGraph, node_id: int, generator: Generator) -> float:
-        def answerer(query: str, context: str) -> str:
-            raw = generator.answer(query, context)
-            if self.parse is None:
-                return raw
-            return self.parse(raw) or ""
-
-        return oracle_score(
-            graph.node(node_id).text,
-            graph.query_text,
-            self.gold_answers,
-            answerer,
-            self.metric,
-        )
+        answer = generator.answer(graph.query_text, graph.node(node_id).text)
+        if self.parse is not None:
+            answer = self.parse(answer) or ""
+        return float(self.metric(answer, self.gold_answers))
 
 
 class SelfCriticScorer:
+    """Critic-prompt score. Falls back to parsing the completion's first
+    digit when the backend cannot report token log-probabilities."""
+
     def __init__(self, templates: TemplateSet):
         self.templates = templates
 
     def score(self, graph: ThoughtGraph, node_id: int, generator: Generator) -> float:
-        return self_critic_score(
-            graph.node(node_id).text, graph.query_text, generator, self.templates
+        prompt = self.templates["SelfCritic"].render(
+            query=graph.query_text, thought=graph.node(node_id).text
         )
+        try:
+            logprobs = generator.score_tokens(prompt, ["1", "0"])
+            return score_from_logprobs(logprobs["1"], logprobs["0"])
+        except CapabilityError:
+            _warn_no_logprobs()
+        first = generator.complete(prompt).strip()[:1]
+        return {"1": 1.0, "0": 0.0}.get(first, 0.5)
 
 
 class EstimatorScorer:
@@ -796,6 +679,11 @@ class EstimatorScorer:
                 f"estimator embedder {embedder.embedder_id!r} does not match "
                 f"model {model.embedder_id!r}"
             )
+        if embedder.dim != model.embed_dim:
+            raise ConfigError(
+                f"embedding dimension mismatch: model expects {model.embed_dim}, "
+                f"embedder gives {embedder.dim}"
+            )
         self.model = model
         self.embedder = embedder
         self._embeddings: dict[str, np.ndarray] = {}
@@ -807,19 +695,22 @@ class EstimatorScorer:
             vec = self._embeddings[text] = self.embedder.embed(text)
         return vec
 
+    def _predict(self, pairs: Sequence[tuple[str, str]]) -> None:
+        """Embed and predict new pairs in one batch, into the memo."""
+        vectors = [self._embed(text) for pair in pairs for text in pair]
+        features = np.concatenate(vectors).reshape(len(pairs), -1)
+        for pair, value in zip(pairs, self.model.predict_batch(features).tolist()):
+            self._scores[pair] = value
+
     def score(self, graph: ThoughtGraph, node_id: int, generator: Generator) -> float:
         first, second = graph.node(node_id).parents
         pair = (graph.node(first).text, graph.node(second).text)
         if pair not in self._scores:
-            self._scores[pair] = self.model.predict(self._embed(pair[0]), self._embed(pair[1]))
+            self._predict([pair])
         return self._scores[pair]
 
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         new = [pair for pair in dict.fromkeys(pairs) if pair not in self._scores]
         if new:
-            features = np.stack(
-                [np.concatenate([self._embed(a), self._embed(b)]) for a, b in new]
-            )
-            for pair, value in zip(new, self.model.predict_batch(features)):
-                self._scores[pair] = float(value)
+            self._predict(new)
         return [self._scores[pair] for pair in pairs]

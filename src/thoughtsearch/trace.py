@@ -69,20 +69,28 @@ def validate_trace(record: dict) -> dict:
     for top in ("query", "nodes", "history"):
         if top not in record:
             raise SchemaError(f"trace missing field {top!r}")
+    for top in ("nodes", "history"):
+        if not isinstance(record[top], list):
+            raise SchemaError(f"trace field {top!r} must be a list")
+        for i, entry in enumerate(record[top]):
+            if not isinstance(entry, dict):
+                raise SchemaError(f"{top}[{i}] must be an object")
     for i, node in enumerate(record["nodes"]):
         for name, types in _NODE_FIELDS.items():
             if name not in node:
                 raise SchemaError(f"nodes[{i}] missing field {name!r}")
-            if not isinstance(node[name], types) and not (
-                name == "parents" and isinstance(node[name], list)
-            ):
+            if not isinstance(node[name], types):
                 raise SchemaError(f"nodes[{i}].{name} has wrong type")
         if node["kind"] not in {k.value for k in NodeKind}:
             raise SchemaError(f"nodes[{i}].kind has unknown value {node['kind']!r}")
+        if any(type(parent) is not int for parent in node["parents"]):
+            raise SchemaError(f"nodes[{i}].parents must hold integer node ids")
     for i, entry in enumerate(record["history"]):
         for name in _HISTORY_FIELDS:
             if name not in entry:
                 raise SchemaError(f"history[{i}] missing field {name!r}")
+            if type(entry[name]) is not int:
+                raise SchemaError(f"history[{i}].{name} must be an integer")
     return record
 
 
@@ -177,7 +185,7 @@ def record_to_graph(record: dict) -> ThoughtGraph:
         if node["id"] != position:
             raise SchemaError(f"nodes[{position}].id is {node['id']}, expected its position")
         for parent in node["parents"]:
-            if type(parent) is not int or not 0 <= parent < position:
+            if not 0 <= parent < position:
                 raise SchemaError(f"nodes[{position}].parents has {parent!r}, not an earlier node id")
         graph.nodes[node["id"]] = Thought(
             id=node["id"],

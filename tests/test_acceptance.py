@@ -188,7 +188,7 @@ def test_expansion_branch_frequency(tmp_path):
     rates = {}
     for p_doc in (0.0, 0.5, 1.0):
         rng = np.random.default_rng(4)
-        config = EpisodeConfig(p_doc=p_doc, doc_batch_size=12000)
+        config = EpisodeConfig(p_doc=p_doc)
         graph = new_process("q")
         retriever = RetrieverPorts(index=index, queue=DocumentQueue(batch_size=12000))
         doc_branch = 0
@@ -288,7 +288,6 @@ def test_query_count_linearity(benchmark_env):
                 max_steps=t,
                 stop_threshold=config.stop_thresholds["oracle"],
                 p_doc=config.p_doc,
-                doc_batch_size=config.doc_batch_size,
                 thought_sample_size=config.thought_sample_size,
             )
             from thoughtsearch.seeding import rng_from
@@ -351,7 +350,7 @@ def test_estimator_training_synthetic():
     model = train_estimator(
         data,
         holdout_fraction=0.2,
-        regressor_config={"regressor": "gbrt", "rounds": 300, "depth": 3, "learning_rate": 0.1},
+        regressor_config={"rounds": 300, "depth": 3, "learning_rate": 0.1},
         seed=0,
     )
     order = np.random.default_rng(0).permutation(n)

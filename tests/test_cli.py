@@ -469,6 +469,66 @@ def test_export_malformed_trace_names_field(tmp_path, capsys):
     assert "nodes[0]" in err
 
 
+_QUERY_NODE = {"id": 0, "kind": "query", "text": "q", "parents": [], "step": 0, "score": 0.0, "visits": 0}
+
+
+def _trace(nodes, history):
+    return json.dumps({"version": 1, "query": "q", "nodes": nodes, "history": history})
+
+
+# (command, file content, exit code, what stderr must name)
+_MALFORMED_INPUTS = {
+    "config_max_steps_string": ("run", '{"max_steps": "ten"}', 2, "max_steps must be an integer"),
+    "config_max_steps_float": ("run", '{"max_steps": 2.5}', 2, "max_steps must be an integer"),
+    "config_p_doc_string": ("run", '{"p_doc": "x"}', 2, "p_doc must be a number"),
+    "config_section_not_object": ("run", '{"scoring": 5}', 2, "scoring must be an object"),
+    "config_retries_string": ("run", '{"generator": {"retries": "x"}}', 2, "generator.retries"),
+    "config_top_level_list": ("run", "[1]", 2, "must hold an object"),
+    "config_thresholds_not_object": ("run", '{"stop_thresholds": 5}', 2, "stop_thresholds must be"),
+    "config_threshold_string": (
+        "run",
+        '{"stop_thresholds": {"oracle": "x", "self_critic": 0.8, "estimation": 0.8}}',
+        2,
+        "stop_thresholds['oracle'] must be a number",
+    ),
+    "config_scoring_regressor": ("run", '{"scoring": {"regressor": "gbrt"}}', 2, "regressor"),
+    "config_scoring_ridge_alpha": ("run", '{"scoring": {"ridge_alpha": 1.0}}', 2, "ridge_alpha"),
+    "trace_nodes_not_list": ("export-trace", _trace(5, []), 2, "'nodes' must be a list"),
+    "trace_node_not_object": ("export-trace", _trace([1], []), 2, "nodes[0] must be an object"),
+    "trace_history_not_object": ("export-trace", _trace([], [5]), 2, "history[0] must be an object"),
+    "trace_parent_not_int": (
+        "export-trace", _trace([{**_QUERY_NODE, "parents": ["a"]}], []), 2, "nodes[0].parents"
+    ),
+    "trace_history_field_not_int": (
+        "export-trace",
+        _trace([_QUERY_NODE], [{"first": "a", "second": 0, "produced": 0}]),
+        2,
+        "history[0].first",
+    ),
+    "corpus_record_not_object": ("ingest", "5\n", 3, ":1: record must be an object"),
+    "corpus_text_not_string": ("ingest", '{"text": 5}\n', 3, ":1: record needs a string 'text'"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, content, code, names", _MALFORMED_INPUTS.values(), ids=_MALFORMED_INPUTS.keys()
+)
+def test_malformed_input_exits_with_documented_code(tmp_path, capsys, command, content, code, names):
+    """Config, trace and corpus files of the wrong shape or JSON type fail
+    closed: the documented exit code and a message, never a traceback."""
+    bad = tmp_path / "input.json"
+    bad.write_text(content)
+    argv = {
+        "run": ["run", "--config", str(bad), "--query", "q", "--trace", str(tmp_path / "t.json")],
+        "export-trace": ["export-trace", "--trace", str(bad)],
+        "ingest": ["ingest", "--mode", "simulated", "--corpus", str(bad), "--out", str(tmp_path / "i.json")],
+    }[command]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert names in err
+    assert "Traceback" not in err
+
+
 def test_run_through_wire_backend(workspace, tmp_path, capsys):
     """Full flow over the HTTP wire protocol, served by the backend script."""
     import threading

@@ -1,0 +1,28 @@
+"""The package's runtime dependencies stay the standard library, numpy and
+requests."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "requests", "thoughtsearch"}
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "thoughtsearch").glob("*.py"))
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Top-level names of every absolute import in one source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_package_imports_only_stdlib_numpy_and_requests():
+    assert SOURCES
+    outside = {path.name: sorted(_imported_modules(path) - ALLOWED) for path in SOURCES}
+    assert {name: modules for name, modules in outside.items() if modules} == {}

@@ -303,6 +303,10 @@ def _break_base_type(record):
     record["regressor"]["base"] = "0.5"
 
 
+def _break_kind(record):
+    record["regressor"]["kind"] = "ridge"
+
+
 @pytest.mark.parametrize(
     "breaker, message",
     [
@@ -315,6 +319,7 @@ def _break_base_type(record):
         (_break_tree_key, r"trees\[1\] missing field 'threshold'"),
         (_break_model_key, r"missing field 'embed_dim'"),
         (_break_base_type, r"regressor\.base must be a number"),
+        (_break_kind, r"unknown regressor kind 'ridge'"),
     ],
     ids=[
         "child_out_of_range",
@@ -326,6 +331,7 @@ def _break_base_type(record):
         "missing_tree_key",
         "missing_model_key",
         "non_numeric_base",
+        "unknown_kind",
     ],
 )
 def test_malformed_model_file_rejected_at_load(model_record, tmp_path, breaker, message):

@@ -269,7 +269,7 @@ def test_expand_forced_thought_branch(small_index):
 
 def test_expand_falls_back_when_corpus_exhausted(small_index):
     graph = new_process("q")
-    config = EpisodeConfig(p_doc=1.0, doc_batch_size=10)
+    config = EpisodeConfig(p_doc=1.0)
     retriever = _retriever(small_index, batch_size=10)
     retriever.queue.served = {d.doc_id for d in small_index.documents}
     child = expand(
@@ -291,7 +291,7 @@ def test_expand_records_children_in_both_parents(small_index):
 
 def test_expand_branch_frequency_seeded(small_index):
     rng = np.random.default_rng(42)
-    config = EpisodeConfig(p_doc=0.5, doc_batch_size=6, max_steps=10)
+    config = EpisodeConfig(p_doc=0.5, max_steps=10)
     graph = new_process("q")
     retriever = _retriever(small_index, batch_size=6)
     gen = SimulatedGenerator()

@@ -4,6 +4,7 @@ fitting, estimator training on a synthetic regression oracle, persistence."""
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,14 +20,13 @@ from thoughtsearch.scoring import (
     EstimatorScorer,
     OfflineSample,
     OracleScorer,
+    SelfCriticScorer,
+    _warn_no_logprobs,
     collect_offline_dataset,
-    load_dataset,
     load_model,
-    oracle_score,
     save_dataset,
     save_model,
     score_from_logprobs,
-    self_critic_score,
     threshold_fit,
     train_estimator,
 )
@@ -37,17 +37,37 @@ from thoughtsearch.templates import TemplateSet
 # ---------------------------------------------------------------------------
 
 
+class FixedAnswerGenerator(SimulatedGenerator):
+    """Answers every query with one fixed completion."""
+
+    def __init__(self, reply: str):
+        self.reply = reply
+
+    def answer(self, query, context):
+        return self.reply
+
+
+def _single_thought_graph(query: str, thought: str):
+    graph = new_process(query)
+    return graph, graph.apply_transition(Action(0, 0), thought)
+
+
 def test_oracle_score_boolean_exact():
-    answerer = lambda query, context: "1"
     metric = lambda pred, golds: float(exact_match(pred, golds))
-    assert oracle_score("thought", "q", ["1"], answerer, metric) == 1.0
-    assert oracle_score("thought", "q", ["0"], answerer, metric) == 0.0
+    graph, node = _single_thought_graph("q", "thought")
+    gen = FixedAnswerGenerator("1")
+    assert OracleScorer(["1"], metric).score(graph, node, gen) == 1.0
+    assert OracleScorer(["0"], metric).score(graph, node, gen) == 0.0
 
 
 def test_oracle_score_exact_match_normalizes():
-    answerer = lambda query, context: "The 10"
     metric = lambda pred, golds: float(exact_match(pred, golds))
-    assert oracle_score("t", "q", ["10"], answerer, metric) == 1.0
+    graph, node = _single_thought_graph("q", "t")
+    assert OracleScorer(["10"], metric).score(graph, node, FixedAnswerGenerator("The 10")) == 1.0
+    # The parser maps the completion into the answer space; no parse scores "".
+    gen = FixedAnswerGenerator("dose: 10 mg")
+    assert OracleScorer(["10"], metric, parse=lambda raw: "10").score(graph, node, gen) == 1.0
+    assert OracleScorer([""], metric, parse=lambda raw: None).score(graph, node, gen) == 1.0
 
 
 def test_oracle_scorer_simulated_coverage():
@@ -87,16 +107,18 @@ def test_probability_ratio_shift_invariance(lp1, lp0, shift):
     assert 0.0 <= base <= 1.0
 
 
+def _self_critic(thought: str, query: str, gen) -> float:
+    graph, node = _single_thought_graph(query, thought)
+    return SelfCriticScorer(TemplateSet.builtin("simulated")).score(graph, node, gen)
+
+
 def test_self_critic_score_simulated():
-    templates = TemplateSet.builtin("simulated")
     gen = SimulatedGenerator()
-    covered = self_critic_score("fact:a=1", "need:a question", gen, templates)
-    uncovered = self_critic_score("irrelevant", "need:a question", gen, templates)
-    assert covered == pytest.approx(0.9)
-    assert uncovered == pytest.approx(0.1)
+    assert _self_critic("fact:a=1", "need:a question", gen) == pytest.approx(0.9)
+    assert _self_critic("irrelevant", "need:a question", gen) == pytest.approx(0.1)
 
 
-def test_self_critic_fallback_on_missing_logprobs():
+def test_self_critic_fallback_on_missing_logprobs(caplog):
     class NoLogprobGenerator(SimulatedGenerator):
         def score_tokens(self, prompt, tokens):
             raise CapabilityError("no logprobs")
@@ -105,11 +127,13 @@ def test_self_critic_fallback_on_missing_logprobs():
             scores = SimulatedGenerator.score_tokens(self, prompt, ["1", "0"])
             return "1" if scores["1"] > scores["0"] else "0"
 
-    templates = TemplateSet.builtin("simulated")
     gen = NoLogprobGenerator()
+    _warn_no_logprobs.cache_clear()
     # The simulated complete() answers "1" when the needs are covered.
-    assert self_critic_score("fact:a=1", "need:a q", gen, templates) == 1.0
-    assert self_critic_score("nothing", "need:a q", gen, templates) == 0.0
+    assert _self_critic("fact:a=1", "need:a q", gen) == 1.0
+    assert _self_critic("nothing", "need:a q", gen) == 0.0
+    warnings = [r for r in caplog.records if "log-probabilities" in r.getMessage()]
+    assert len(warnings) == 1  # once per process, not once per scorer or call
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +185,7 @@ def test_train_estimator_on_linear_synthetic():
     model = train_estimator(
         data,
         holdout_fraction=0.2,
-        regressor_config={"regressor": "gbrt", "rounds": 300, "depth": 3, "learning_rate": 0.1},
+        regressor_config={"rounds": 300, "depth": 3, "learning_rate": 0.1},
         embedder_id="test-embedder",
         seed=0,
     )
@@ -177,7 +201,7 @@ def test_estimator_predictions_correlate_with_labels():
     model = train_estimator(
         data,
         holdout_fraction=0.2,
-        regressor_config={"regressor": "gbrt", "rounds": 300},
+        regressor_config={"rounds": 300},
         seed=0,
     )
     rng = np.random.default_rng(0)
@@ -190,14 +214,6 @@ def test_estimator_predictions_correlate_with_labels():
     assert np.all(preds >= 0.0) and np.all(preds <= 1.0)
 
 
-def test_train_estimator_ridge_nails_linear():
-    data = _synthetic_dataset(n=600)
-    model = train_estimator(
-        data, holdout_fraction=0.2, regressor_config={"regressor": "ridge", "alpha": 1e-6}, seed=0
-    )
-    assert model.training_report["holdout_mse"] <= 2e-4
-
-
 def test_train_estimator_degenerate_constant():
     dim = 4
     data = [
@@ -205,16 +221,17 @@ def test_train_estimator_degenerate_constant():
         for i in range(12)
     ]
     model = train_estimator(data, holdout_fraction=0.25, seed=0)
-    assert model.predict(np.ones(dim), np.ones(dim)) == pytest.approx(0.5)
+    assert model.predict_batch(np.ones((1, 2 * dim)))[0] == pytest.approx(0.5)
     assert model.training_report["holdout_mse"] == pytest.approx(0.0)
     # An explicit regressor config must not break the degenerate path.
     model = train_estimator(
         data,
         holdout_fraction=0.25,
-        regressor_config={"regressor": "gbrt", "rounds": 100, "depth": 3, "learning_rate": 0.1},
+        regressor_config={"rounds": 100, "depth": 3, "learning_rate": 0.1},
         seed=0,
     )
-    assert model.predict(np.zeros(dim), np.ones(dim)) == pytest.approx(0.5)
+    features = np.concatenate([np.zeros(dim), np.ones(dim)])[None, :]
+    assert model.predict_batch(features)[0] == pytest.approx(0.5)
 
 
 def test_train_estimator_requires_min_samples():
@@ -230,13 +247,13 @@ def test_estimator_predict_constant_and_clamp():
             for i in range(20)
         ],
         holdout_fraction=0.2,
-        regressor_config={"regressor": "gbrt", "rounds": 10},
+        regressor_config={"rounds": 10},
         seed=0,
     )
-    value = model.predict(np.array([3.0]), np.array([0.0]))
-    assert 0.0 <= value <= 1.0
-    with pytest.raises(ConfigError):
-        model.predict(np.zeros(2), np.zeros(1))
+    value = model.predict_batch(np.array([[3.0, 0.0], [-50.0, 0.0], [50.0, 0.0]]))
+    assert np.all((0.0 <= value) & (value <= 1.0))
+    with pytest.raises(ConfigError, match="dimension mismatch"):
+        EstimatorScorer(model, SimpleNamespace(embedder_id=model.embedder_id, dim=2))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +266,7 @@ def test_model_round_trip_and_embedder_check(tmp_path):
     model = train_estimator(
         data,
         holdout_fraction=0.2,
-        regressor_config={"regressor": "gbrt", "rounds": 20},
+        regressor_config={"rounds": 20},
         embedder_id="hashed-tf-v1-d4",
         seed=0,
     )
@@ -259,8 +276,8 @@ def test_model_round_trip_and_embedder_check(tmp_path):
     save_model(model, path)
     assert path.read_bytes() == first
     loaded = load_model(path, expected_embedder_id="hashed-tf-v1-d4")
-    probe_i, probe_j = np.ones(4) * 0.3, np.ones(4) * -0.2
-    assert loaded.predict(probe_i, probe_j) == model.predict(probe_i, probe_j)
+    probe = np.concatenate([np.ones(4) * 0.3, np.ones(4) * -0.2])[None, :]
+    assert loaded.predict_batch(probe)[0] == model.predict_batch(probe)[0]
     with pytest.raises(SchemaError):
         load_model(path, expected_embedder_id="other-embedder")
 
@@ -272,7 +289,7 @@ def test_retrain_same_seed_identical_model_file(tmp_path):
         model = train_estimator(
             data,
             holdout_fraction=0.2,
-            regressor_config={"regressor": "gbrt", "rounds": 30},
+            regressor_config={"rounds": 30},
             embedder_id="e",
             seed=11,
         )
@@ -280,14 +297,6 @@ def test_retrain_same_seed_identical_model_file(tmp_path):
         save_model(model, path)
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
-
-
-def test_dataset_round_trip_byte_identical(tmp_path):
-    data = _synthetic_dataset(n=30, dim_each=3)
-    p1, p2 = tmp_path / "d1.jsonl", tmp_path / "d2.jsonl"
-    save_dataset(data, p1)
-    save_dataset(load_dataset(p1), p2)
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +371,7 @@ def test_estimator_scorer_checks_embedder_id():
     model = train_estimator(
         data,
         holdout_fraction=0.2,
-        regressor_config={"regressor": "ridge"},
+        regressor_config={"rounds": 10},
         embedder_id="hashed-tf-v1-d32",
         seed=0,
     )
@@ -371,7 +380,7 @@ def test_estimator_scorer_checks_embedder_id():
     node = graph.apply_transition(Action(0, 0), "some text")
     value = scorer.score(graph, node, SimulatedGenerator())
     assert 0.0 <= value <= 1.0
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="does not match"):
         EstimatorScorer(model, HashedEmbedder(dim=64))
 
 
@@ -385,6 +394,7 @@ class CountingEmbedder:
 
     def __init__(self, dim: int):
         self.inner = HashedEmbedder(dim=dim)
+        self.dim = dim
         self.calls: dict[str, int] = {}
 
     @property
@@ -413,7 +423,7 @@ def _hashed_gbrt_model(dim: int = 32):
     return train_estimator(
         _synthetic_dataset(n=300, dim_each=dim),
         holdout_fraction=0.2,
-        regressor_config={"regressor": "gbrt", "rounds": 20},
+        regressor_config={"rounds": 20},
         embedder_id=HashedEmbedder(dim=dim).embedder_id,
         seed=0,
     )
