@@ -85,6 +85,11 @@ class EngineConfig:
             raise ConfigError(f"task_mode must be one of {TASK_MODES}, got {self.task_mode!r}")
         if self.scorer not in SCORER_KINDS:
             raise ConfigError(f"scorer must be one of {SCORER_KINDS}, got {self.scorer!r}")
+        for kind in self.stop_thresholds:
+            if kind not in SCORER_KINDS:
+                raise ConfigError(
+                    f"stop_thresholds has unknown entry {kind!r}; expected {SCORER_KINDS}"
+                )
         for kind in SCORER_KINDS:
             if kind not in self.stop_thresholds:
                 raise ConfigError(f"stop_thresholds missing entry for {kind!r}")

@@ -9,7 +9,6 @@ structure here.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import CorpusError, ExhaustedCorpusError, SchemaError
 
-INDEX_FORMAT_VERSION = 1
+INDEX_MAGIC = b"thoughtsearch-index v2\n"
 
 
 @dataclass(frozen=True)
@@ -300,19 +299,6 @@ def consume_pending(queue: DocumentQueue, doc: Document) -> None:
     queue.served.add(doc.doc_id)
 
 
-def _b64_floats(arr: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _floats_b64(blob: str, shape: tuple[int, ...]) -> np.ndarray:
-    try:
-        return np.frombuffer(base64.b64decode(blob), dtype="<f8").reshape(shape).copy()
-    except ValueError as exc:  # bad base64, or not prod(shape) float64s
-        raise SchemaError(
-            f"index.embeddings does not decode to shape {list(shape)}: {exc}"
-        ) from exc
-
-
 def _field(record: dict, key: str, types: tuple[type, ...], where: str):
     """record[key], which must be present and of exactly one of `types`, as
     JSON decodes it (so a bool is no int)."""
@@ -355,9 +341,12 @@ def _documents_from_list(records: list) -> list[Document]:
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write a deterministic, byte-stable index file."""
-    record = {
-        "version": INDEX_FORMAT_VERSION,
+    """Write a deterministic, byte-stable index file (format version 2): the
+    magic line, the header's byte length in ASCII and a newline, the
+    canonical JSON header, then the embeddings as raw little-endian C-order
+    float64 bytes, whose sha256 the header holds."""
+    body = np.ascontiguousarray(index.embeddings, dtype="<f8")
+    header = {
         "embedder_id": index.embedder_id,
         "embedder": {
             "dim": index.embedder.dim,
@@ -374,26 +363,52 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
             }
             for d in index.documents
         ],
-        "embeddings": _b64_floats(index.embeddings),
-        "shape": list(index.embeddings.shape),
+        "shape": list(body.shape),
+        "sha256": hashlib.sha256(body).hexdigest(),
     }
-    Path(path).write_text(
-        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(INDEX_MAGIC + b"%d\n" % len(blob) + blob)
+        f.write(body)
+
+
+def _split_index_file(data: bytes, path: str | Path) -> tuple[dict, memoryview]:
+    """The JSON header and the raw body of a version 2 index file."""
+    if not data.startswith(INDEX_MAGIC):
+        if data.startswith(b"{"):
+            raise SchemaError(
+                f"{path} is a version 1 (JSON) index file; this version reads only "
+                "version 2 index files: re-ingest the corpus"
+            )
+        raise SchemaError(f"{path} does not start with the index magic line {INDEX_MAGIC!r}")
+    start = len(INDEX_MAGIC)
+    newline = data.find(b"\n", start, start + 21)  # at most 20 digits
+    length = data[start:newline] if newline >= 0 else b""
+    if not length.isdigit():
+        raise SchemaError(f"{path}: no header length after the magic line")
+    start, end = newline + 1, newline + 1 + int(length)
+    if end > len(data):
+        raise SchemaError(
+            f"{path}: header length {int(length)} runs past the end of the file "
+            f"({len(data) - start} bytes remain)"
+        )
+    try:
+        header = json.loads(data[start:end])
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise SchemaError(f"{path}: index header is not JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SchemaError("index header must be an object")
+    return header, memoryview(data)[end:]
 
 
 def load_index(path: str | Path, expected_embedder_id: str | None = None) -> CorpusIndex:
     """Read and fully check an index file; a malformed file raises
     SchemaError naming the field here, never later inside a search."""
     try:
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = Path(path).read_bytes()
+    except OSError as exc:
         raise SchemaError(f"cannot read index file {path}: {exc}") from exc
-    if not isinstance(record, dict):
-        raise SchemaError("index file must be an object")
-    if record.get("version") != INDEX_FORMAT_VERSION:
-        raise SchemaError(f"unsupported index version {record.get('version')!r}")
+    record, body = _split_index_file(data, path)
     emb_rec = _field(record, "embedder", (dict,), "index")
     dim = _field(emb_rec, "dim", (int,), "index.embedder")
     n_docs = _field(emb_rec, "n_docs", (int,), "index.embedder")
@@ -417,7 +432,16 @@ def load_index(path: str | Path, expected_embedder_id: str | None = None) -> Cor
         raise SchemaError(
             f"index.shape is {record['shape']}, expected {shape} (documents x embedder.dim)"
         )
-    embeddings = _floats_b64(_field(record, "embeddings", (str,), "index"), tuple(shape))
+    if len(body) != shape[0] * dim * 8:
+        raise SchemaError(
+            f"index embeddings are {len(body)} bytes, expected {shape[0]} x {dim} x 8 = "
+            f"{shape[0] * dim * 8}"
+        )
+    if hashlib.sha256(body).hexdigest() != _field(record, "sha256", (str,), "index"):
+        raise SchemaError("index embeddings do not match index.sha256")
+    # A copy: the body starts at any byte offset, and float64 rows want an
+    # 8-byte-aligned buffer of their own rather than a view pinning the file.
+    embeddings = np.frombuffer(body, dtype="<f8").reshape(shape).copy()
     finite = np.isfinite(embeddings).all(axis=1)
     if not finite.all():
         raise SchemaError(f"index.embeddings row {int(np.argmin(finite))} is not finite")

@@ -182,14 +182,20 @@ def test_run_with_malformed_model_is_config_error(workspace, tmp_path, capsys):
     assert "trees[0].left[0]" in capsys.readouterr().err
 
 
-def test_run_with_truncated_index_is_config_error(tmp_path, capsys):
+def test_run_with_truncated_index_is_config_error(workspace, tmp_path, capsys):
+    """A version 1 (JSON) index and a cut-short version 2 index both exit 2."""
+    *_, index, _model = workspace
     bad = tmp_path / "index.json"
+    argv = ["run", "--mode", "simulated", "--query", "need:k0", "--scorer", "self_critic", "--index", str(bad)]
     bad.write_text('{"version":1}')
-    code = main(
-        ["run", "--mode", "simulated", "--query", "need:k0", "--scorer", "self_critic", "--index", str(bad)]
-    )
-    assert code == 2
-    assert "'embedder'" in capsys.readouterr().err
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "version 1" in err and "re-ingest" in err
+    data = index.read_bytes()
+    bad.write_bytes(data[: len(data) - 100])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "embeddings are" in err and "Traceback" not in err
 
 
 _GOOD_EXAMPLE = '{"id": "ok", "query": "need:k0 q", "answers": ["v"], "split": "train"}'
@@ -490,6 +496,12 @@ _MALFORMED_INPUTS = {
         '{"stop_thresholds": {"oracle": "x", "self_critic": 0.8, "estimation": 0.8}}',
         2,
         "stop_thresholds['oracle'] must be a number",
+    ),
+    "config_threshold_unknown_key": (
+        "run",
+        '{"stop_thresholds": {"oracle": 0.5, "self_critic": 0.8, "estimation": 0.8, "orcale": 1}}',
+        2,
+        "stop_thresholds has unknown entry 'orcale'",
     ),
     "config_scoring_regressor": ("run", '{"scoring": {"regressor": "gbrt"}}', 2, "regressor"),
     "config_scoring_ridge_alpha": ("run", '{"scoring": {"ridge_alpha": 1.0}}', 2, "ridge_alpha"),

@@ -3,7 +3,7 @@ full-scan implementation, queue refills, index files and their load checks."""
 
 from __future__ import annotations
 
-import base64
+import hashlib
 import json
 import math
 from collections import Counter
@@ -287,8 +287,10 @@ def test_index_round_trip_and_embedder_id_check(tmp_path):
     save_index(index, out)
     assert out.read_bytes() == first  # byte-identical rewrite
     loaded = load_index(out, expected_embedder_id=index.embedder_id)
-    assert [d.text for d in loaded.documents] == [d.text for d in index.documents]
-    assert np.array_equal(loaded.embeddings, index.embeddings)
+    assert loaded.documents == index.documents and loaded.embedder == index.embedder
+    assert loaded.embedder_id == index.embedder_id
+    assert loaded.embeddings.dtype == index.embeddings.dtype
+    assert loaded.embeddings.tobytes() == index.embeddings.tobytes()  # bit-equal
     with pytest.raises(SchemaError):
         load_index(out, expected_embedder_id="hashed-tf-v1-d999")
 
@@ -305,54 +307,89 @@ def test_rows_by_key_survives_round_trip(tmp_path):
     }
     out = tmp_path / "index.json"
     save_index(index, out)
-    assert "rows_by_key" not in out.read_text()
+    assert b"rows_by_key" not in out.read_bytes()
     assert load_index(out).rows_by_key == index.rows_by_key
 
 
-def _add_document(record):
-    record["documents"].append(dict(record["documents"][-1], doc_id=len(record["documents"])))
+MAGIC = b"thoughtsearch-index v2\n"
 
 
-def _drop_last_document(record):
-    record["documents"].pop()
+def _read_index(path):
+    """The (header, embeddings) of a v2 index file; the rows are a copy."""
+    data = path.read_bytes()
+    assert data.startswith(MAGIC)
+    length_line, rest = data[len(MAGIC) :].split(b"\n", 1)
+    length = int(length_line)
+    header = json.loads(rest[:length])
+    rows = np.frombuffer(rest[length:], dtype="<f8").reshape(header["shape"]).copy()
+    return header, rows
 
 
-def _drop_last_row(record):
-    record["embeddings"] = _b64(_rows(record)[:-1])
-    record["shape"][0] -= 1
+def _write_index(path, header, rows, rehash=True):
+    """Write a header and rows as a v2 index file. With rehash the header's
+    sha256 is recomputed, so that checks after the hash check still run."""
+    body = np.ascontiguousarray(rows, dtype="<f8").tobytes()
+    if rehash:
+        header["sha256"] = hashlib.sha256(body).hexdigest()
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(MAGIC + b"%d\n" % len(blob) + blob + body)
 
 
-def _rows(record):
-    blob = base64.b64decode(record["embeddings"])
-    return np.frombuffer(blob, dtype="<f8").reshape(record["shape"])
+def _small_index_file(tmp_path):
+    records = [
+        {"source_id": f"s{i}", "filter_key": "f", "text": _words(20, f"t{i}_")} for i in range(2)
+    ]
+    out = tmp_path / "index.bin"
+    save_index(ingest_corpus(_corpus_file(tmp_path, records), chunk_size=10, dim=16), out)
+    return out
 
 
-def _b64(rows):
-    return base64.b64encode(np.ascontiguousarray(rows, dtype="<f8").tobytes()).decode("ascii")
+def test_index_file_layout(tmp_path):
+    out = _small_index_file(tmp_path)
+    header, rows = _read_index(out)
+    assert sorted(header) == ["documents", "embedder", "embedder_id", "sha256", "shape"]
+    assert header["shape"] == [4, 16] and rows.shape == (4, 16)
+    assert header["sha256"] == hashlib.sha256(rows.tobytes()).hexdigest()
+    # The header is canonical JSON, and the body is the file's tail.
+    before = out.read_bytes()
+    _write_index(out, header, rows, rehash=False)
+    assert out.read_bytes() == before
+    assert load_index(out).embeddings.flags.aligned
 
 
-def _non_finite_row(record):
-    rows = _rows(record).copy()
+def _add_document(header, rows):
+    header["documents"].append(dict(header["documents"][-1], doc_id=len(header["documents"])))
+
+
+def _drop_last_document(header, rows):
+    header["documents"].pop()
+
+
+def _drop_last_row(header, rows):
+    header["shape"][0] -= 1
+    return rows[:-1]
+
+
+def _non_finite_row(header, rows):
     rows[2, 0] = np.nan
-    record["embeddings"] = _b64(rows)
 
 
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (lambda r: [r.pop(key) for key in list(r) if key != "version"], "missing field 'embedder'"),
-        (lambda r: r["embedder"].pop("dim"), r"index.embedder missing field 'dim'"),
-        (lambda r: r.pop("shape"), "missing field 'shape'"),
-        (lambda r: r["documents"][1].pop("text"), r"documents\[1\] missing field 'text'"),
+        (lambda h, r: h.clear(), "missing field 'embedder'"),
+        (lambda h, r: h["embedder"].pop("dim"), r"index.embedder missing field 'dim'"),
+        (lambda h, r: h.pop("shape"), "missing field 'shape'"),
+        (lambda h, r: h["documents"][1].pop("text"), r"documents\[1\] missing field 'text'"),
         (_add_document, "shape"),
         (_drop_last_document, "shape"),
         (_drop_last_row, "shape"),
-        (lambda r: r["shape"].__setitem__(1, 8), "shape"),
-        (lambda r: r.__setitem__("embeddings", r["embeddings"][:-12]), "embeddings"),
-        (lambda r: r["documents"][3].__setitem__("doc_id", 0), r"documents\[3\].doc_id"),
-        (lambda r: r["documents"][0].__setitem__("filter_key", ["a"]), r"documents\[0\].filter_key"),
-        (lambda r: r["documents"][0].__setitem__("filter_key", 7), r"documents\[0\].filter_key"),
-        (lambda r: r["embedder"]["idf"].__setitem__("w0", "x"), "idf"),
+        (lambda h, r: h["shape"].__setitem__(1, 8), "shape"),
+        (lambda h, r: r.reshape(-1)[:-3], "embeddings are 488 bytes, expected 4 x 16 x 8 = 512"),
+        (lambda h, r: h["documents"][3].__setitem__("doc_id", 0), r"documents\[3\].doc_id"),
+        (lambda h, r: h["documents"][0].__setitem__("filter_key", ["a"]), r"documents\[0\].filter_key"),
+        (lambda h, r: h["documents"][0].__setitem__("filter_key", 7), r"documents\[0\].filter_key"),
+        (lambda h, r: h["embedder"]["idf"].__setitem__("w0", "x"), "idf"),
         (_non_finite_row, "row 2 is not finite"),
     ],
     ids=[
@@ -373,16 +410,71 @@ def _non_finite_row(record):
     ],
 )
 def test_malformed_index_is_rejected_at_load(tmp_path, mutate, message):
-    records = [
-        {"source_id": f"s{i}", "filter_key": "f", "text": _words(20, f"t{i}_")} for i in range(2)
-    ]
-    out = tmp_path / "index.json"
-    save_index(ingest_corpus(_corpus_file(tmp_path, records), chunk_size=10, dim=16), out)
-    record = json.loads(out.read_text())
-    mutate(record)
-    out.write_text(json.dumps(record))
+    """Header and body mutations, written back with a recomputed sha256 so
+    that each reaches the check it targets."""
+    out = _small_index_file(tmp_path)
+    header, rows = _read_index(out)
+    mutated = mutate(header, rows)  # the rows when it returns new ones
+    _write_index(out, header, mutated if isinstance(mutated, np.ndarray) else rows)
     with pytest.raises(SchemaError, match=message):
         load_index(out)
+
+
+def _flip_body_byte(data):
+    flipped = bytearray(data)
+    flipped[-5] ^= 0x01
+    return bytes(flipped)
+
+
+def _header_length_past_eof(data):
+    length_line, rest = data[len(MAGIC) :].split(b"\n", 1)
+    return MAGIC + b"%d\n" % len(data) + rest
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: b"thoughtsearch-index v3\n" + d[len(MAGIC) :], "magic line"),
+        (_header_length_past_eof, "runs past the end of the file"),
+        (_flip_body_byte, "do not match index.sha256"),
+        (lambda d: d + b"\0" * 8, "embeddings are 520 bytes"),
+        (lambda d: b'{"version":1}\n', "version 1 .* re-ingest"),
+        (lambda d: d[: len(MAGIC) + 2], "no header length"),
+    ],
+    ids=[
+        "bad-magic",
+        "header-length-past-eof",
+        "body-byte-flipped",
+        "trailing-bytes",
+        "v1-json-file",
+        "cut-in-header-length",
+    ],
+)
+def test_malformed_index_bytes_are_rejected_at_load(tmp_path, mutate, message):
+    out = _small_index_file(tmp_path)
+    out.write_bytes(mutate(out.read_bytes()))
+    with pytest.raises(SchemaError, match=message):
+        load_index(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_damaged_index_file_raises_only_schema_error(tmp_path_factory, data):
+    """A v2 file cut short anywhere, or with a few bytes flipped, either
+    loads or raises SchemaError; nothing else escapes load_index."""
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    out = _small_index_file(tmp_path)
+    blob = bytearray(out.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="cut at")]
+    else:
+        for at in data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4), label="flip"):
+            blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+    out.write_bytes(bytes(blob))
+    try:
+        load_index(out)
+    except SchemaError:
+        pass
 
 
 def test_ingest_rejects_unhashable_filter_key(tmp_path):
