@@ -15,7 +15,6 @@ from .graph import (
     new_process,
 )
 from .mcts import (
-    RetrieverPorts,
     SearchOutcome,
     SearchPorts,
     Termination,
@@ -36,7 +35,6 @@ __all__ = [
     "EpisodeConfig",
     "NodeKind",
     "NodeStats",
-    "RetrieverPorts",
     "SearchOutcome",
     "SearchPorts",
     "Termination",

@@ -43,14 +43,6 @@ _TASK_FOR_MODE = {
     "simulated": Task.SIMULATED_FACT,
 }
 
-# The benchmark method each `run --planner/--scorer` pair runs.
-_RUN_METHODS = {
-    ("mcts", "oracle"): Method.MCTS_ORACLE,
-    ("mcts", "self_critic"): Method.MCTS_SELF_CRITIC,
-    ("mcts", "estimation"): Method.MCTS_ESTIMATION,
-    ("greedy", "estimation"): Method.GREEDY_ESTIMATION,
-}
-
 
 def _templates(config: EngineConfig) -> TemplateSet:
     if config.generator.template_file:
@@ -107,7 +99,7 @@ def _ports(config: EngineConfig, need_index: bool = False, need_model: bool = Fa
 
 def _load_args_config(args: argparse.Namespace) -> EngineConfig:
     overrides: dict = {}
-    for name in ("seed", "max_steps", "workers", "scorer"):
+    for name in ("seed", "max_steps", "workers"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -135,10 +127,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_args_config(args)
-    method = _RUN_METHODS.get((args.planner, config.scorer))
-    if method is None:
-        raise ConfigError(f"the {args.planner} planner cannot use the {config.scorer} scorer")
-    ports = _ports(config, need_model=(config.scorer == "estimation"))
+    method = Method(args.method)
+    ports = _ports(config, need_model=harness.PLANS[method].scorer == "estimation")
     task = _TASK_FOR_MODE[config.task_mode]
     example = QAExample(
         query_id="run",
@@ -212,11 +202,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         sweep = [dataclasses.replace(config, max_steps=int(t)) for t in budgets]
     except ValueError as exc:
         raise ConfigError(f"--sweep-t takes comma-separated integers: {exc}") from None
-    needs_model = bool(
-        {Method.MCTS_ESTIMATION, Method.GREEDY_ESTIMATION} & set(methods)
+    plans = [harness.PLANS[m] for m in methods]
+    ports = _ports(
+        config,
+        need_index=any(plan.retrieves for plan in plans),
+        need_model=any(plan.scorer == "estimation" for plan in plans),
     )
-    retrieval_methods = set(methods) - {Method.LLM_ONLY, Method.MCTS_ORACLE_NO_IR}
-    ports = _ports(config, need_index=bool(retrieval_methods), need_model=needs_model)
     examples = harness.load_examples(args.examples, split=args.split, limit=args.limit)
     if not examples:
         raise ConfigError(f"no examples loaded from {args.examples}")
@@ -248,7 +239,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "generator_calls": generator_calls,
             "backend_calls": sum(r.backend_calls for r in results),
         }
-        if sweep and method in harness.PLANNER_METHODS:
+        if sweep and harness.PLANS[method].planner is not None:
             sweep_reports = [
                 harness.run_benchmark(examples, method, ports, sweep_config)
                 for sweep_config in sweep
@@ -318,9 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--index", default=None)
     p.add_argument("--model", default=None)
-    p.add_argument("--scorer", choices=["oracle", "self_critic", "estimation"], default=None)
-    p.add_argument("--planner", choices=["mcts", "greedy"], default="mcts")
-    p.add_argument("--gold", nargs="*", default=None, help="gold answers (oracle scorer)")
+    p.add_argument(
+        "--method",
+        choices=[m.value for m, plan in harness.PLANS.items() if plan.planner is not None],
+        default=Method.MCTS_SELF_CRITIC.value,
+    )
+    p.add_argument("--gold", nargs="*", default=None, help="gold answers (oracle-scored methods)")
     p.add_argument("--filter-key", default=None, dest="filter_key")
     p.add_argument("--max-steps", type=int, default=None, dest="max_steps")
     p.add_argument("--endpoint", default=None, help="HTTP generator endpoint")

@@ -71,7 +71,6 @@ class EngineConfig:
     stop_thresholds: dict = field(
         default_factory=lambda: {"oracle": 0.5, "self_critic": 0.49, "estimation": 0.21}
     )
-    scorer: str = "self_critic"
     seed: int = 0
     workers: int = 1
     index_file: str = ""
@@ -83,8 +82,6 @@ class EngineConfig:
     def __post_init__(self):
         if self.task_mode not in TASK_MODES:
             raise ConfigError(f"task_mode must be one of {TASK_MODES}, got {self.task_mode!r}")
-        if self.scorer not in SCORER_KINDS:
-            raise ConfigError(f"scorer must be one of {SCORER_KINDS}, got {self.scorer!r}")
         for kind in self.stop_thresholds:
             if kind not in SCORER_KINDS:
                 raise ConfigError(
@@ -102,12 +99,10 @@ class EngineConfig:
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
         # Bounds shared with the per-episode view.
-        self.episode()
+        self.episode(stop_threshold=0.0)
 
-    def episode(self, stop_threshold: float | None = None) -> EpisodeConfig:
-        """Per-search view; the stop threshold defaults to the active scorer's."""
-        if stop_threshold is None:
-            stop_threshold = self.stop_thresholds[self.scorer]
+    def episode(self, stop_threshold: float) -> EpisodeConfig:
+        """Per-search view under one scorer's stop threshold."""
         return EpisodeConfig(
             max_steps=self.max_steps,
             stop_threshold=stop_threshold,
@@ -226,7 +221,7 @@ def load_config(
     if path is not None:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold an object, got {data!r}")

@@ -22,14 +22,7 @@ from .config import EngineConfig
 from .errors import ConfigError, EngineError, SchemaError
 from .generate import CountingGenerator, Generator
 from .metrics import best_token_f1, exact_match, parse_boolean, parse_quantity_mg
-from .mcts import (
-    RetrieverPorts,
-    SearchOutcome,
-    SearchPorts,
-    greedy_search,
-    random_search,
-    run_search,
-)
+from .mcts import SearchOutcome, SearchPorts, greedy_search, random_search, run_search
 from .retrieval import CorpusIndex, DocumentQueue, HashedEmbedder, retrieve
 from .scoring import (
     EstimatorScorer,
@@ -63,14 +56,30 @@ class Method(str, Enum):
     RANDOM_CONTROL = "random_control"
 
 
-PLANNER_METHODS = {
-    Method.MCTS_ORACLE,
-    Method.MCTS_ORACLE_NO_IR,
-    Method.MCTS_SELF_CRITIC,
-    Method.MCTS_ESTIMATION,
-    Method.GREEDY_ESTIMATION,
-    Method.RANDOM_CONTROL,
+@dataclass(frozen=True)
+class Plan:
+    """What a method is: its planner ("mcts", "greedy", "random"; None for
+    the single-shot baselines), its scorer kind (also its stop_thresholds
+    key; None when nothing is scored), and whether it retrieves."""
+
+    planner: str | None
+    scorer: str | None
+    retrieves: bool
+
+
+PLANS: dict[Method, Plan] = {
+    Method.LLM_ONLY: Plan(None, None, retrieves=False),
+    Method.RAG: Plan(None, None, retrieves=True),
+    Method.MCTS_ORACLE: Plan("mcts", "oracle", retrieves=True),
+    Method.MCTS_ORACLE_NO_IR: Plan("mcts", "oracle", retrieves=False),
+    Method.MCTS_SELF_CRITIC: Plan("mcts", "self_critic", retrieves=True),
+    Method.MCTS_ESTIMATION: Plan("mcts", "estimation", retrieves=True),
+    Method.GREEDY_ESTIMATION: Plan("greedy", "estimation", retrieves=True),
+    Method.RANDOM_CONTROL: Plan("random", "oracle", retrieves=True),
 }
+
+# The module global each planner's search runs as.
+_SEARCHES = {"mcts": "run_search", "greedy": "greedy_search", "random": "random_search"}
 
 
 @dataclass(frozen=True)
@@ -144,32 +153,21 @@ def oracle_metric_for(config: EngineConfig) -> Callable[[str, list[str]], float]
 
 
 def make_scorer(method: Method, example: QAExample, ports: EnginePorts, config: EngineConfig):
-    if method in (Method.MCTS_ORACLE, Method.MCTS_ORACLE_NO_IR, Method.RANDOM_CONTROL):
+    kind = PLANS[method].scorer
+    if kind == "oracle":
         if not example.gold_answers:
             raise ConfigError(f"method {method.value} requires gold answers")
         parse = None
         if example.task in (Task.BOOLEAN, Task.EXTRACTIVE_MG):
             parse = lambda raw: extract_answer(example.task, raw)
         return OracleScorer(example.gold_answers, oracle_metric_for(config), parse)
-    if method == Method.MCTS_SELF_CRITIC:
+    if kind == "self_critic":
         return SelfCriticScorer(ports.templates)
-    if method in (Method.MCTS_ESTIMATION, Method.GREEDY_ESTIMATION):
+    if kind == "estimation":
         if ports.scorer_model is None or ports.scoring_embedder is None:
             raise ConfigError(f"method {method.value} requires a trained scorer model")
         return EstimatorScorer(ports.scorer_model, ports.scoring_embedder)
     raise ConfigError(f"method {method.value} has no scorer")
-
-
-def _stop_threshold(method: Method, config: EngineConfig) -> float:
-    kind = {
-        Method.MCTS_ORACLE: "oracle",
-        Method.MCTS_ORACLE_NO_IR: "oracle",
-        Method.MCTS_SELF_CRITIC: "self_critic",
-        Method.MCTS_ESTIMATION: "estimation",
-        Method.GREEDY_ESTIMATION: "estimation",
-        Method.RANDOM_CONTROL: "oracle",
-    }[method]
-    return config.stop_thresholds[kind]
 
 
 def example_search_ports(
@@ -177,12 +175,11 @@ def example_search_ports(
 ) -> SearchPorts:
     """Assemble per-example search ports: fresh queue, method-specific scorer."""
     retriever = None
-    if method != Method.MCTS_ORACLE_NO_IR and ports.index is not None:
-        retriever = RetrieverPorts(
-            index=ports.index,
-            queue=DocumentQueue(
-                batch_size=config.doc_batch_size, filter_key=example.filter_key
-            ),
+    if PLANS[method].retrieves and ports.index is not None:
+        retriever = DocumentQueue(
+            ports.index,
+            batch_size=config.doc_batch_size,
+            filter_key=example.filter_key,
             query_mode=config.retrieval.query_mode,
         )
     return SearchPorts(
@@ -200,19 +197,12 @@ def search_example(
     rng,
 ) -> SearchOutcome:
     """Search one example with a planning method's ports, its scorer's stop
-    threshold and its planner: greedy_search for the greedy method,
-    random_search for the random control, run_search for the others. The
-    planners are looked up as module globals on each call, so a wrapper
-    installed on them sees every search."""
-    search_ports = example_search_ports(method, example, ports, config)
-    episode = config.episode(stop_threshold=_stop_threshold(method, config))
-    if method == Method.GREEDY_ESTIMATION:
-        search = greedy_search
-    elif method == Method.RANDOM_CONTROL:
-        search = random_search
-    else:
-        search = run_search
-    return search(example.query, search_ports, episode, rng)
+    threshold and its planner's search. The search is looked up as a module
+    global on each call, so a wrapper installed on it sees every search."""
+    plan = PLANS[method]
+    search = globals()[_SEARCHES[plan.planner]]
+    episode = config.episode(stop_threshold=config.stop_thresholds[plan.scorer])
+    return search(example.query, example_search_ports(method, example, ports, config), episode, rng)
 
 
 def scoring_embedder(config: EngineConfig) -> HashedEmbedder:
@@ -254,9 +244,10 @@ def run_example(
 ) -> ExampleResult:
     """One example end to end: search (if the method plans), answer, grade."""
     generator = CountingGenerator(ports.generator)
-    if method in (Method.LLM_ONLY, Method.RAG):
+    plan = PLANS[method]
+    if plan.planner is None:
         context = None
-        if method == Method.RAG and ports.index is not None:
+        if plan.retrieves and ports.index is not None:
             docs = retrieve(ports.index, example.query, k=1, filter_key=example.filter_key)
             context = docs[0].text if docs else None
         raw = generator.answer(example.query, context)

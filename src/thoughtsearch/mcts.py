@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, EngineError, ExhaustedCorpusError, SearchError
 from .generate import CountingGenerator, Generator
 from .graph import ROOT_ID, Action, EpisodeConfig, ThoughtGraph, new_process
-from .retrieval import CorpusIndex, DocumentQueue, consume_pending, queue_next, refill_if_empty
+from .retrieval import DocumentQueue
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -49,19 +49,10 @@ class PairScorer(Protocol):
 
 
 @dataclass
-class RetrieverPorts:
-    """Document supply for one search; query_mode picks how refills are phrased."""
-
-    index: CorpusIndex
-    queue: DocumentQueue
-    query_mode: str = "raw"  # "raw" | "formulated"
-
-
-@dataclass
 class SearchPorts:
     generator: Generator
     scorer: Scorer
-    retriever: RetrieverPorts | None = None
+    retriever: DocumentQueue | None = None
 
 
 @dataclass
@@ -134,7 +125,7 @@ def _best_generated(graph: ThoughtGraph) -> int | None:
     return best
 
 
-def _query_provider(graph: ThoughtGraph, retriever: RetrieverPorts | None, generator: Generator):
+def _query_provider(graph: ThoughtGraph, retriever: DocumentQueue | None, generator: Generator):
     """Refill queries: either the raw question or an LLM-formulated query
     seeded with the best-scored thought so far."""
     if retriever is None or retriever.query_mode != "formulated":
@@ -150,7 +141,7 @@ def _query_provider(graph: ThoughtGraph, retriever: RetrieverPorts | None, gener
 
 def _document_partner(
     graph: ThoughtGraph,
-    retriever: RetrieverPorts | None,
+    retriever: DocumentQueue | None,
     rng: np.random.Generator,
     p_doc: float,
     query_provider,
@@ -161,7 +152,7 @@ def _document_partner(
     if retriever is None or not rng.random() < p_doc:
         return None
     try:
-        doc = queue_next(retriever.queue, retriever.index, query_provider)
+        doc = retriever.next(query_provider)
     except ExhaustedCorpusError:
         return None
     return graph.add_document(doc.text)
@@ -170,7 +161,7 @@ def _document_partner(
 def expand(
     graph: ThoughtGraph,
     selected: int,
-    retriever: RetrieverPorts | None,
+    retriever: DocumentQueue | None,
     generator: Generator,
     rng: np.random.Generator,
     config: EpisodeConfig,
@@ -338,8 +329,8 @@ def greedy_search(
     def step(graph, generator, provider):
         nodes, docs = graph.thought_ids, []
         if retriever is not None:
-            refill_if_empty(retriever.queue, retriever.index, provider)
-            docs = list(retriever.queue.pending)
+            retriever.refill_if_empty(provider)
+            docs = list(retriever.pending)
         texts = [graph.node(nid).text for nid in nodes] + [doc.text for doc in docs]
         pairs = [(i, j) for i in range(len(texts)) for j in range(i + 1, len(texts))]
         if not pairs:  # only the root exists and no documents are available
@@ -355,7 +346,7 @@ def greedy_search(
             if i < n_nodes:
                 return nodes[i]
             doc = docs[i - n_nodes]
-            consume_pending(retriever.queue, doc)
+            retriever.take(doc)
             return graph.add_document(doc.text)
 
         first, second = pairs[best_idx]

@@ -149,6 +149,13 @@ def chunk_words(text: str, size: int) -> list[str]:
     return [" ".join(words[i : i + size]) for i in range(0, len(words), size)]
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
+
+
 def _read_records(source: str | Path) -> list[tuple[str, str | None, str]]:
     """Yield (source_id, filter_key, text) from a directory of .txt files or
     a newline-delimited JSON record file with fields source_id/filter_key/text."""
@@ -157,13 +164,10 @@ def _read_records(source: str | Path) -> list[tuple[str, str | None, str]]:
         files = sorted(p for p in path.rglob("*.txt") if p.is_file())
         if not files:
             raise CorpusError(f"no .txt files under {path}")
-        return [
-            (str(p.relative_to(path)), None, p.read_text(encoding="utf-8"))
-            for p in files
-        ]
+        return [(str(p.relative_to(path)), None, _read_text(p)) for p in files]
     if path.is_file():
         records = []
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(_read_text(path).splitlines(), 1):
             if not line.strip():
                 continue
             try:
@@ -188,14 +192,11 @@ def _read_records(source: str | Path) -> list[tuple[str, str | None, str]]:
 def ingest_corpus(
     source: str | Path,
     chunk_size: int,
-    filter_key_fn: Callable[[str], str | None] | None = None,
     dim: int = 256,
 ) -> CorpusIndex:
     """Chunk every source text, fit IDF weights, and embed each chunk."""
     documents: list[Document] = []
     for source_id, filter_key, text in _read_records(source):
-        if filter_key_fn is not None:
-            filter_key = filter_key_fn(source_id)
         for chunk in chunk_words(text, chunk_size):
             if not chunk:
                 continue
@@ -251,52 +252,50 @@ def retrieve(
 
 @dataclass
 class DocumentQueue:
-    """Per-search FIFO of retrieved chunks. Never hands out a chunk twice.
+    """Per-search FIFO of chunks retrieved from `index`. Never hands out a
+    chunk twice.
 
-    query_vectors holds the embedding of every refill text so far, so a
-    search that refills with the same text embeds it once.
+    query_mode picks how refills are phrased: "raw" (the question) or
+    "formulated" (an LLM-written query). query_vectors holds the embedding
+    of every refill text so far, so a search that refills with the same
+    text embeds it once.
     """
 
+    index: CorpusIndex = field(repr=False)
     batch_size: int
     filter_key: str | None = None
+    query_mode: str = "raw"  # "raw" | "formulated"
     pending: list[Document] = field(default_factory=list)
     served: set[int] = field(default_factory=set)
     refills: int = 0
     query_vectors: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
+    def refill_if_empty(self, query_provider: Callable[[], str]) -> None:
+        if self.pending:
+            return
+        self.refills += 1
+        self.pending = retrieve(
+            self.index,
+            query_provider(),
+            k=self.batch_size,
+            filter_key=self.filter_key,
+            exclude=self.served,
+            query_vectors=self.query_vectors,
+        )
 
-def refill_if_empty(
-    queue: DocumentQueue, index: CorpusIndex, query_provider: Callable[[], str]
-) -> None:
-    if queue.pending:
-        return
-    queue.refills += 1
-    queue.pending = retrieve(
-        index,
-        query_provider(),
-        k=queue.batch_size,
-        filter_key=queue.filter_key,
-        exclude=queue.served,
-        query_vectors=queue.query_vectors,
-    )
+    def next(self, query_provider: Callable[[], str]) -> Document:
+        """Pop the head document, refilling via a fresh retrieval when empty."""
+        self.refill_if_empty(query_provider)
+        if not self.pending:
+            raise ExhaustedCorpusError("no retrievable documents remain")
+        doc = self.pending.pop(0)
+        self.served.add(doc.doc_id)
+        return doc
 
-
-def queue_next(
-    queue: DocumentQueue, index: CorpusIndex, query_provider: Callable[[], str]
-) -> Document:
-    """Pop the head document, refilling via a fresh retrieval when empty."""
-    refill_if_empty(queue, index, query_provider)
-    if not queue.pending:
-        raise ExhaustedCorpusError("no retrievable documents remain")
-    doc = queue.pending.pop(0)
-    queue.served.add(doc.doc_id)
-    return doc
-
-
-def consume_pending(queue: DocumentQueue, doc: Document) -> None:
-    """Mark a specific pending document as served (used by the greedy planner)."""
-    queue.pending = [d for d in queue.pending if d.doc_id != doc.doc_id]
-    queue.served.add(doc.doc_id)
+    def take(self, doc: Document) -> None:
+        """Mark a specific pending document as served (used by the greedy planner)."""
+        self.pending = [d for d in self.pending if d.doc_id != doc.doc_id]
+        self.served.add(doc.doc_id)
 
 
 def _field(record: dict, key: str, types: tuple[type, ...], where: str):

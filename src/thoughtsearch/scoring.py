@@ -571,7 +571,7 @@ def load_model(path: str | Path, expected_embedder_id: str | None = None) -> Sco
     file raises SchemaError here, never later inside a search."""
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read model file {path}: {exc}") from exc
     _require(record, ("version",), "model file")
     if record["version"] != MODEL_FORMAT_VERSION:

@@ -79,7 +79,7 @@ class TemplateSet:
     def from_file(cls, path: str | Path) -> "TemplateSet":
         try:
             return cls.from_text(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read template file {path}: {exc}") from exc
 
     @classmethod

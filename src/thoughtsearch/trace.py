@@ -172,7 +172,7 @@ def _json_text(value, depth: int) -> str:
 def load_trace(path: str | Path) -> dict:
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read trace file {path}: {exc}") from exc
     return validate_trace(record)
 

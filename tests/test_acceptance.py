@@ -29,7 +29,6 @@ from thoughtsearch.harness import (
     train_scorer,
 )
 from thoughtsearch.mcts import (
-    RetrieverPorts,
     SearchPorts,
     Termination,
     backpropagate,
@@ -43,7 +42,6 @@ from thoughtsearch.retrieval import (
     DocumentQueue,
     chunk_words,
     ingest_corpus,
-    queue_next,
     retrieve,
 )
 from thoughtsearch.scoring import (
@@ -190,7 +188,7 @@ def test_expansion_branch_frequency(tmp_path):
         rng = np.random.default_rng(4)
         config = EpisodeConfig(p_doc=p_doc)
         graph = new_process("q")
-        retriever = RetrieverPorts(index=index, queue=DocumentQueue(batch_size=12000))
+        retriever = DocumentQueue(index, batch_size=12000)
         doc_branch = 0
         for _ in range(10000):
             child = expand(graph, 0, retriever, gen, rng, config)
@@ -503,7 +501,7 @@ def test_retrieval_oracle_equivalence(tmp_path):
         for i in range(5)
     ]
     qindex = ingest_corpus(write_jsonl(tmp_path / "q.jsonl", queue_records), chunk_size=50, dim=64)
-    queue = DocumentQueue(batch_size=2)
+    queue = DocumentQueue(qindex, batch_size=2)
     refills, seen = [], []
     provider_calls = [0]
 
@@ -513,7 +511,7 @@ def test_retrieval_oracle_equivalence(tmp_path):
 
     for call in range(1, 6):
         before = provider_calls[0]
-        doc = queue_next(queue, qindex, provider)
+        doc = queue.next(provider)
         if provider_calls[0] > before:
             refills.append(call)
         seen.append(doc.doc_id)

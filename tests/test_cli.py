@@ -4,14 +4,23 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from thoughtsearch.cli import main
+from thoughtsearch.cli import build_parser, main
 from thoughtsearch.config import load_config
 from thoughtsearch.generate import SimulatedGenerator
-from thoughtsearch.harness import EnginePorts, Method, load_examples, run_benchmark, scoring_embedder
+from thoughtsearch.harness import (
+    PLANS,
+    EnginePorts,
+    Method,
+    load_examples,
+    run_benchmark,
+    scoring_embedder,
+)
 from thoughtsearch.retrieval import load_index
 from thoughtsearch.scoring import load_model
 from thoughtsearch.templates import TemplateSet
@@ -101,8 +110,8 @@ def test_run_answers_planted_query(workspace, tmp_path, capsys):
             example["query"],
             "--index",
             str(index),
-            "--scorer",
-            "oracle",
+            "--method",
+            "mcts_oracle",
             "--gold",
             *example["answers"],
             "--filter-key",
@@ -154,8 +163,8 @@ def test_run_estimation_scorer(workspace, tmp_path):
             str(index),
             "--model",
             str(model),
-            "--scorer",
-            "estimation",
+            "--method",
+            "mcts_estimation",
             "--filter-key",
             example["filter_key"],
             "--trace",
@@ -174,7 +183,7 @@ def test_run_with_malformed_model_is_config_error(workspace, tmp_path, capsys):
     bad.write_text(json.dumps(record))
     code = main(
         [
-            "run", "--mode", "simulated", "--query", "need:k0", "--scorer", "estimation",
+            "run", "--mode", "simulated", "--query", "need:k0", "--method", "mcts_estimation",
             "--index", str(index), "--model", str(bad), "--trace", str(tmp_path / "t.json"),
         ]
     )
@@ -186,7 +195,7 @@ def test_run_with_truncated_index_is_config_error(workspace, tmp_path, capsys):
     """A version 1 (JSON) index and a cut-short version 2 index both exit 2."""
     *_, index, _model = workspace
     bad = tmp_path / "index.json"
-    argv = ["run", "--mode", "simulated", "--query", "need:k0", "--scorer", "self_critic", "--index", str(bad)]
+    argv = ["run", "--mode", "simulated", "--query", "need:k0", "--method", "mcts_self_critic", "--index", str(bad)]
     bad.write_text('{"version":1}')
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -231,23 +240,42 @@ def test_run_oracle_without_gold_is_config_error(workspace):
     *_, index, model = workspace
     assert (
         main(
-            ["run", "--mode", "simulated", "--query", "need:k0", "--scorer", "oracle", "--index", str(index)]
+            ["run", "--mode", "simulated", "--query", "need:k0", "--method", "mcts_oracle", "--index", str(index)]
         )
         == 2
     )
 
 
-def test_run_greedy_planner_needs_estimation_scorer(workspace):
+def test_run_unknown_method_exits_2(workspace, capsys):
     *_, index, _model = workspace
     argv = ["run", "--mode", "simulated", "--query", "need:k0", "--index", str(index)]
-    assert main([*argv, "--planner", "greedy", "--scorer", "self_critic"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--method", "greedy_self_critic"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'greedy_self_critic'" in capsys.readouterr().err
+
+
+def test_run_method_choices_are_the_planner_methods():
+    """`run --method` takes exactly the methods whose plan has a planner."""
+    parser = build_parser()
+    for method, plan in PLANS.items():
+        argv = ["run", "--query", "q", "--method", method.value]
+        if plan.planner is None:
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+        else:
+            assert parser.parse_args(argv).method == method.value
+
+
+_PLANNER_METHODS = [m for m, plan in PLANS.items() if plan.planner is not None]
 
 
 @pytest.mark.parametrize(
-    "planner, scorer, method",
-    [("mcts", "self_critic", Method.MCTS_SELF_CRITIC), ("greedy", "estimation", Method.GREEDY_ESTIMATION)],
+    "method",
+    _PLANNER_METHODS,
+    ids=[f"{PLANS[m].planner}-{PLANS[m].scorer}-{m.value}" for m in _PLANNER_METHODS],
 )
-def test_run_trace_equals_harness_trace(workspace, tmp_path, planner, scorer, method):
+def test_run_trace_equals_harness_trace(workspace, tmp_path, method):
     """`run` and the benchmark harness wire the same search: for one example
     at rng index 0 they write the same trace bytes."""
     tmp, corpus, examples, index, model = workspace
@@ -255,9 +283,11 @@ def test_run_trace_equals_harness_trace(workspace, tmp_path, planner, scorer, me
     trace = tmp_path / "run.json"
     argv = [
         "run", "--mode", "simulated", "--query", example.query, "--index", str(index),
-        "--model", str(model), "--planner", planner, "--scorer", scorer,
+        "--model", str(model), "--method", method.value,
         "--filter-key", example.filter_key, "--trace", str(trace),
     ]
+    if PLANS[method].scorer == "oracle":
+        argv += ["--gold", *example.gold_answers]
     assert main(argv) == 0
 
     config = load_config(task_mode="simulated")
@@ -286,7 +316,7 @@ def test_run_missing_model_is_config_error(workspace):
     *_, index, _model = workspace
     assert (
         main(
-            ["run", "--mode", "simulated", "--query", "q", "--scorer", "estimation", "--index", str(index)]
+            ["run", "--mode", "simulated", "--query", "q", "--method", "mcts_estimation", "--index", str(index)]
         )
         == 2
     )
@@ -448,8 +478,8 @@ def test_export_trace_round_trip_and_dot(workspace, tmp_path, capsys):
             example["query"],
             "--index",
             str(index),
-            "--scorer",
-            "self_critic",
+            "--method",
+            "mcts_self_critic",
             "--filter-key",
             example["filter_key"],
             "--trace",
@@ -482,6 +512,9 @@ def _trace(nodes, history):
     return json.dumps({"version": 1, "query": "q", "nodes": nodes, "history": history})
 
 
+# What stderr holds for a file that is not UTF-8: its name, then the cause.
+_NOT_UTF8 = "input.json: 'utf-8' codec can't decode byte 0xff"
+
 # (command, file content, exit code, what stderr must name)
 _MALFORMED_INPUTS = {
     "config_max_steps_string": ("run", '{"max_steps": "ten"}', 2, "max_steps must be an integer"),
@@ -505,6 +538,10 @@ _MALFORMED_INPUTS = {
     ),
     "config_scoring_regressor": ("run", '{"scoring": {"regressor": "gbrt"}}', 2, "regressor"),
     "config_scoring_ridge_alpha": ("run", '{"scoring": {"ridge_alpha": 1.0}}', 2, "ridge_alpha"),
+    "config_scorer": ("run", '{"scorer": "self_critic"}', 2, "unknown config field 'scorer'"),
+    "config_not_utf8": ("run", b"\xff", 2, _NOT_UTF8),
+    "model_not_utf8": ("run-model", b"\xff", 2, _NOT_UTF8),
+    "templates_not_utf8": ("run-templates", b"\xff", 2, _NOT_UTF8),
     "trace_nodes_not_list": ("export-trace", _trace(5, []), 2, "'nodes' must be a list"),
     "trace_node_not_object": ("export-trace", _trace([1], []), 2, "nodes[0] must be an object"),
     "trace_history_not_object": ("export-trace", _trace([], [5]), 2, "history[0] must be an object"),
@@ -519,6 +556,8 @@ _MALFORMED_INPUTS = {
     ),
     "corpus_record_not_object": ("ingest", "5\n", 3, ":1: record must be an object"),
     "corpus_text_not_string": ("ingest", '{"text": 5}\n', 3, ":1: record needs a string 'text'"),
+    "corpus_not_utf8": ("ingest", b"\xff\n", 3, _NOT_UTF8),
+    "trace_not_utf8": ("export-trace", b"\xff", 2, _NOT_UTF8),
 }
 
 
@@ -526,12 +565,21 @@ _MALFORMED_INPUTS = {
     "command, content, code, names", _MALFORMED_INPUTS.values(), ids=_MALFORMED_INPUTS.keys()
 )
 def test_malformed_input_exits_with_documented_code(tmp_path, capsys, command, content, code, names):
-    """Config, trace and corpus files of the wrong shape or JSON type fail
-    closed: the documented exit code and a message, never a traceback."""
+    """Config, model, template, trace and corpus files of the wrong shape,
+    JSON type or text encoding fail closed: the documented exit code and a
+    message, never a traceback."""
     bad = tmp_path / "input.json"
-    bad.write_text(content)
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content)
+    templates_config = tmp_path / "config.json"
+    templates_config.write_text(json.dumps({"generator": {"template_file": str(bad)}}))
+    run = ["run", "--query", "q", "--trace", str(tmp_path / "t.json")]
     argv = {
-        "run": ["run", "--config", str(bad), "--query", "q", "--trace", str(tmp_path / "t.json")],
+        "run": [*run, "--config", str(bad)],
+        "run-model": [*run, "--model", str(bad)],
+        "run-templates": [*run, "--config", str(templates_config)],
         "export-trace": ["export-trace", "--trace", str(bad)],
         "ingest": ["ingest", "--mode", "simulated", "--corpus", str(bad), "--out", str(tmp_path / "i.json")],
     }[command]
@@ -563,8 +611,8 @@ def test_run_through_wire_backend(workspace, tmp_path, capsys):
                 example["query"],
                 "--index",
                 str(index),
-                "--scorer",
-                "self_critic",
+                "--method",
+                "mcts_self_critic",
                 "--filter-key",
                 example["filter_key"],
                 "--endpoint",
@@ -601,3 +649,18 @@ def test_config_hash_echoed(workspace, tmp_path, capsys):
     out = capsys.readouterr().out
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["config_hash"] in out
+
+
+def _readme_commands() -> list[str]:
+    """Every `thoughtsearch ...` line of README's fenced bash blocks, with
+    its `\\` continuation lines joined and any pipe cut off."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```bash\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    lines = re.sub(r"\s*\\\n\s*", " ", "\n".join(blocks)).splitlines()
+    return [line.split("|")[0].strip() for line in lines if line.lstrip().startswith("thoughtsearch ")]
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_commands_parse(command):
+    """The README's commands name only subcommands and flags the parser has."""
+    build_parser().parse_args(shlex.split(command)[1:])

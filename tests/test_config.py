@@ -97,10 +97,8 @@ def test_bounds_validated_on_construction():
         EpisodeConfig(exploration_c=-1.0)
 
 
-def test_episode_view_resolves_active_scorer_threshold():
+def test_episode_view_takes_the_given_threshold():
     config = default_config("boolq")
-    config.scorer = "estimation"
-    episode = config.episode()
-    assert episode.stop_threshold == 0.21
-    assert config.episode(stop_threshold=0.77).stop_threshold == 0.77
+    episode = config.episode(stop_threshold=0.77)
+    assert episode.stop_threshold == 0.77
     assert episode.max_steps == config.max_steps

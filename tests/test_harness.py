@@ -6,10 +6,11 @@ from __future__ import annotations
 import pytest
 
 from thoughtsearch import simenv
-from thoughtsearch.config import default_config
+from thoughtsearch.config import SCORER_KINDS, default_config
 from thoughtsearch.errors import EngineError, SchemaError
 from thoughtsearch.generate import SimulatedGenerator
 from thoughtsearch.harness import (
+    PLANS,
     EnginePorts,
     Method,
     QAExample,
@@ -164,6 +165,16 @@ def test_rerun_is_byte_identical(sim):
     a = report_to_csv(run_benchmark(suite.test[:8], Method.MCTS_ESTIMATION, ports, config))
     b = report_to_csv(run_benchmark(suite.test[:8], Method.MCTS_ESTIMATION, ports, config))
     assert a == b
+
+
+def test_every_method_has_one_plan():
+    """PLANS declares every method; a method plans iff it has a scorer kind,
+    and every scorer kind has a stop threshold."""
+    assert set(PLANS) == set(Method)
+    for plan in PLANS.values():
+        assert plan.planner in (None, "mcts", "greedy", "random")
+        assert (plan.planner is None) == (plan.scorer is None)
+        assert plan.scorer is None or plan.scorer in SCORER_KINDS
 
 
 def test_extract_answer_per_task():

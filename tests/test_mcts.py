@@ -13,7 +13,6 @@ from thoughtsearch.errors import ConfigError, SchemaError
 from thoughtsearch.generate import SimulatedGenerator, parse_facts
 from thoughtsearch.graph import Action, EpisodeConfig, NodeKind, new_process
 from thoughtsearch.mcts import (
-    RetrieverPorts,
     SearchPorts,
     Termination,
     backpropagate,
@@ -238,11 +237,7 @@ def test_record_to_graph_rejects_forward_parent_references():
 
 
 def _retriever(index, batch_size=2, query_mode="raw"):
-    return RetrieverPorts(
-        index=index,
-        queue=DocumentQueue(batch_size=batch_size),
-        query_mode=query_mode,
-    )
+    return DocumentQueue(index, batch_size=batch_size, query_mode=query_mode)
 
 
 def test_expand_forced_document_branch(small_index):
@@ -271,7 +266,7 @@ def test_expand_falls_back_when_corpus_exhausted(small_index):
     graph = new_process("q")
     config = EpisodeConfig(p_doc=1.0)
     retriever = _retriever(small_index, batch_size=10)
-    retriever.queue.served = {d.doc_id for d in small_index.documents}
+    retriever.served = {d.doc_id for d in small_index.documents}
     child = expand(
         graph, 0, retriever, SimulatedGenerator(), np.random.default_rng(0), config
     )
@@ -302,7 +297,7 @@ def test_expand_branch_frequency_seeded(small_index):
         kinds = [graph.node(p).kind for p in graph.node(child).parents]
         if NodeKind.DOCUMENT in kinds:
             doc_children += 1
-        retriever.queue.served.clear()  # keep the corpus inexhaustible
+        retriever.served.clear()  # keep the corpus inexhaustible
     assert abs(doc_children / trials - 0.5) < 0.1
 
 
@@ -561,7 +556,7 @@ def test_greedy_singleton_pair_is_chosen(tmp_path):
     ports = SearchPorts(
         generator=SimulatedGenerator(),
         scorer=TextLengthPairScorer(),
-        retriever=RetrieverPorts(index=index, queue=DocumentQueue(batch_size=1)),
+        retriever=DocumentQueue(index, batch_size=1),
     )
     outcome = greedy_search("q", ports, EpisodeConfig(max_steps=1, stop_threshold=9e9))
     first, second = outcome.graph.node(outcome.graph.generated_ids()[0]).parents

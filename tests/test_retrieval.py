@@ -23,7 +23,6 @@ from thoughtsearch.retrieval import (
     fit_idf_embedder,
     ingest_corpus,
     load_index,
-    queue_next,
     retrieve,
     save_index,
     token_bucket,
@@ -72,6 +71,13 @@ def test_ingest_directory_and_empty_errors(tmp_path):
     assert all(d.word_count <= 10 for d in index.documents)
     with pytest.raises(CorpusError):
         ingest_corpus(tmp_path / "missing", chunk_size=10)
+
+
+def test_ingest_directory_with_non_utf8_file_names_it(tmp_path):
+    (tmp_path / "a.txt").write_text(_words(12), encoding="utf-8")
+    (tmp_path / "b.txt").write_bytes(b"\xff")
+    with pytest.raises(CorpusError, match="b.txt: 'utf-8' codec can't decode"):
+        ingest_corpus(tmp_path, chunk_size=10)
 
 
 def test_embedder_determinism_and_norm():
@@ -257,7 +263,7 @@ def test_queue_refill_pattern_batch2_over_5_docs(tmp_path):
         for i in range(5)
     ]
     index = ingest_corpus(_corpus_file(tmp_path, records), chunk_size=50, dim=64)
-    queue = DocumentQueue(batch_size=2)
+    queue = DocumentQueue(index, batch_size=2)
     provider_calls = []
 
     def provider():
@@ -268,14 +274,14 @@ def test_queue_refill_pattern_batch2_over_5_docs(tmp_path):
     refill_at = []
     for call in range(1, 6):
         before = len(provider_calls)
-        doc = queue_next(queue, index, provider)
+        doc = queue.next(provider)
         if len(provider_calls) > before:
             refill_at.append(call)
         seen.append(doc.doc_id)
     assert refill_at == [1, 3, 5]
     assert len(set(seen)) == 5  # no document served twice
     with pytest.raises(ExhaustedCorpusError):
-        queue_next(queue, index, provider)
+        queue.next(provider)
 
 
 def test_index_round_trip_and_embedder_id_check(tmp_path):
@@ -505,10 +511,10 @@ def test_queue_embeds_each_refill_text_once(tmp_path, monkeypatch):
     embedded = []
     embed = HashedEmbedder.embed
     monkeypatch.setattr(HashedEmbedder, "embed", lambda self, text: embedded.append(text) or embed(self, text))
-    queue = DocumentQueue(batch_size=2)
-    seen = [queue_next(queue, index, lambda: "shared topic").doc_id for _ in range(5)]
+    queue = DocumentQueue(index, batch_size=2)
+    seen = [queue.next(lambda: "shared topic").doc_id for _ in range(5)]
     assert queue.refills == 3 and embedded == ["shared topic"]
     assert seen == want
     with pytest.raises(ExhaustedCorpusError):  # nothing left: no embedding either
-        queue_next(queue, index, lambda: "a new text")
+        queue.next(lambda: "a new text")
     assert embedded == ["shared topic"] and "a new text" not in queue.query_vectors

@@ -463,7 +463,7 @@ def test_estimator_memo_is_exact_and_embeds_each_text_once():
 
 def test_greedy_search_memo_keeps_calls_and_trace(small_index):
     from thoughtsearch.graph import EpisodeConfig
-    from thoughtsearch.mcts import RetrieverPorts, SearchPorts, greedy_search
+    from thoughtsearch.mcts import SearchPorts, greedy_search
     from thoughtsearch.retrieval import DocumentQueue
     from thoughtsearch.trace import graph_to_record, trace_text
 
@@ -473,7 +473,7 @@ def test_greedy_search_memo_keeps_calls_and_trace(small_index):
         ports = SearchPorts(
             generator=SimulatedGenerator(),
             scorer=scorer,
-            retriever=RetrieverPorts(index=small_index, queue=DocumentQueue(batch_size=2)),
+            retriever=DocumentQueue(small_index, batch_size=2),
         )
         outcome = greedy_search(
             "need:k1 need:k4 question", ports, EpisodeConfig(max_steps=6, stop_threshold=2.0)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from thoughtsearch.errors import SchemaError
 from thoughtsearch.generate import SimulatedGenerator
 from thoughtsearch.graph import Action, EpisodeConfig, NodeKind, new_process
-from thoughtsearch.mcts import RetrieverPorts, SearchPorts, run_search
+from thoughtsearch.mcts import SearchPorts, run_search
 from thoughtsearch.retrieval import DocumentQueue
 from thoughtsearch.trace import (
     dump_trace,
@@ -92,7 +92,7 @@ def test_record_to_graph_rebuilds_thought_ids(small_index):
     ports = SearchPorts(
         generator=SimulatedGenerator(),
         scorer=ConstantScorer(0.0),
-        retriever=RetrieverPorts(index=small_index, queue=DocumentQueue(batch_size=2)),
+        retriever=DocumentQueue(small_index, batch_size=2),
     )
     outcome = run_search("q", ports, EpisodeConfig(max_steps=8, stop_threshold=0.9, p_doc=0.6))
     graph = outcome.graph
@@ -198,7 +198,7 @@ def test_trace_text_matches_json_dumps_on_search_traces(small_index):
     ports = SearchPorts(
         generator=SimulatedGenerator(),
         scorer=ConstantScorer(0.1),
-        retriever=RetrieverPorts(index=small_index, queue=DocumentQueue(batch_size=2)),
+        retriever=DocumentQueue(small_index, batch_size=2),
     )
     outcome = run_search("need:k0 q", ports, EpisodeConfig(max_steps=12, stop_threshold=0.9, p_doc=0.5))
     record = graph_to_record(outcome.graph, outcome)
