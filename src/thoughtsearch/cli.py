@@ -70,8 +70,10 @@ def _generator(config: EngineConfig, templates: TemplateSet):
 
 
 def _ports(config: EngineConfig, need_index: bool = False, need_model: bool = False) -> EnginePorts:
+    """Load every file the config names, then fail on a required one it
+    does not name."""
     templates = _templates(config)
-    index = None
+    index = model = embedder = None
     if config.index_file:
         index = load_index(config.index_file)
         if index.embedder.dim != config.retrieval.embed_dim:
@@ -79,14 +81,12 @@ def _ports(config: EngineConfig, need_index: bool = False, need_model: bool = Fa
                 f"index embedding dimension {index.embedder.dim} does not match "
                 f"configured retrieval.embed_dim {config.retrieval.embed_dim}"
             )
-    elif need_index:
-        raise ConfigError("this command requires index_file (or --index)")
-    model = None
-    embedder = None
     if config.model_file:
         embedder = harness.scoring_embedder(config)
         model = load_model(config.model_file, expected_embedder_id=embedder.embedder_id)
-    elif need_model:
+    if need_index and index is None:
+        raise ConfigError("this command requires index_file (or --index)")
+    if need_model and model is None:
         raise ConfigError("estimation methods require model_file (or --model)")
     return EnginePorts(
         generator=_generator(config, templates),
@@ -128,7 +128,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_args_config(args)
     method = Method(args.method)
-    ports = _ports(config, need_model=harness.PLANS[method].scorer == "estimation")
+    plan = harness.PLANS[method]
+    ports = _ports(config, need_index=plan.retrieves, need_model=plan.scorer == "estimation")
     task = _TASK_FOR_MODE[config.task_mode]
     example = QAExample(
         query_id="run",

@@ -12,10 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -98,18 +99,64 @@ class HashedEmbedder:
         return vec / norm if norm else vec
 
 
-def fit_idf_embedder(texts: Iterable[str], dim: int) -> HashedEmbedder:
-    """Build a hashed embedder with smooth IDF weights from a chunk corpus."""
-    doc_freq: Counter[str] = Counter()
-    n_docs = 0
+class _Tallies(NamedTuple):
+    """Every chunk's token counts, flat: chunk i has `sizes[i]` entries,
+    each a token's id in `vocab` and its count, in Counter order."""
+
+    vocab: dict[str, int]
+    ids: np.ndarray
+    counts: np.ndarray
+    sizes: np.ndarray
+
+
+def _tally(texts: Iterable[str]) -> _Tallies:
+    """Tokenize each text once, into compact arrays rather than one Counter
+    per text kept alive."""
+    vocab: dict[str, int] = {}
+    ids, counts, sizes = array("q"), array("d"), array("q")
     for text in texts:
-        n_docs += 1
-        doc_freq.update(set(_tokens(text)))
+        tally = Counter(_tokens(text))
+        ids.extend(vocab.setdefault(token, len(vocab)) for token in tally)
+        counts.extend(tally.values())
+        sizes.append(len(tally))
+    return _Tallies(
+        vocab,
+        np.asarray(ids, dtype=np.int64),
+        np.asarray(counts, dtype=np.float64),
+        np.asarray(sizes, dtype=np.int64),
+    )
+
+
+def _fit_idf(tallies: _Tallies, dim: int) -> HashedEmbedder:
+    """Smooth IDF weights; a token's document frequency is the number of
+    chunks whose tally holds it."""
+    n_docs = len(tallies.sizes)
+    doc_freq = zip(tallies.vocab, np.bincount(tallies.ids, minlength=len(tallies.vocab)).tolist())
     idf = {
         token: math.log((1.0 + n_docs) / (1.0 + df)) + 1.0
-        for token, df in sorted(doc_freq.items())
+        for token, df in sorted(doc_freq)
     }
     return HashedEmbedder(dim=dim, idf=idf, n_docs=n_docs)
+
+
+def fit_idf_embedder(texts: Iterable[str], dim: int) -> HashedEmbedder:
+    """Build a hashed embedder with smooth IDF weights from a chunk corpus."""
+    return _fit_idf(_tally(texts), dim)
+
+
+def _embed_tallies(embedder: HashedEmbedder, tallies: _Tallies) -> np.ndarray:
+    """One row per chunk, bit-equal to `embedder.embed` of its text: the same
+    `count * weight` terms, added into each row in the same (Counter) order by
+    one `np.add.at`, then each row divided by the same `np.linalg.norm`. Every
+    token is in the embedder's vocabulary, which was fitted on these chunks."""
+    # Each vocabulary token's bucket and weight, at its id.
+    bucket, weight = map(np.array, zip(*(embedder._terms[token] for token in tallies.vocab)))
+    rows = np.repeat(np.arange(len(tallies.sizes)), tallies.sizes)
+    embeddings = np.zeros((len(tallies.sizes), embedder.dim), dtype=np.float64)
+    np.add.at(embeddings, (rows, bucket[tallies.ids]), tallies.counts * weight[tallies.ids])
+    norms = np.fromiter(map(np.linalg.norm, embeddings), np.float64, len(embeddings))
+    embeddings /= np.where(norms == 0.0, 1.0, norms)[:, None]
+    return embeddings
 
 
 @dataclass
@@ -211,9 +258,11 @@ def ingest_corpus(
             )
     if not documents:
         raise CorpusError(f"corpus at {source} produced no chunks")
-    embedder = fit_idf_embedder((d.text for d in documents), dim=dim)
-    embeddings = np.stack([embedder.embed(d.text) for d in documents])
-    return CorpusIndex(documents=documents, embeddings=embeddings, embedder=embedder)
+    tallies = _tally(d.text for d in documents)
+    embedder = _fit_idf(tallies, dim)
+    return CorpusIndex(
+        documents=documents, embeddings=_embed_tallies(embedder, tallies), embedder=embedder
+    )
 
 
 def retrieve(

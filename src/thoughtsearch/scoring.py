@@ -166,18 +166,20 @@ def _compile_forest(trees: Sequence[_Tree], learning_rate: float) -> _Forest:
     )
 
 
-_SPLIT_BLOCK = 1 << 12  # (feature, row) cells scored at once by _best_split
+_SPLIT_BLOCK = 1 << 16  # (feature, row) cells scored at once by _best_split
 
 
 def _best_split(
-    XT: np.ndarray, y: np.ndarray, order: np.ndarray, total: float, min_leaf: int
+    y: np.ndarray, order: np.ndarray, xs: np.ndarray, total: float, min_leaf: int
 ) -> tuple[int, float] | None:
     """Exact greedy split maximizing the reduction in squared error.
 
     Row f of `order` lists a node's rows in stable ascending order of
-    feature f (the values XT[f]); `total` is the sum of y over those rows.
-    Features are scored a block at a time, so the temporaries stay small,
-    and ties between features go to the first one.
+    feature f, and row f of `xs` holds their values of feature f; `total`
+    is the sum of y over those rows. A cut is valid only between two
+    distinct values, so the gain is computed only there. Features are
+    scored a block at a time, so the temporaries stay small, and ties
+    between features go to the first one.
     """
     n = order.shape[1]
     if n < max(2, 2 * min_leaf):
@@ -187,27 +189,33 @@ def _best_split(
     best_gain, best = 0.0, None
     step = max(1, _SPLIT_BLOCK // n)
     for start in range(0, len(order), step):
-        rows = order[start : start + step]
-        xs = np.take_along_axis(XT[start : start + step], rows, axis=1)
-        left_sum = np.cumsum(y[rows], axis=1)[:, :-1]
-        valid = xs[:, :-1] < xs[:, 1:]
+        block = xs[start : start + step]
+        valid = block[:, :-1] < block[:, 1:]
         if min_leaf > 1:
             valid &= (left_n >= min_leaf) & (n - left_n >= min_leaf)
+        cells = np.flatnonzero(valid)
+        if not len(cells):
+            continue
+        feat, cut = np.divmod(cells, n - 1)
+        left_sum = np.cumsum(y.take(order[start : start + step]), axis=1)[feat, cut]
+        size = left_n[cut]
         right_sum = total - left_sum
         # left_sum**2 / left_n + right_sum**2 / (n - left_n) - base, the
         # same operations in the same order, in place.
         gain = np.square(left_sum, out=left_sum)
-        gain /= left_n
+        gain /= size
         np.square(right_sum, out=right_sum)
-        right_sum /= n - left_n
+        right_sum /= n - size
         gain += right_sum
         gain -= base
-        gain[~valid] = -np.inf
-        cut = np.argmax(gain, axis=1)
-        for f, g in enumerate(gain[np.arange(len(cut)), cut].tolist()):
+        # Each feature's valid cuts are one run of `gain`; score its peak.
+        firsts = np.flatnonzero(np.diff(feat, prepend=-1))
+        ends = [*firsts[1:].tolist(), len(gain)]
+        for s, e, g in zip(firsts.tolist(), ends, np.maximum.reduceat(gain, firsts).tolist()):
             if g > best_gain + 1e-12:
                 best_gain = g
-                best = (start + f, _split_threshold(xs[f, cut[f]], xs[f, cut[f] + 1]))
+                f, c = int(feat[s]), int(cut[s + np.argmax(gain[s:e])])
+                best = (start + f, _split_threshold(block[f, c], block[f, c + 1]))
     return best
 
 
@@ -221,19 +229,24 @@ def _split_threshold(lo: float, hi: float) -> float:
 
 
 def _fit_tree(
-    X: np.ndarray, y: np.ndarray, order: np.ndarray, max_depth: int, min_leaf: int
+    XT: np.ndarray,
+    y: np.ndarray,
+    order: np.ndarray,
+    xs: np.ndarray,
+    max_depth: int,
+    min_leaf: int,
 ) -> tuple[_Tree, np.ndarray]:
-    """Fit one tree; also return each training row's leaf value.
+    """Fit one tree on the feature-major inputs XT; also return each
+    training row's leaf value.
 
     `order` is (n_features, n_rows): each feature's rows in stable ascending
-    order of that feature. Each node keeps the part of it that covers its own
-    rows; since those rows ascend, that is exactly a fresh stable argsort of
-    the node's rows."""
+    order of that feature, and `xs` their values. Each node keeps the part
+    of both that covers its own rows; since those rows ascend, that is
+    exactly a fresh stable argsort of the node's rows and its sorted values."""
     feature, threshold, left, right, value = [], [], [], [], []
     fitted = np.empty(len(y), dtype=np.float64)
-    XT = np.ascontiguousarray(X.T)
 
-    def build(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
+    def build(rows: np.ndarray, order: np.ndarray, xs: np.ndarray, depth: int) -> int:
         node_id = len(feature)
         feature.append(-1)
         threshold.append(0.0)
@@ -241,23 +254,30 @@ def _fit_tree(
         right.append(-1)
         value.append(float(y[rows].mean()))
         if depth < max_depth:
-            split = _best_split(XT, y, order, y[rows].sum(), min_leaf)
+            split = _best_split(y, order, xs, y[rows].sum(), min_leaf)
             if split is not None:
                 f, t = split
                 goes_left = XT[f] <= t
                 mask, in_left = goes_left[rows], goes_left[order]
                 feature[node_id] = f
                 threshold[node_id] = t
-                width = int(mask.sum())
-                left[node_id] = build(rows[mask], order[in_left].reshape(-1, width), depth + 1)
-                right[node_id] = build(
-                    rows[~mask], order[~in_left].reshape(-1, len(rows) - width), depth + 1
-                )
+                # Flat cell indices and take: faster than 2-D boolean masks.
+                shape = (len(order), -1)
+                children = [
+                    (rows[side], order.take(cells).reshape(shape), xs.take(cells).reshape(shape))
+                    for side, cells in (
+                        (mask, np.flatnonzero(in_left)),
+                        (~mask, np.flatnonzero(~in_left)),
+                    )
+                ]
+                del order, xs, in_left  # the children's parts replace them
+                left[node_id] = build(*children[0], depth + 1)
+                right[node_id] = build(*children[1], depth + 1)
                 return node_id
         fitted[rows] = value[node_id]
         return node_id
 
-    build(np.arange(len(y)), order, 0)
+    build(np.arange(len(y)), order, xs, 0)
     tree = _Tree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -292,10 +312,12 @@ class GradientBoostedRegressor:
         self.base = float(y.mean())
         self.trees = []
         current = np.full(len(y), self.base)
-        order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+        XT = np.ascontiguousarray(X.T)
+        order = np.argsort(XT, axis=1, kind="stable")
+        xs = np.take_along_axis(XT, order, axis=1)
         for _ in range(self.n_rounds):
             residual = y - current
-            tree, fitted = _fit_tree(X, residual, order, self.max_depth, self.min_leaf)
+            tree, fitted = _fit_tree(XT, residual, order, xs, self.max_depth, self.min_leaf)
             self.trees.append(tree)
             current += self.learning_rate * fitted
         self._forest = _compile_forest(self.trees, self.learning_rate)
@@ -407,26 +429,28 @@ def threshold_fit(scores: Sequence[float], labels: Sequence[int]) -> float:
 
     Candidates are the distinct observed scores. Precision ties break toward
     higher recall, then toward the higher threshold, so perfectly separated
-    data yields the smallest positive score.
+    data yields the smallest positive score. One descending sort gives every
+    candidate's true and false positives as prefix counts at the last of
+    its equal scores.
     """
     if len(scores) != len(labels):
         raise ConfigError("scores and labels must have equal length")
-    if not scores:
+    if not len(scores):
         raise ConfigError("threshold_fit requires at least one sample")
-    if not any(label == 1 for label in labels):
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    if not (labels == 1).any():
         raise ConfigError("threshold_fit requires at least one positive label")
-    pairs = list(zip(scores, labels))
-    n_pos = sum(label for _, label in pairs)
-    best = None
-    for candidate in sorted(set(scores)):
-        tp = sum(1 for s, label in pairs if s >= candidate and label == 1)
-        fp = sum(1 for s, label in pairs if s >= candidate and label == 0)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / n_pos
-        key = (precision, recall, candidate)
-        if best is None or key > best[0]:
-            best = (key, candidate)
-    return float(best[1])
+    ranked = np.argsort(-scores, kind="stable")
+    ranked_scores = scores[ranked]
+    last = np.flatnonzero(np.append(ranked_scores[:-1] != ranked_scores[1:], True))
+    tp = np.cumsum(labels[ranked] == 1)[last]
+    fp = np.cumsum(labels[ranked] == 0)[last]
+    # The first of equal scores stands for them all, as in a set (0.0, -0.0).
+    candidate = ranked_scores[np.append(0, last[:-1] + 1)]
+    precision = tp / (tp + fp)
+    recall = tp / labels.sum()
+    best = np.lexsort((candidate, recall, precision))[-1]
+    return float(candidate[best])
 
 
 def train_estimator(
@@ -483,7 +507,7 @@ def train_estimator(
 
     bin_labels = [int(label >= 0.5) for label in y[train_idx]]
     if any(bin_labels):
-        threshold = threshold_fit([float(p) for p in train_pred], bin_labels)
+        threshold = threshold_fit(train_pred, bin_labels)
     else:
         log.warning("no positive labels in the training split; threshold set to 1.0")
         threshold = 1.0

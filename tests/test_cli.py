@@ -322,15 +322,27 @@ def test_run_missing_model_is_config_error(workspace):
     )
 
 
-def test_http_backend_without_endpoint_is_config_error(workspace, tmp_path):
-    tmp, *_ = workspace
+def test_run_retrieving_method_without_index_is_config_error(tmp_path, capsys):
+    """`run` fails closed, as `eval` does, rather than searching without
+    retrieval; a method that does not retrieve needs no index."""
+    argv = ["run", "--mode", "simulated", "--query", "need:k0", "--max-steps", "2"]
+    argv += ["--trace", str(tmp_path / "trace.json")]
+    assert main([*argv, "--method", "mcts_self_critic"]) == 2
+    assert "requires index_file" in capsys.readouterr().err
+    assert main([*argv, "--method", "mcts_oracle", "--gold", "x"]) == 2
+    assert main([*argv, "--method", "mcts_oracle_no_ir", "--gold", "x"]) == 0
+
+
+def test_http_backend_without_endpoint_is_config_error(workspace, tmp_path, capsys):
+    *_, index, _model = workspace
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"task_mode": "simulated", "generator": {"backend": "http"}}))
-    assert main(["run", "--config", str(config), "--query", "q"]) == 2
+    assert main(["run", "--config", str(config), "--query", "q", "--index", str(index)]) == 2
+    assert "endpoint" in capsys.readouterr().err
 
 
 def test_unreachable_endpoint_is_transport_error(workspace, tmp_path):
-    tmp, *_ = workspace
+    *_, index, _model = workspace
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps(
@@ -345,7 +357,7 @@ def test_unreachable_endpoint_is_transport_error(workspace, tmp_path):
             }
         )
     )
-    assert main(["run", "--config", str(config), "--query", "q"]) == 3
+    assert main(["run", "--config", str(config), "--query", "q", "--index", str(index)]) == 3
 
 
 def test_eval_all_methods_writes_eight_reports(workspace, tmp_path):

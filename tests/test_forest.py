@@ -205,16 +205,35 @@ def reference_fit(X, y, n_rounds, max_depth, min_leaf, learning_rate=0.1):
 def test_presorted_fit_grows_reference_trees(
     data, n_rows, n_features, max_depth, min_leaf, n_rounds, block
 ):
-    # Few distinct values give tied feature values and tied gains.
+    # Few distinct values give tied feature values and tied gains. Mostly-0.0
+    # columns, like hashed TF-IDF features, leave few valid cuts, and nodes
+    # whose rows all agree have none; a constant column has none anywhere.
     value = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-3, 3, allow_nan=False)
-    row = st.lists(value, min_size=n_features, max_size=n_features)
-    X = np.asarray(data.draw(st.lists(row, min_size=n_rows, max_size=n_rows)))
+    sparse = st.sampled_from([0.0] * 6 + [0.5, 1.0])
+    columns = []
+    for _ in range(n_features):
+        kind = data.draw(st.sampled_from(["dense", "sparse", "constant"]))
+        if kind == "constant":
+            columns.append([data.draw(value)] * n_rows)
+        else:
+            cell = value if kind == "dense" else sparse
+            columns.append(data.draw(st.lists(cell, min_size=n_rows, max_size=n_rows)))
+    X = np.asarray(columns).T
     target = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0, 1)
     y = np.asarray(data.draw(st.lists(target, min_size=n_rows, max_size=n_rows)))
     model = GradientBoostedRegressor(n_rounds=n_rounds, max_depth=max_depth, min_leaf=min_leaf)
     with mock.patch.object(scoring, "_SPLIT_BLOCK", block):
         model.fit(X, y)
     assert model.to_dict()["trees"] == reference_fit(X, y, n_rounds, max_depth, min_leaf)
+
+
+def test_gain_ties_go_to_the_first_cut_of_the_first_feature():
+    # Cuts after row 0 and after row 2 both gain 1/3, in both equal columns.
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    y = np.array([1.0, 0.0, 0.0, 1.0])
+    model = GradientBoostedRegressor(n_rounds=1, max_depth=1, learning_rate=1.0).fit(X, y)
+    assert (model.trees[0].feature[0], model.trees[0].threshold[0]) == (0, 0.5)
+    assert model.to_dict()["trees"] == reference_fit(X, y, 1, 1, 1, learning_rate=1.0)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 """Golden digests: rows and trace bytes of every planning method and of the
-random-pairing control on a small seeded simulated suite, pinned to the
-values the engine has produced since these planners' behaviour was last
-changed on purpose. A speed-up or refactor that moves either digest changed
-behaviour; update the pins only for a change that says so."""
+random-pairing control on a small seeded simulated suite, and the bytes of
+the suite's index and estimator model files, pinned to the values the
+engine has produced since these planners' behaviour was last changed on
+purpose. A speed-up or refactor that moves any digest changed behaviour;
+update the pins only for a change that says so."""
 
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from thoughtsearch.harness import (
     scoring_embedder,
     train_scorer,
 )
-from thoughtsearch.retrieval import ingest_corpus
+from thoughtsearch.retrieval import ingest_corpus, save_index
+from thoughtsearch.scoring import save_model
 from thoughtsearch.templates import TemplateSet
 from thoughtsearch.trace import graph_to_record, trace_text
 
@@ -58,6 +60,11 @@ GOLDEN = {  # id: (method, rows sha256, trace bytes sha256)
 }
 
 
+# sha256 of the fixture's index file (save_index) and model file (save_model).
+INDEX_FILE_SHA256 = "c844447c257a924fce661032866dcf9b73a4466f1cae3c278d4cc457ec5fa956"
+MODEL_FILE_SHA256 = "05eb63def41520205ae0b5b001e460ef28fbfb907971c98d63f982f1cf481b1e"
+
+
 @pytest.fixture(scope="module")
 def engine(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("golden")
@@ -92,3 +99,14 @@ def test_rows_and_trace_bytes_match_golden_digests(engine, case):
             f"{r.terminated_by}|{r.answer}|{r.error}\n".encode("utf-8")
         )
     assert [rows.hexdigest(), traces.hexdigest()] == golden
+
+
+def test_index_and_model_files_match_golden_digests(engine, tmp_path):
+    _, ports, _ = engine
+    save_index(ports.index, tmp_path / "index.bin")
+    save_model(ports.scorer_model, tmp_path / "model.json")
+    digests = [
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("index.bin", "model.json")
+    ]
+    assert digests == [INDEX_FILE_SHA256, MODEL_FILE_SHA256]

@@ -10,7 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thoughtsearch.errors import CorpusError, ExhaustedCorpusError, SchemaError
@@ -120,6 +120,36 @@ def test_embed_matches_reference(corpus, queries, dim):
         for embedder in (fitted, unfitted):
             got, want = embedder.embed(text), _reference_embed(embedder, text)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(
+    records=st.lists(
+        st.lists(_vocab | st.sampled_from(["ALPHA", "alpha", "a"]), min_size=1, max_size=40).map(" ".join),
+        min_size=1,
+        max_size=6,
+    ),
+    chunk_size=st.integers(1, 12),
+    dim=st.sampled_from([1, 7, 64]),
+)
+# theta, zeta and delta share bucket 1 at dim 7: their sum changes in the
+# last bit when added in another order.
+@example(
+    records=["theta epsilon alpha alpha gamma eta alpha eta", "beta theta zeta alpha zeta theta delta"],
+    chunk_size=12,
+    dim=7,
+)
+@settings(max_examples=100, deadline=None)
+def test_ingested_rows_equal_embed_bit_for_bit(tmp_path_factory, records, chunk_size, dim):
+    """ingest_corpus embeds all chunks at once, and queries go through
+    embed: every row must be embed's vector of its chunk, to the bit.
+    Repeated and case-folded tokens give counts above one, and at dims 1
+    and 7 distinct tokens share buckets."""
+    tmp_path = tmp_path_factory.mktemp("ingest")
+    corpus = _corpus_file(tmp_path, [{"source_id": f"s{i}", "text": t} for i, t in enumerate(records)])
+    index = ingest_corpus(corpus, chunk_size=chunk_size, dim=dim)
+    assert index.embeddings.shape == (len(index.documents), dim)
+    for doc, row in zip(index.documents, index.embeddings):
+        assert row.tobytes() == index.embedder.embed(doc.text).tobytes()
 
 
 def test_term_table_is_not_part_of_equality_or_repr():

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thoughtsearch.errors import CapabilityError, ConfigError, SchemaError
@@ -153,6 +153,41 @@ def test_threshold_fit_prefers_precision_then_recall():
     scores = [0.5, 0.6, 0.8]
     labels = [1, 0, 1]
     assert threshold_fit(scores, labels) == 0.8
+
+
+def reference_threshold_fit(scores, labels):
+    """Every distinct score tried in turn, counting all samples for each."""
+    pairs = list(zip(scores, labels))
+    n_pos = sum(label for _, label in pairs)
+    best = None
+    for candidate in sorted(set(scores)):
+        tp = sum(1 for s, label in pairs if s >= candidate and label == 1)
+        fp = sum(1 for s, label in pairs if s >= candidate and label == 0)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / n_pos
+        key = (precision, recall, candidate)
+        if best is None or key > best[0]:
+            best = (key, candidate)
+    return float(best[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 40),
+    one_positive=st.booleans(),
+)
+def test_threshold_fit_matches_reference_loop(data, n, one_positive):
+    # Few distinct scores give duplicates and precision/recall ties; 0.0 and
+    # -0.0 are one candidate, stood for by the first of them.
+    score = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(-2, 2, allow_nan=False)
+    scores = data.draw(st.lists(score, min_size=n, max_size=n))
+    if one_positive:  # all negative but one
+        labels = [0] * n
+    else:
+        labels = data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    labels[data.draw(st.integers(0, n - 1))] = 1
+    assert repr(threshold_fit(scores, labels)) == repr(reference_threshold_fit(scores, labels))
 
 
 def test_threshold_fit_errors():
