@@ -19,6 +19,8 @@ from .graph import EpisodeConfig
 
 TASK_MODES = ("boolq", "emrqa", "simulated")
 SCORER_KINDS = ("oracle", "self_critic", "estimation")
+QUERY_MODES = ("raw", "formulated")
+ORACLE_METRICS = ("exact", "token_f1")
 
 ENV_ENDPOINT = "THOUGHTSEARCH_ENDPOINT"
 ENV_API_KEY = "THOUGHTSEARCH_API_KEY"
@@ -42,6 +44,12 @@ class RetrievalConfig:
     embed_dim: int = 256
     query_mode: str = "formulated"  # "formulated" | "raw"
 
+    def __post_init__(self):
+        if self.query_mode not in QUERY_MODES:
+            raise ConfigError(
+                f"retrieval.query_mode must be one of {QUERY_MODES}, got {self.query_mode!r}"
+            )
+
 
 @dataclass
 class ScoringConfig:
@@ -51,6 +59,13 @@ class ScoringConfig:
     gbrt_learning_rate: float = 0.1
     holdout_fraction: float = 0.2
     oracle_metric: str = "exact"  # "exact" | "token_f1"
+
+    def __post_init__(self):
+        if self.oracle_metric not in ORACLE_METRICS:
+            raise ConfigError(
+                f"scoring.oracle_metric must be one of {ORACLE_METRICS}, "
+                f"got {self.oracle_metric!r}"
+            )
 
     def regressor_config(self) -> dict:
         return {

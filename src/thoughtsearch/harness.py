@@ -408,28 +408,31 @@ def load_examples(
     path: str | Path,
     split: str | None = None,
     limit: int | None = None,
-    mg_answers_only: bool = False,
 ) -> list[QAExample]:
     """Read the newline-delimited example format.
 
     Fields: query (required), answers (list or string), task, id, filter_key,
-    split. mg_answers_only keeps only examples whose every answer looks like
-    'X mg' with X a number (the extractive dosage task's loader filter).
-    An unreadable file or a malformed line raises SchemaError.
+    split. An id names the example's trace file, so it must be a usable file
+    name and unique in the file. An unreadable file or a malformed line raises
+    SchemaError.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read examples file {path}: {exc}") from exc
     examples = []
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        example = _parse_example(line, f"{path}:{lineno}", default_id=f"q{lineno:05d}")
-        if mg_answers_only and not all(
-            parse_quantity_mg(a) == a for a in example.gold_answers
-        ):
-            continue
+        where = f"{path}:{lineno}"
+        example = _parse_example(line, where, default_id=f"q{lineno:05d}")
+        query_id = example.query_id
+        if query_id in ("", ".", "..") or any(c in query_id for c in "/\\\0"):
+            raise SchemaError(f"{where}: field 'id' {query_id!r} is not a usable file name")
+        if query_id in seen:
+            raise SchemaError(f"{where}: id {query_id!r} repeats the id of line {seen[query_id]}")
+        seen[query_id] = lineno
         if split is not None and example.split != split:
             continue
         examples.append(example)

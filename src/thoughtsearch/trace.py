@@ -5,9 +5,7 @@ after the fact.
 
 from __future__ import annotations
 
-import functools
 import json
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import SchemaError
@@ -99,74 +97,9 @@ def dump_trace(record: dict, path: str | Path) -> None:
 
 
 def trace_text(record: dict) -> str:
-    """The record as json.dumps(record, indent=2, sort_keys=True) + "\\n"
-    writes it, byte for byte, without json's pure-Python indenting encoder.
-
-    Strings go through json's own (C) escaper and floats through
-    float.__repr__; each dict is laid out by one cached %-template per key
-    set and depth. Keys must be strings, as in every trace record.
-    """
-    return _json_text(record, 0) + "\n"
-
-
-_INFINITY = float("inf")
-
-
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-@functools.lru_cache(maxsize=256)
-def _dict_template(keys: tuple[str, ...], depth: int) -> tuple[tuple[str, ...], str]:
-    """The sorted keys and the %-template of a dict with these keys at this
-    depth: one "key": value line per key, indented two spaces per level."""
-    order = tuple(sorted(keys))
-    line = "\n" + "  " * (depth + 1)
-    body = ",".join(line + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in order)
-    return order, "{" + body + "\n" + "  " * depth + "}"
-
-
-def _dict_text(value: dict, depth: int) -> str:
-    if not value:
-        return "{}"
-    keys, template = _dict_template(tuple(value), depth)
-    return template % tuple([_json_text(value[key], depth + 1) for key in keys])
-
-
-def _list_text(value: list | tuple, depth: int) -> str:
-    if not value:
-        return "[]"
-    line = "\n" + "  " * (depth + 1)
-    items = ("," + line).join([_json_text(item, depth + 1) for item in value])
-    return "[" + line + items + "\n" + "  " * depth + "]"
-
-
-_TEXT_BY_TYPE = {
-    str: lambda value, depth: encode_basestring_ascii(value),
-    int: lambda value, depth: int.__repr__(value),
-    float: lambda value, depth: _float_text(value),
-    list: _list_text,
-    tuple: _list_text,
-    dict: _dict_text,
-    bool: lambda value, depth: "true" if value else "false",
-    type(None): lambda value, depth: "null",
-}
-
-
-def _json_text(value, depth: int) -> str:
-    writer = _TEXT_BY_TYPE.get(type(value))
-    if writer is None:  # a subclass: json.dumps tests the bases in this order
-        base = next((t for t in (str, int, float, list, tuple, dict) if isinstance(value, t)), None)
-        if base is None:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        writer = _TEXT_BY_TYPE[base]
-    return writer(value, depth)
+    """The record as canonical compact JSON: sorted keys, no whitespace, one
+    trailing newline."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def load_trace(path: str | Path) -> dict:

@@ -218,8 +218,10 @@ _GOOD_EXAMPLE = '{"id": "ok", "query": "need:k0 q", "answers": ["v"], "split": "
         ('{"answers": ["v"], "split": "train"}', "'query'"),
         ('{"query": "q", "answers": ["v"], "task": "nope", "split": "train"}', "'task'"),
         ('{"query": "q", "answers": [], "split": "train"}', "'answers'"),
+        ('{"id": "a/b", "query": "q", "answers": ["v"], "split": "train"}', "'a/b' is not a usable file name"),
+        ('{"id": "ok", "query": "q", "answers": ["v"], "split": "train"}', "repeats the id of line 1"),
     ],
-    ids=["bad_json", "not_an_object", "missing_query", "unknown_task", "empty_answers"],
+    ids=["bad_json", "not_an_object", "missing_query", "unknown_task", "empty_answers", "path_id", "repeated_id"],
 )
 @pytest.mark.parametrize("command", ["eval", "train-scorer"])
 def test_malformed_example_line_is_config_error(workspace, tmp_path, capsys, command, bad_line, field):
@@ -551,6 +553,12 @@ _MALFORMED_INPUTS = {
     "config_scoring_regressor": ("run", '{"scoring": {"regressor": "gbrt"}}', 2, "regressor"),
     "config_scoring_ridge_alpha": ("run", '{"scoring": {"ridge_alpha": 1.0}}', 2, "ridge_alpha"),
     "config_scorer": ("run", '{"scorer": "self_critic"}', 2, "unknown config field 'scorer'"),
+    "config_query_mode": (
+        "run", '{"retrieval": {"query_mode": "formulate"}}', 2, "retrieval.query_mode must be one of"
+    ),
+    "config_oracle_metric": (
+        "run", '{"scoring": {"oracle_metric": "f1"}}', 2, "scoring.oracle_metric must be one of"
+    ),
     "config_not_utf8": ("run", b"\xff", 2, _NOT_UTF8),
     "model_not_utf8": ("run-model", b"\xff", 2, _NOT_UTF8),
     "templates_not_utf8": ("run-templates", b"\xff", 2, _NOT_UTF8),

@@ -30,32 +30,32 @@ GOLDEN = {  # id: (method, rows sha256, trace bytes sha256)
     "mcts_self_critic": (
         Method.MCTS_SELF_CRITIC,
         "d8fefd22832cb33e334e15960621df0eab2578320d85b2d2336768d6687e429a",
-        "c17fa760a2e9ba5061553ecb240228ecc1a666af5a1dab22b72578cba857ad1e",
+        "300ebf372842cb6bc6c72f147c3de5b648b6c435dffa70efeec2359591067666",
     ),
     "mcts_oracle": (
         Method.MCTS_ORACLE,
         "d8fefd22832cb33e334e15960621df0eab2578320d85b2d2336768d6687e429a",
-        "c829c139ad3a60c124f0666a920444c0127ca2d01f4be2463be4c2468969d236",
+        "866f37723a956c34701e85e847542b2b42dfcdc3c065de1aa8d62aec7135f9af",
     ),
     "greedy_estimation": (
         Method.GREEDY_ESTIMATION,
         "0c6ef9a3917502bf5796603c65aba35b53c3d9ebebbe58e4618a849f1ebd0458",
-        "37112a7f430f11f6431efb8bd093d56210c4f72cc1549e6c183a26ab3fd56178",
+        "ce1badfbabbf1115e22a4eccdd392e78286dec564f7fb918b1d32cb1dc9b78ac",
     ),
     "mcts_estimation": (
         Method.MCTS_ESTIMATION,
         "9c153a00b56453395753f4c1460ba7eddb5f0e45dceefb2123280e632c80deaf",
-        "70bdbbc814a7c332e66ebc4eee1906474bbf1e81e86f85aba5cbd7a8dbd38233",
+        "100e94521ff6ceec2f45d836c0230bb9fc9ad2b9b6b9ddee8ce1cab835fa4cc5",
     ),
     "mcts_oracle_no_ir": (
         Method.MCTS_ORACLE_NO_IR,
         "aa5c88d5c70836be0fd60eddb48e2d5246511a3bc80f1dc22b94b7311057fdd6",
-        "d4f71bac8ce41585485c5e25c666e81986104c0f5348f4c0bbf8594ad69a7fa7",
+        "6bea43802e42a321b54e86818c9c542975b6da5b17d3b7bfa7db5b291ae4970d",
     ),
     "random_control": (
         Method.RANDOM_CONTROL,
         "7c0d3f4d523376dbc5be975168cdab80f35dbb027087f7730e4bdcfd321565da",
-        "2bda482aeac205ea40ee2c0bb7a7da19d0911d1f81afb9d91eaf7c90e73e60dc",
+        "3025e41b61bc021b57370af17865cf07d221ec3db3b31993d48812e5a046b781",
     ),
 }
 

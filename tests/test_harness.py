@@ -198,8 +198,6 @@ def test_load_examples_loaders(tmp_path):
     assert examples[0].gold_answers == ["1"]
     assert examples[1].gold_answers == ["0"]
     assert load_examples(path, split="train")[0].query_id == "a"
-    mg_only = load_examples(path, mg_answers_only=True)
-    assert [e.query_id for e in mg_only if e.task == Task.EXTRACTIVE_MG] == ["c"]
     assert load_examples(path, limit=2) == examples[:2]
 
 
@@ -210,12 +208,26 @@ def test_load_examples_loaders(tmp_path):
         ({"query": "q", "answers": {"a": 1}}, "'answers'"),
         ({"query": 7, "answers": ["v"]}, "'query'"),
         ({"query": "q", "answers": ["v"], "filter_key": ["k"]}, "'filter_key'"),
+        *[({"id": bad, "query": "q", "answers": ["v"]}, "'id'") for bad in ["", ".", "..", "a/b", "a\\b", "a\0b"]],
     ],
 )
 def test_load_examples_names_line_and_field(tmp_path, record, field):
     path = write_jsonl(tmp_path / "examples.jsonl", [{"query": "fine", "answers": ["v"]}, record])
     with pytest.raises(SchemaError, match=rf"examples.jsonl:2: field {field}"):
         load_examples(path)
+
+
+@pytest.mark.parametrize("first, second", [("a", "a"), (7, "7"), (None, "q00001")])
+def test_load_examples_rejects_a_repeated_id_naming_both_lines(tmp_path, first, second):
+    """Each id names one trace file, so a repeat (after str(), or of the
+    q<line> default) would lose a trace."""
+    records = [{"query": "q", "answers": ["v"]}, {"id": "other", "query": "q", "answers": ["v"]}]
+    if first is not None:
+        records[0]["id"] = first
+    records.append({"id": second, "query": "q", "answers": ["v"], "split": "train"})
+    path = write_jsonl(tmp_path / "examples.jsonl", records)
+    with pytest.raises(SchemaError, match=r"examples.jsonl:3: id .* repeats the id of line 1"):
+        load_examples(path, split="train")
 
 
 def test_load_examples_missing_file_is_schema_error(tmp_path):

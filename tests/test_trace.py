@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thoughtsearch.cli import main
 from thoughtsearch.errors import SchemaError
 from thoughtsearch.generate import SimulatedGenerator
 from thoughtsearch.graph import Action, EpisodeConfig, NodeKind, new_process
@@ -130,12 +131,8 @@ def test_best_thought_highlighted_in_dot():
 
 
 # ---------------------------------------------------------------------------
-# trace_text against json.dumps, the writer's reference
+# trace_text: canonical compact JSON
 # ---------------------------------------------------------------------------
-
-
-def _reference_text(record):
-    return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
 _tricky_text = st.sampled_from(
@@ -182,19 +179,41 @@ def _random_records(draw):
     return record
 
 
+def _assert_canonical(value):
+    """One line of JSON that reloads to a value written back byte for byte."""
+    text = trace_text(value)
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert trace_text(json.loads(text)) == text
+
+
 @given(_random_records())
 @settings(max_examples=150, deadline=None)
-def test_trace_text_matches_json_dumps_on_records(record):
-    assert trace_text(record) == _reference_text(record)
+def test_trace_text_is_canonical_on_records(record):
+    _assert_canonical(record)
 
 
 @given(_json_values)
 @settings(max_examples=300, deadline=None)
-def test_trace_text_matches_json_dumps_on_json_values(value):
-    assert trace_text(value) == _reference_text(value)
+def test_trace_text_is_canonical_on_json_values(value):
+    _assert_canonical(value)
 
 
-def test_trace_text_matches_json_dumps_on_search_traces(small_index):
+@given(_json_values)
+@settings(max_examples=50, deadline=None)
+def test_trace_text_rejects_bytes(value):
+    with pytest.raises(TypeError):
+        trace_text({"value": value, "bytes": b"raw"})
+
+
+def test_trace_text_is_compact_and_sorted():
+    assert trace_text({"b": [1, 2.5], "a": {"y": None, "x": True}, "c": "é"}) == (
+        '{"a":{"x":true,"y":null},"b":[1,2.5],"c":"\\u00e9"}\n'
+    )
+
+
+def test_indented_parent_trace_loads_and_exports_compact(tmp_path, small_index):
+    """Version-1 traces from older runs were written with indent=2; they
+    still load, validate and export, and come back in compact form."""
     ports = SearchPorts(
         generator=SimulatedGenerator(),
         scorer=ConstantScorer(0.1),
@@ -202,7 +221,10 @@ def test_trace_text_matches_json_dumps_on_search_traces(small_index):
     )
     outcome = run_search("need:k0 q", ports, EpisodeConfig(max_steps=12, stop_threshold=0.9, p_doc=0.5))
     record = graph_to_record(outcome.graph, outcome)
-    assert trace_text(record) == _reference_text(record)
-    assert trace_text({"pair": (1, 2.5), "empty": ()}) == _reference_text({"pair": (1, 2.5), "empty": ()})
-    with pytest.raises(TypeError):
-        trace_text({"bytes": b"raw"})
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    assert load_trace(indented) == record
+    exported = tmp_path / "exported.json"
+    assert main(["export-trace", "--trace", str(indented), "--out", str(exported)]) == 0
+    assert exported.read_text(encoding="utf-8") == trace_text(record)
+    assert exported.stat().st_size < indented.stat().st_size
