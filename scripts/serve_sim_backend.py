@@ -48,14 +48,15 @@ class Handler(BaseHTTPRequestHandler):
         try:
             payload = json.loads(self.rfile.read(length))
             prompt = payload["prompt"]
-        except (json.JSONDecodeError, KeyError):
+            body: dict = {"text": completion_for(prompt)}
+            tokens = payload.get("logprob_tokens")
+            if tokens:
+                body["token_logprobs"] = self.generator.score_tokens(prompt, tokens)
+        except (ValueError, KeyError, TypeError):  # not JSON, no prompt, or not an object
             self.send_response(400)
+            self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        body: dict = {"text": completion_for(prompt)}
-        tokens = payload.get("logprob_tokens")
-        if tokens:
-            body["token_logprobs"] = self.generator.score_tokens(prompt, tokens)
         data = json.dumps(body).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")

@@ -70,9 +70,11 @@ def _generator(config: EngineConfig, templates: TemplateSet):
 
 
 def _ports(config: EngineConfig, need_index: bool = False, need_model: bool = False) -> EnginePorts:
-    """Load every file the config names, then fail on a required one it
-    does not name."""
+    """Build the generator (a bad endpoint fails here, before any file
+    loads), load every file the config names, then fail on a required one
+    it does not name."""
     templates = _templates(config)
+    generator = _generator(config, templates)
     index = model = embedder = None
     if config.index_file:
         index = load_index(config.index_file)
@@ -89,7 +91,7 @@ def _ports(config: EngineConfig, need_index: bool = False, need_model: bool = Fa
     if need_model and model is None:
         raise ConfigError("estimation methods require model_file (or --model)")
     return EnginePorts(
-        generator=_generator(config, templates),
+        generator=generator,
         templates=templates,
         index=index,
         scorer_model=model,

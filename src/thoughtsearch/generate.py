@@ -12,6 +12,8 @@ by brute force. The simulated text convention:
 
 from __future__ import annotations
 
+import http.client
+import json
 import math
 import random
 import re
@@ -19,10 +21,9 @@ import threading
 from dataclasses import dataclass
 from time import sleep
 from typing import Protocol, Sequence
+from urllib.parse import urlsplit
 
-import requests
-
-from .errors import CapabilityError, GenerationError, TransportError
+from .errors import CapabilityError, ConfigError, GenerationError, TransportError
 from .graph import NodeKind
 from .templates import TemplateSet
 
@@ -36,6 +37,10 @@ FACT_TOKEN = re.compile(r"fact:([A-Za-z0-9_]+)=([A-Za-z0-9_]+)")
 NEED_TOKEN = re.compile(r"need:([A-Za-z0-9_]+)")
 
 UNKNOWN_ANSWER = "unknown"
+
+# The connection class for each endpoint scheme HttpGenerator accepts.
+# HTTPSConnection verifies certificates with ssl's default context.
+CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
 
 @dataclass(frozen=True)
@@ -187,8 +192,10 @@ class HttpGenerator:
     Request body: {"prompt": str, "max_tokens": int, "logprob_tokens": [str]}
     Response body: {"text": str, "token_logprobs": {str: float}}
 
-    Safe for concurrent use: in-flight requests are bounded by a semaphore and
-    each request carries a timeout plus bounded retry.
+    Safe for concurrent use: every request opens its own connection and
+    closes it (`Connection: close`), so threads share nothing but the
+    semaphore that bounds in-flight requests; each request carries a
+    timeout plus bounded retry.
     """
 
     def __init__(
@@ -202,6 +209,19 @@ class HttpGenerator:
         temperature: float = 0.0,
         api_key: str | None = None,
     ):
+        parts = urlsplit(endpoint)
+        try:
+            port = parts.port
+        except ValueError as exc:
+            raise ConfigError(f"generator endpoint {endpoint!r} has a bad port: {exc}") from None
+        if parts.scheme not in CONNECTIONS or not parts.hostname:
+            raise ConfigError(
+                f"generator endpoint {endpoint!r} is not an http:// or https:// URL with a host"
+            )
+        if parts.username is not None:
+            raise ConfigError(
+                f"generator endpoint {endpoint!r} holds credentials; pass a bearer token instead"
+            )
         self.endpoint = endpoint
         self.templates = templates
         self.timeout_s = timeout_s
@@ -210,19 +230,32 @@ class HttpGenerator:
         self.temperature = temperature
         self.api_key = api_key
         self._semaphore = threading.BoundedSemaphore(max_concurrency)
-        self._session = requests.Session()
+        self._connection = CONNECTIONS[parts.scheme]
+        self._host, self._port = parts.hostname, port
+        self._path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
 
     @property
     def deterministic(self) -> bool:
         """Greedy decoding: a search may reuse a reply to an identical call."""
         return self.temperature == 0
 
+    def _send(self, body: bytes, headers: dict) -> tuple[int, bytes]:
+        """One POST on a fresh connection: the reply's status and body."""
+        conn = self._connection(self._host, self._port, timeout=self.timeout_s)
+        try:
+            conn.request("POST", self._path, body, headers)
+            resp = conn.getresponse()
+            return resp.status, resp.read()
+        finally:
+            conn.close()
+
     def _post(self, payload: dict) -> dict:
         """POST one request. 5xx replies, timeouts and connection errors are
         retried up to `retries` times, retry k (from 0) after sleeping
-        uniform(0, min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2**k)) s; a 4xx reply
-        fails at once."""
-        headers = {}
+        uniform(0, min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2**k)) s; a 3xx or
+        4xx reply fails at once (redirects are not followed)."""
+        body = json.dumps(payload).encode("utf-8")
+        headers = {"Content-Type": "application/json", "Connection": "close"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
@@ -231,21 +264,17 @@ class HttpGenerator:
                 sleep(random.uniform(0.0, min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2 ** (attempt - 1))))
             try:
                 with self._semaphore:
-                    resp = self._session.post(
-                        self.endpoint, json=payload, timeout=self.timeout_s, headers=headers
-                    )
-            except requests.RequestException as exc:
+                    status, data = self._send(body, headers)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if resp.status_code >= 500:
-                last_error = TransportError(f"server error {resp.status_code}")
+            if status >= 500:
+                last_error = TransportError(f"server error {status}")
                 continue
-            if resp.status_code >= 400:
-                raise TransportError(
-                    f"completion endpoint rejected the request with HTTP {resp.status_code}"
-                )
+            if status >= 300:
+                raise TransportError(f"completion endpoint rejected the request with HTTP {status}")
             try:
-                return resp.json()
+                return json.loads(data)
             except ValueError as exc:
                 raise GenerationError(f"backend reply is not JSON: {exc}") from exc
         raise TransportError(f"completion endpoint failed: {last_error}") from last_error

@@ -531,12 +531,20 @@ def collect_offline_dataset(
     per generated node: (parent embeddings, that node's oracle reward).
 
     ports_factory(example, rng) must return ready SearchPorts with an oracle
-    scorer; per-example failures are skipped with a warning.
+    scorer; per-example failures are skipped with a warning. Each distinct
+    parent text is embedded once per call.
     """
     from .mcts import run_search
     from .seeding import rng_from
 
     samples: list[OfflineSample] = []
+    vectors: dict[str, np.ndarray] = {}
+
+    def embed(text: str) -> np.ndarray:
+        if text not in vectors:
+            vectors[text] = embedder.embed(text)
+        return vectors[text]
+
     for idx, example in enumerate(examples):
         rng = rng_from(seed, idx)
         try:
@@ -549,8 +557,8 @@ def collect_offline_dataset(
             first, second = graph.node(node_id).parents
             samples.append(
                 OfflineSample(
-                    emb_i=embedder.embed(graph.node(first).text),
-                    emb_j=embedder.embed(graph.node(second).text),
+                    emb_i=embed(graph.node(first).text),
+                    emb_j=embed(graph.node(second).text),
                     reward=outcome.simulation_scores[node_id],
                     query_id=str(getattr(example, "query_id", idx)),
                 )

@@ -362,6 +362,15 @@ def test_unreachable_endpoint_is_transport_error(workspace, tmp_path):
     assert main(["run", "--config", str(config), "--query", "q", "--index", str(index)]) == 3
 
 
+def test_eval_with_malformed_endpoint_exits_2_before_any_search(workspace, tmp_path, capsys):
+    _tmp, _corpus, examples, index, _model = workspace
+    out = tmp_path / "reports"
+    argv = ["eval", "--mode", "simulated", "--examples", str(examples), "--index", str(index)]
+    assert main([*argv, "--out", str(out), "--endpoint", "localhost:8808/complete"]) == 2
+    assert "generator endpoint 'localhost:8808/complete'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_all_methods_writes_eight_reports(workspace, tmp_path):
     tmp, corpus, examples, index, model = workspace
     outdir = tmp_path / "reports"
@@ -526,6 +535,10 @@ def _trace(nodes, history):
     return json.dumps({"version": 1, "query": "q", "nodes": nodes, "history": history})
 
 
+def _http_config(endpoint: str) -> str:
+    return json.dumps({"generator": {"backend": "http", "endpoint": endpoint}})
+
+
 # What stderr holds for a file that is not UTF-8: its name, then the cause.
 _NOT_UTF8 = "input.json: 'utf-8' codec can't decode byte 0xff"
 
@@ -559,6 +572,10 @@ _MALFORMED_INPUTS = {
     "config_oracle_metric": (
         "run", '{"scoring": {"oracle_metric": "f1"}}', 2, "scoring.oracle_metric must be one of"
     ),
+    "endpoint_no_scheme": ("run", _http_config("localhost:8808/complete"), 2, "'localhost:8808/complete'"),
+    "endpoint_ftp": ("run", _http_config("ftp://127.0.0.1/x"), 2, "'ftp://127.0.0.1/x' is not an http"),
+    "endpoint_no_host": ("run", _http_config("http:///nohost"), 2, "'http:///nohost' is not an http"),
+    "endpoint_bad_port": ("run", _http_config("http://127.0.0.1:port/x"), 2, "has a bad port"),
     "config_not_utf8": ("run", b"\xff", 2, _NOT_UTF8),
     "model_not_utf8": ("run-model", b"\xff", 2, _NOT_UTF8),
     "templates_not_utf8": ("run-templates", b"\xff", 2, _NOT_UTF8),
@@ -646,6 +663,30 @@ def test_run_through_wire_backend(workspace, tmp_path, capsys):
         assert f"answer: {example['answers'][0]}" in out
     finally:
         server.shutdown()
+
+
+@pytest.mark.parametrize("body", [b"[]", b'"text"', b"5", b"{}", b'{"prompt": 5}', b"\xff"])
+def test_backend_script_rejects_a_malformed_body_with_400(body):
+    import http.client
+    import threading
+    from http.server import ThreadingHTTPServer
+
+    module = _load_script("serve_sim_backend")
+    module.Handler.log_message = lambda *a, **k: None
+    server = ThreadingHTTPServer(("127.0.0.1", 0), module.Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    conn = http.client.HTTPConnection("127.0.0.1", server.server_port, timeout=5)
+    try:
+        conn.request("POST", "/complete", body, {"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        assert (resp.status, resp.getheader("Content-Length"), resp.read()) == (400, "0", b"")
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_config_hash_echoed(workspace, tmp_path, capsys):

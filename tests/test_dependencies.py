@@ -1,5 +1,4 @@
-"""The package's runtime dependencies stay the standard library, numpy and
-requests."""
+"""The package's runtime dependencies stay the standard library and numpy."""
 
 from __future__ import annotations
 
@@ -7,7 +6,7 @@ import ast
 import sys
 from pathlib import Path
 
-ALLOWED = set(sys.stdlib_module_names) | {"numpy", "requests", "thoughtsearch"}
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "thoughtsearch"}
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "thoughtsearch").glob("*.py"))
 
 
@@ -22,7 +21,7 @@ def _imported_modules(path: Path) -> set[str]:
     return names
 
 
-def test_package_imports_only_stdlib_numpy_and_requests():
+def test_package_imports_only_stdlib_and_numpy():
     assert SOURCES
     outside = {path.name: sorted(_imported_modules(path) - ALLOWED) for path in SOURCES}
     assert {name: modules for name, modules in outside.items() if modules} == {}

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -260,28 +261,40 @@ class _Backend(BaseHTTPRequestHandler):
     reject_with = 0  # when set, reply this status to every request
     bad_bodies: list[bytes] = []  # reply these bodies (with 200), one per request
     omit_logprobs = False
+    delay_s = 0.0  # wait this long before each reply
     requests_seen = 0
+    in_flight = 0  # requests received and not yet replied to
+    peak_in_flight = 0
+    authorizations: list[str | None] = []  # each request's Authorization header
+    paths: list[str] = []  # each request's target
+    lock = threading.Lock()  # handler threads update the counters above
 
     def do_POST(self):
         cls = type(self)
-        cls.requests_seen += 1
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
-        if cls.fail_next > 0 or cls.reject_with:
-            if not cls.reject_with:
-                cls.fail_next -= 1
-            self.send_response(cls.reject_with or 503)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-            return
         body: dict = {"text": f"echo {len(payload['prompt'])}"}
         if payload.get("logprob_tokens") and not cls.omit_logprobs:
-            body["token_logprobs"] = {
-                tok: math.log(0.5) for tok in payload["logprob_tokens"]
-            }
-        data = cls.bad_bodies.pop(0) if cls.bad_bodies else json.dumps(body).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
+            body["token_logprobs"] = {tok: math.log(0.5) for tok in payload["logprob_tokens"]}
+        with cls.lock:
+            cls.requests_seen += 1
+            cls.in_flight += 1
+            cls.peak_in_flight = max(cls.peak_in_flight, cls.in_flight)
+            cls.authorizations.append(self.headers.get("Authorization"))
+            cls.paths.append(self.path)
+            if cls.fail_next > 0 or cls.reject_with:
+                if not cls.reject_with:
+                    cls.fail_next -= 1
+                status, data = cls.reject_with or 503, b""
+            else:
+                status = 200
+                data = cls.bad_bodies.pop(0) if cls.bad_bodies else json.dumps(body).encode("utf-8")
+        time.sleep(cls.delay_s)
+        with cls.lock:  # no longer in flight once the client can read the reply
+            cls.in_flight -= 1
+        self.send_response(status)
+        if status == 200:
+            self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
@@ -299,9 +312,17 @@ def backend():
     _Backend.reject_with = 0
     _Backend.bad_bodies = []
     _Backend.omit_logprobs = False
+    _Backend.delay_s = 0.0
     _Backend.requests_seen = 0
+    _Backend.in_flight = 0
+    _Backend.peak_in_flight = 0
+    _Backend.authorizations = []
+    _Backend.paths = []
     yield f"http://127.0.0.1:{server.server_port}/complete"
     server.shutdown()
+    server.server_close()  # joins the handler threads, so none outlives its test
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def _client(endpoint, retries=2, temperature=0.0):
@@ -392,7 +413,7 @@ def test_http_client_error_does_not_back_off(backend, sleeps):
     assert sleeps == []
 
 
-@pytest.mark.parametrize("status", [400, 404, 422])
+@pytest.mark.parametrize("status", [400, 404, 422, 307])
 def test_http_client_error_fails_fast(backend, status):
     _Backend.reject_with = status
     with pytest.raises(TransportError, match=str(status)):
@@ -440,3 +461,73 @@ def test_bad_reply_fails_one_example_and_the_rest_are_graded(backend):
     graded = [row for row in report.per_example if not row.error]
     assert len(graded) == 3 and all(row.answer.startswith("echo ") for row in graded)
     assert _Backend.requests_seen == 4
+
+
+def test_http_read_timeout_is_retried_then_transport_error(backend, sleeps):
+    _Backend.delay_s = 0.5
+    gen = HttpGenerator(backend, TemplateSet.builtin("boolq"), timeout_s=0.1, retries=2)
+    with pytest.raises(TransportError, match="timed out"):
+        gen.answer("q")
+    assert _Backend.requests_seen == 3
+    assert len(sleeps) == 2
+
+
+def test_http_concurrent_calls_each_get_their_own_reply(backend):
+    """8 threads share one client with 4 slots; no reply crosses to another
+    call, and the server never holds more than 4 requests at once."""
+    _Backend.delay_s = 0.002
+    gen = HttpGenerator(backend, TemplateSet.builtin("boolq"), timeout_s=5.0, max_concurrency=4)
+    mismatches: list[tuple[int, str]] = []
+    errors: list[BaseException] = []
+
+    def worker(t: int) -> None:
+        try:
+            for i in range(25):
+                n = 1 + t * 25 + i  # a distinct prompt length per call
+                reply = gen.complete("x" * n)
+                if reply != f"echo {n}":
+                    mismatches.append((n, reply))
+        except BaseException as exc:  # reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and mismatches == []
+    assert _Backend.requests_seen == 200
+    assert 1 < _Backend.peak_in_flight <= 4
+
+
+@pytest.mark.parametrize("api_key, header", [("s3cret", "Bearer s3cret"), (None, None), ("", None)])
+def test_http_sends_bearer_token_exactly_when_a_key_is_set(backend, api_key, header):
+    gen = HttpGenerator(backend, TemplateSet.builtin("boolq"), timeout_s=5.0, api_key=api_key)
+    gen.answer("q")
+    gen.score_tokens("prompt", ["1", "0"])
+    assert _Backend.authorizations == [header, header]
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    [
+        "localhost:8808/complete",
+        "127.0.0.1:8808/complete",
+        "ftp://127.0.0.1/x",
+        "http:///nohost",
+        "http://127.0.0.1:port/complete",
+        "http://127.0.0.1:99999/complete",
+        "https://user:pw@127.0.0.1/complete",
+        "",
+    ],
+)
+def test_http_malformed_endpoint_is_config_error(endpoint):
+    with pytest.raises(ConfigError, match="generator endpoint"):
+        HttpGenerator(endpoint, TemplateSet.builtin("boolq"))
+
+
+def test_http_endpoint_path_and_query_reach_the_server(backend):
+    HttpGenerator(backend + "?model=m", TemplateSet.builtin("boolq")).answer("q")
+    HttpGenerator(backend.removesuffix("/complete"), TemplateSet.builtin("boolq")).answer("q")
+    assert _Backend.paths == ["/complete?model=m", "/"]

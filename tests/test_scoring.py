@@ -401,6 +401,55 @@ def test_collect_replay_byte_identical_dataset_file(tmp_path):
     assert files[0] == files[1]
 
 
+def test_collect_embeds_each_distinct_parent_text_once():
+    from thoughtsearch.graph import EpisodeConfig
+    from thoughtsearch.harness import QAExample, Task
+    from thoughtsearch.mcts import SearchPorts
+
+    class CountingEmbedder(HashedEmbedder):
+        def embed(self, text):
+            self.texts.append(text)
+            return super().embed(text)
+
+    examples = [
+        QAExample(query_id=f"t{i}", query=f"need:k{i} find it", gold_answers=["v9"], task=Task.SIMULATED_FACT)
+        for i in range(3)
+    ]
+
+    def ports_factory(example, rng):
+        return SearchPorts(
+            generator=SimulatedGenerator(),
+            scorer=OracleScorer(example.gold_answers, best_token_f1),
+        )
+
+    embedder = CountingEmbedder(dim=16)
+    embedder.texts = []
+    config = EpisodeConfig(max_steps=6, stop_threshold=2.0)
+    samples = collect_offline_dataset(examples, ports_factory, config, embedder, seed=0)
+    assert len(samples) == 3 * 6
+    assert len(embedder.texts) == len(set(embedder.texts)) < 2 * len(samples)
+    reference = HashedEmbedder(dim=16)
+    for sample, text_i, text_j in zip(samples, *_parent_texts(examples, ports_factory, config)):
+        assert sample.emb_i.tobytes() == reference.embed(text_i).tobytes()
+        assert sample.emb_j.tobytes() == reference.embed(text_j).tobytes()
+
+
+def _parent_texts(examples, ports_factory, config):
+    """The two parent texts of every generated node, in collect's order."""
+    from thoughtsearch.mcts import run_search
+    from thoughtsearch.seeding import rng_from
+
+    firsts, seconds = [], []
+    for idx, example in enumerate(examples):
+        rng = rng_from(0, idx)
+        graph = run_search(example.query, ports_factory(example, rng), config, rng).graph
+        for node_id in graph.generated_ids():
+            first, second = graph.node(node_id).parents
+            firsts.append(graph.node(first).text)
+            seconds.append(graph.node(second).text)
+    return firsts, seconds
+
+
 def test_estimator_scorer_checks_embedder_id():
     data = _synthetic_dataset(n=100, dim_each=32)
     model = train_estimator(
