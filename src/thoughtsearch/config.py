@@ -14,7 +14,7 @@ import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, json_field, read_json_object
 from .graph import EpisodeConfig
 
 TASK_MODES = ("boolq", "emrqa", "simulated")
@@ -36,6 +36,16 @@ class GeneratorConfig:
     max_tokens: int = 256
     temperature: float = 0.0
     template_file: str = ""  # empty -> builtin templates for the task mode
+
+    def __post_init__(self):
+        for name, holds, rule in (
+            ("timeout_s", self.timeout_s > 0, "> 0"),
+            ("retries", self.retries >= 0, ">= 0"),
+            ("max_concurrency", self.max_concurrency >= 1, ">= 1"),
+            ("max_tokens", self.max_tokens >= 1, ">= 1"),
+        ):
+            if not holds:  # so NaN fails too
+                raise ConfigError(f"generator.{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -103,10 +113,7 @@ class EngineConfig:
                     f"stop_thresholds has unknown entry {kind!r}; expected {SCORER_KINDS}"
                 )
         for kind in SCORER_KINDS:
-            if kind not in self.stop_thresholds:
-                raise ConfigError(f"stop_thresholds missing entry for {kind!r}")
-            if type(self.stop_thresholds[kind]) not in (int, float):
-                raise ConfigError(f"stop_thresholds[{kind!r}] must be a number")
+            json_field(self.stop_thresholds, kind, (float,), "stop_thresholds", ConfigError)
         if self.doc_batch_size < 1:
             raise ConfigError(f"doc_batch_size must be >= 1, got {self.doc_batch_size}")
         if self.workers < 1:
@@ -159,11 +166,14 @@ _MODE_DEFAULTS: dict[str, dict] = {
 
 
 def default_config(task_mode: str) -> EngineConfig:
-    if task_mode not in _MODE_DEFAULTS:
+    if task_mode not in TASK_MODES:  # a tuple, so an unhashable value fails here too
         raise ConfigError(f"unknown task mode {task_mode!r}")
     return _apply_overrides(
         EngineConfig(task_mode=task_mode), _MODE_DEFAULTS[task_mode]
     )
+
+
+_SECTIONS = {"generator": GeneratorConfig, "retrieval": RetrievalConfig, "scoring": ScoringConfig}
 
 
 def _apply_overrides(config: EngineConfig, overrides: dict) -> EngineConfig:
@@ -171,11 +181,7 @@ def _apply_overrides(config: EngineConfig, overrides: dict) -> EngineConfig:
     for key, value in overrides.items():
         if key not in data:
             raise ConfigError(f"unknown config field {key!r}")
-        if isinstance(value, dict) and isinstance(data[key], dict) and key in (
-            "generator",
-            "retrieval",
-            "scoring",
-        ):
+        if key in _SECTIONS and isinstance(value, dict):
             for sub_key, sub_value in value.items():
                 if sub_key not in data[key]:
                     raise ConfigError(f"unknown config field {key}.{sub_key!r}")
@@ -185,44 +191,26 @@ def _apply_overrides(config: EngineConfig, overrides: dict) -> EngineConfig:
     return config_from_dict(data)
 
 
-_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
-
-
-def _check_types(cls, values: dict, where: str = "") -> None:
-    """Each value must have the JSON type of its field's default: an integer
-    is not a bool, a number may be an integer, and a section is an object."""
+def _check_fields(cls, values: dict, where: str) -> None:
+    """Every key must name a field of cls, and every value have the JSON kind
+    of that field's default; a section is an object."""
+    unknown = set(values) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"{where} has unknown fields {sorted(unknown)}")
     for f in fields(cls):
-        if f.name not in values:
-            continue
-        default = f.default if f.default is not MISSING else f.default_factory()
-        want = dict if is_dataclass(default) else type(default)
-        value = values[f.name]
-        if type(value) is not want and not (want is float and type(value) is int):
-            raise ConfigError(
-                f"config field {where}{f.name} must be {_JSON_TYPES[want]}, got {value!r}"
-            )
+        if f.name in values:
+            default = f.default if f.default is not MISSING else f.default_factory()
+            kind = dict if is_dataclass(default) else type(default)
+            json_field(values, f.name, (kind,), where, ConfigError)
 
 
 def config_from_dict(data: dict) -> EngineConfig:
     data = dict(data)
-    known = {f.name for f in fields(EngineConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    _check_types(EngineConfig, data)
-
-    def sub(cls, key):
+    _check_fields(EngineConfig, data, "config")
+    for key, cls in _SECTIONS.items():
         raw = data.get(key, {})
-        names = {f.name for f in fields(cls)}
-        bad = set(raw) - names
-        if bad:
-            raise ConfigError(f"unknown config fields in {key}: {sorted(bad)}")
-        _check_types(cls, raw, f"{key}.")
-        return cls(**raw)
-
-    data["generator"] = sub(GeneratorConfig, "generator")
-    data["retrieval"] = sub(RetrievalConfig, "retrieval")
-    data["scoring"] = sub(ScoringConfig, "scoring")
+        _check_fields(cls, raw, f"config.{key}")
+        data[key] = cls(**raw)
     return EngineConfig(**data)
 
 
@@ -234,12 +222,7 @@ def load_config(
     """Resolve a config: file values over mode defaults, then explicit
     overrides, then environment variables for endpoint values."""
     if path is not None:
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config file {path} must hold an object, got {data!r}")
+        data = read_json_object(path, "config", ConfigError)
         mode = task_mode or data.get("task_mode", "simulated")
         config = _apply_overrides(default_config(mode), data)
         if task_mode is not None:

@@ -1,10 +1,16 @@
-"""Exception taxonomy shared across the engine.
+"""Exception taxonomy shared across the engine, and the one JSON reading
+rule that every file loader applies.
 
 CLI exit codes group these: configuration/schema problems are operator
 errors, everything else is a runtime port failure.
 """
 
 from __future__ import annotations
+
+import json
+import math
+import reprlib
+from pathlib import Path
 
 
 class EngineError(Exception):
@@ -53,3 +59,47 @@ class SearchError(EngineError):
     def __init__(self, message: str, graph=None):
         super().__init__(message)
         self.graph = graph
+
+
+# The JSON kinds a loader may ask for, by the Python type json decodes them to.
+JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
+              dict: "an object", type(None): "null"}
+
+
+def is_json(value, kind: type) -> bool:
+    """Whether a decoded JSON value is of `kind`, a key of JSON_KINDS: a
+    boolean is never an integer, and a number may be an integer but must be
+    finite (NaN, Infinity and integers beyond the float range are not)."""
+    if kind is float and type(value) in (int, float):
+        try:
+            return math.isfinite(value)
+        except OverflowError:
+            return False
+    return type(value) is kind
+
+
+def json_field(record: dict, key: str, kinds: tuple[type, ...], where: str, error=SchemaError):
+    """record[key], from an object `record`, present and of one of `kinds`
+    under `is_json`; otherwise `error` naming `where` or `where.key`."""
+    if type(record) is not dict:
+        raise error(f"{where} must be an object, got {reprlib.repr(record)}")
+    if key not in record:
+        raise error(f"{where} missing field {key!r}")
+    value = record[key]
+    for kind in kinds:
+        if is_json(value, kind):
+            return value
+    wanted = " or ".join(JSON_KINDS[kind] for kind in kinds)
+    raise error(f"{where}.{key} must be {wanted}, got {reprlib.repr(value)}")
+
+
+def read_json_object(path: str | Path, what: str, error=SchemaError) -> dict:
+    """The JSON object a UTF-8 file holds; a file that cannot be read or
+    decoded, or holds anything but an object, raises `error` naming it."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+    if type(data) is not dict:
+        raise error(f"{what} file {path} must hold an object, got {reprlib.repr(data)}")
+    return data

@@ -68,13 +68,14 @@ class EpisodeConfig:
     thought_sample_size: int = 5
 
     def __post_init__(self):
-        if self.max_steps < 1:
+        # Each bound is written so that NaN fails it.
+        if not self.max_steps >= 1:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.exploration_c < 0.0:
+        if not self.exploration_c >= 0.0:
             raise ConfigError(f"exploration_c must be >= 0, got {self.exploration_c}")
         if not 0.0 <= self.p_doc <= 1.0:
             raise ConfigError(f"p_doc must be in [0, 1], got {self.p_doc}")
-        if self.thought_sample_size < 1:
+        if not self.thought_sample_size >= 1:
             raise ConfigError(
                 f"thought_sample_size must be >= 1, got {self.thought_sample_size}"
             )

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from .config import EngineConfig
-from .errors import ConfigError, EngineError, SchemaError
+from .errors import ConfigError, EngineError, SchemaError, json_field
 from .generate import CountingGenerator, Generator
 from .metrics import best_token_f1, exact_match, parse_boolean, parse_quantity_mg
 from .mcts import SearchOutcome, SearchPorts, greedy_search, random_search, run_search
@@ -372,19 +372,14 @@ def _parse_example(line: str, where: str, default_id: str) -> QAExample:
     (path:line) and the field."""
     try:
         rec = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{where}: bad JSON: {exc}") from exc
-    if not isinstance(rec, dict):
-        raise SchemaError(f"{where}: example must be an object, got {type(rec).__name__}")
-    if not isinstance(rec.get("query"), str):
-        raise SchemaError(f"{where}: field 'query' is missing or not a string")
-    if not isinstance(rec.get("filter_key"), (str, type(None))):
-        raise SchemaError(f"{where}: field 'filter_key' must be a string or null")
-    answers = rec.get("answers", rec.get("answer"))
+    read = lambda key, kinds: json_field(rec, key, kinds, f"{where}: example")
+    query = read("query", (str,))
+    filter_key = read("filter_key", (str, type(None))) if "filter_key" in rec else None
+    answers = read("answer" if "answer" in rec and "answers" not in rec else "answers", (str, list))
     if isinstance(answers, str):
         answers = [answers]
-    if not isinstance(answers, list):
-        raise SchemaError(f"{where}: field 'answers' must be a string or a list")
     if not answers:
         raise SchemaError(f"{where}: field 'answers' must not be empty")
     try:
@@ -396,11 +391,11 @@ def _parse_example(line: str, where: str, default_id: str) -> QAExample:
         ) from None
     return QAExample(
         query_id=str(rec.get("id", default_id)),
-        query=rec["query"],
+        query=query,
         gold_answers=normalize_gold(task, answers),
         task=task,
-        filter_key=rec.get("filter_key"),
-        split=rec.get("split", "test"),
+        filter_key=filter_key,
+        split=read("split", (str,)) if "split" in rec else "test",
     )
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, NamedTuple, Protocol
 
 import numpy as np
 
-from .errors import CorpusError, ExhaustedCorpusError, SchemaError
+from .errors import CorpusError, ExhaustedCorpusError, SchemaError, is_json, json_field
 
 INDEX_MAGIC = b"thoughtsearch-index v2\n"
 
@@ -347,19 +347,10 @@ class DocumentQueue:
         self.served.add(doc.doc_id)
 
 
-def _field(record: dict, key: str, types: tuple[type, ...], where: str):
-    """record[key], which must be present and of exactly one of `types`, as
-    JSON decodes it (so a bool is no int)."""
-    if key not in record:
-        raise SchemaError(f"{where} missing field {key!r}")
-    value = record[key]
-    if type(value) not in types:
-        raise SchemaError(f"{where}.{key} has unexpected type {type(value).__name__}")
-    return value
-
-
 _MISSING = object()
-_DOCUMENT_FIELDS = {  # in Document's field order
+# In Document's field order. For these kinds the JSON rule is an exact type
+# test, which the column check below makes inline.
+_DOCUMENT_FIELDS = {
     "doc_id": (int,),
     "text": (str,),
     "source_id": (str,),
@@ -375,11 +366,11 @@ def _documents_from_list(records: list) -> list[Document]:
         if type(rec) is not dict:
             raise SchemaError(f"index.documents[{i}] must be an object")
     columns = []
-    for name, types in _DOCUMENT_FIELDS.items():
+    for name, kinds in _DOCUMENT_FIELDS.items():
         column = [rec.get(name, _MISSING) for rec in records]
         for i, value in enumerate(column):
-            if type(value) not in types:
-                _field(records[i], name, types, f"index.documents[{i}]")  # raises
+            if type(value) not in kinds:
+                json_field(records[i], name, kinds, f"index.documents[{i}]")  # raises
         columns.append(column)
     doc_ids = columns[0]
     if doc_ids != list(range(len(doc_ids))):
@@ -442,10 +433,8 @@ def _split_index_file(data: bytes, path: str | Path) -> tuple[dict, memoryview]:
         )
     try:
         header = json.loads(data[start:end])
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise SchemaError(f"{path}: index header is not JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise SchemaError("index header must be an object")
     return header, memoryview(data)[end:]
 
 
@@ -457,16 +446,16 @@ def load_index(path: str | Path, expected_embedder_id: str | None = None) -> Cor
     except OSError as exc:
         raise SchemaError(f"cannot read index file {path}: {exc}") from exc
     record, body = _split_index_file(data, path)
-    emb_rec = _field(record, "embedder", (dict,), "index")
-    dim = _field(emb_rec, "dim", (int,), "index.embedder")
-    n_docs = _field(emb_rec, "n_docs", (int,), "index.embedder")
-    idf = _field(emb_rec, "idf", (dict, type(None)), "index.embedder")
-    if dim < 1 or n_docs < 0:
+    emb_rec = json_field(record, "embedder", (dict,), "index")
+    dim = json_field(emb_rec, "dim", (int,), "index.embedder")
+    n_docs = json_field(emb_rec, "n_docs", (int,), "index.embedder")
+    idf = json_field(emb_rec, "idf", (dict, type(None)), "index.embedder")
+    if dim < 1 or not 0 <= n_docs < 2**63:  # n_docs enters a float logarithm
         raise SchemaError(
-            f"index.embedder has dim {dim} and n_docs {n_docs}; need dim >= 1, n_docs >= 0"
+            f"index.embedder has dim {dim} and n_docs {n_docs}; need dim >= 1, 0 <= n_docs < 2**63"
         )
     for token, weight in (idf or {}).items():
-        if type(weight) not in (int, float) or not math.isfinite(weight):
+        if not is_json(weight, float):
             raise SchemaError(f"index.embedder.idf[{token!r}] = {weight!r} is not a finite number")
     embedder = HashedEmbedder(dim=dim, idf=idf, n_docs=n_docs)
     if expected_embedder_id is not None and embedder.embedder_id != expected_embedder_id:
@@ -474,9 +463,9 @@ def load_index(path: str | Path, expected_embedder_id: str | None = None) -> Cor
             f"index embedder_id {embedder.embedder_id!r} does not match "
             f"configured {expected_embedder_id!r}"
         )
-    documents = _documents_from_list(_field(record, "documents", (list,), "index"))
+    documents = _documents_from_list(json_field(record, "documents", (list,), "index"))
     shape = [len(documents), dim]
-    if _field(record, "shape", (list,), "index") != shape:
+    if json_field(record, "shape", (list,), "index") != shape:
         raise SchemaError(
             f"index.shape is {record['shape']}, expected {shape} (documents x embedder.dim)"
         )
@@ -485,7 +474,7 @@ def load_index(path: str | Path, expected_embedder_id: str | None = None) -> Cor
             f"index embeddings are {len(body)} bytes, expected {shape[0]} x {dim} x 8 = "
             f"{shape[0] * dim * 8}"
         )
-    if hashlib.sha256(body).hexdigest() != _field(record, "sha256", (str,), "index"):
+    if hashlib.sha256(body).hexdigest() != json_field(record, "sha256", (str,), "index"):
         raise SchemaError("index embeddings do not match index.sha256")
     # A copy: the body starts at any byte offset, and float64 rows want an
     # 8-byte-aligned buffer of their own rather than a view pinning the file.

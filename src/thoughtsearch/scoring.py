@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapabilityError, ConfigError, SchemaError, SearchError
+from .errors import JSON_KINDS, is_json, json_field, read_json_object
 from .generate import Generator
 from .graph import ThoughtGraph
 from .templates import TemplateSet
@@ -46,32 +47,37 @@ class _Tree:
     value: np.ndarray
 
 
-_TREE_FIELDS = {
-    "feature": np.int64,
-    "threshold": np.float64,
-    "left": np.int64,
-    "right": np.int64,
-    "value": np.float64,
+_TREE_FIELDS = {  # name: (the JSON kind of each entry, array dtype)
+    "feature": (int, np.int64),
+    "threshold": (float, np.float64),
+    "left": (int, np.int64),
+    "right": (int, np.int64),
+    "value": (float, np.float64),
 }
 
 
-def _tree_from_dict(index: int, record: dict) -> _Tree:
-    """Decode one saved tree: every field present, numeric, flat, and as
-    long as `feature`. _check_trees checks the structure."""
-    _require(record, _TREE_FIELDS, f"regressor.trees[{index}]")
+def _tree_from_dict(index: int, record) -> _Tree:
+    """Decode one saved tree: every field a list, as long as `feature`, of
+    JSON numbers of its kind that fit its dtype. _check_trees checks the
+    values."""
+    where = f"regressor.trees[{index}]"
     arrays = {}
-    for name, dtype in _TREE_FIELDS.items():
+    for name, (kind, dtype) in _TREE_FIELDS.items():
+        values = json_field(record, name, (list,), where)
+        if not set(map(type, values)) <= {int, kind}:  # is_json's types, in one pass
+            j = next(j for j, value in enumerate(values) if not is_json(value, kind))
+            raise SchemaError(f"{where}.{name}[{j}] must be {JSON_KINDS[kind]}, got {values[j]!r}")
         try:
-            arrays[name] = np.asarray(record[name], dtype=dtype)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"regressor.trees[{index}].{name} is not numeric: {exc}") from exc
-        if arrays[name].ndim != 1 or arrays[name].shape != arrays["feature"].shape:
+            arrays[name] = np.asarray(values, dtype=dtype)
+        except OverflowError:
+            raise SchemaError(f"{where}.{name} holds a value outside {dtype.__name__}") from None
+        if arrays[name].shape != arrays["feature"].shape:
             raise SchemaError(
-                f"regressor.trees[{index}].{name} has shape {arrays[name].shape}; "
+                f"{where}.{name} has shape {arrays[name].shape}; "
                 f"every field must be a flat list as long as feature"
             )
     if len(arrays["feature"]) == 0:
-        raise SchemaError(f"regressor.trees[{index}] has no nodes")
+        raise SchemaError(f"{where} has no nodes")
     return _Tree(**arrays)
 
 
@@ -111,6 +117,9 @@ def _check_trees(trees: Sequence[_Tree], n_features: int) -> None:
         feature,
         f"is outside [-1, {n_features})",
     )
+    for name in ("threshold", "value"):  # is_json's finiteness, over every tree at once
+        values = np.concatenate([getattr(t, name) for t in trees])
+        fail_where(~np.isfinite(values), name, values, "is not a finite number")
 
 
 @dataclass(frozen=True)
@@ -278,6 +287,7 @@ def _fit_tree(
         return node_id
 
     build(np.arange(len(y)), order, xs, 0)
+    del build  # it refers to itself through its closure: a cycle per tree
     tree = _Tree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -359,40 +369,19 @@ class GradientBoostedRegressor:
     @classmethod
     def from_dict(cls, record: dict, n_features: int) -> "GradientBoostedRegressor":
         """Decode and check a saved regressor over n_features inputs."""
-        _require(
-            record,
-            ("kind", "n_rounds", "max_depth", "learning_rate", "min_leaf", "base", "trees"),
-            "regressor",
-        )
-        if record["kind"] != "gbrt":
+        read = lambda key, kind: json_field(record, key, (kind,), "regressor")
+        if read("kind", str) != "gbrt":
             raise SchemaError(f"unknown regressor kind {record['kind']!r}")
-        if not isinstance(record["trees"], list):
-            raise SchemaError("regressor.trees must be a list")
-        trees = [_tree_from_dict(i, t) for i, t in enumerate(record["trees"])]
+        trees = [_tree_from_dict(i, t) for i, t in enumerate(read("trees", list))]
         _check_trees(trees, n_features)
         return cls(
-            n_rounds=record["n_rounds"],
-            max_depth=record["max_depth"],
-            learning_rate=_number(record, "learning_rate", "regressor"),
-            min_leaf=record["min_leaf"],
-            base=_number(record, "base", "regressor"),
+            n_rounds=read("n_rounds", int),
+            max_depth=read("max_depth", int),
+            learning_rate=read("learning_rate", float),
+            min_leaf=read("min_leaf", int),
+            base=read("base", float),
             trees=trees,
         )
-
-
-def _require(record, keys: Sequence[str], where: str) -> None:
-    if not isinstance(record, dict):
-        raise SchemaError(f"{where} must be an object")
-    for key in keys:
-        if key not in record:
-            raise SchemaError(f"{where} missing field {key!r}")
-
-
-def _number(record: dict, key: str, where: str) -> float:
-    value = record[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}.{key} must be a number, got {value!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -601,35 +590,26 @@ def save_model(model: ScorerModel, path: str | Path) -> None:
 def load_model(path: str | Path, expected_embedder_id: str | None = None) -> ScorerModel:
     """Read and fully check a model file, compiling its trees; a malformed
     file raises SchemaError here, never later inside a search."""
-    try:
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read model file {path}: {exc}") from exc
-    _require(record, ("version",), "model file")
-    if record["version"] != MODEL_FORMAT_VERSION:
+    record = read_json_object(path, "model")
+    read = lambda key, kind: json_field(record, key, (kind,), "model")
+    if read("version", int) != MODEL_FORMAT_VERSION:
         raise SchemaError(f"unsupported model version {record['version']!r}")
-    _require(
-        record,
-        ("embedder_id", "embed_dim", "threshold", "training_report", "regressor"),
-        "model file",
-    )
-    embed_dim = record["embed_dim"]
-    if not isinstance(embed_dim, int) or isinstance(embed_dim, bool) or embed_dim < 1:
-        raise SchemaError(f"model embed_dim must be a positive integer, got {embed_dim!r}")
-    if (
-        expected_embedder_id is not None
-        and record["embedder_id"] != expected_embedder_id
-    ):
+    embedder_id, embed_dim = read("embedder_id", str), read("embed_dim", int)
+    if embed_dim < 1:
+        raise SchemaError(f"model.embed_dim must be a positive integer, got {embed_dim!r}")
+    if expected_embedder_id is not None and embedder_id != expected_embedder_id:
         raise SchemaError(
-            f"model embedder_id {record['embedder_id']!r} does not match "
+            f"model embedder_id {embedder_id!r} does not match "
             f"configured {expected_embedder_id!r}"
         )
     return ScorerModel(
-        regressor=GradientBoostedRegressor.from_dict(record["regressor"], n_features=2 * embed_dim),
-        threshold=float(_number(record, "threshold", "model")),
-        embedder_id=record["embedder_id"],
+        regressor=GradientBoostedRegressor.from_dict(
+            read("regressor", dict), n_features=2 * embed_dim
+        ),
+        threshold=float(read("threshold", float)),
+        embedder_id=embedder_id,
         embed_dim=embed_dim,
-        training_report=record["training_report"],
+        training_report=read("training_report", dict),
     )
 
 

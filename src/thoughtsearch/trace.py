@@ -8,22 +8,28 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import SchemaError
+from .errors import SchemaError, is_json, json_field, read_json_object
 from .graph import Action, NodeKind, NodeStats, Thought, ThoughtGraph
 from .mcts import SearchOutcome
 
 TRACE_VERSION = 1
 
 _NODE_FIELDS = {
-    "id": int,
-    "kind": str,
-    "text": str,
-    "parents": list,
-    "step": int,
-    "score": (int, float),
-    "visits": int,
+    "id": (int,),
+    "kind": (str,),
+    "text": (str,),
+    "parents": (list,),
+    "step": (int,),
+    "score": (float,),
+    "visits": (int,),
 }
-_HISTORY_FIELDS = {"first": int, "second": int, "produced": int}
+_HISTORY_FIELDS = {"first": (int,), "second": (int,), "produced": (int,)}
+_OUTCOME_FIELDS = {
+    "best_thought": (int, type(None)),
+    "terminated_by": (str,),
+    "generator_calls": (int,),
+    "scorer_calls": (int,),
+}
 
 
 def graph_to_record(graph: ThoughtGraph, outcome: SearchOutcome | None = None) -> dict:
@@ -59,36 +65,23 @@ def graph_to_record(graph: ThoughtGraph, outcome: SearchOutcome | None = None) -
 
 def validate_trace(record: dict) -> dict:
     """Schema check naming the offending field on failure."""
-    if not isinstance(record, dict):
-        raise SchemaError("trace root must be an object")
-    version = record.get("version")
+    version = json_field(record, "version", (int,), "trace")
     if version != TRACE_VERSION:
         raise SchemaError(f"unsupported trace version {version!r} in field 'version'")
-    for top in ("query", "nodes", "history"):
-        if top not in record:
-            raise SchemaError(f"trace missing field {top!r}")
-    for top in ("nodes", "history"):
-        if not isinstance(record[top], list):
-            raise SchemaError(f"trace field {top!r} must be a list")
-        for i, entry in enumerate(record[top]):
-            if not isinstance(entry, dict):
-                raise SchemaError(f"{top}[{i}] must be an object")
-    for i, node in enumerate(record["nodes"]):
-        for name, types in _NODE_FIELDS.items():
-            if name not in node:
-                raise SchemaError(f"nodes[{i}] missing field {name!r}")
-            if not isinstance(node[name], types):
-                raise SchemaError(f"nodes[{i}].{name} has wrong type")
+    json_field(record, "query", (str,), "trace")
+    for i, node in enumerate(json_field(record, "nodes", (list,), "trace")):
+        for key, kinds in _NODE_FIELDS.items():
+            json_field(node, key, kinds, f"nodes[{i}]")
         if node["kind"] not in {k.value for k in NodeKind}:
             raise SchemaError(f"nodes[{i}].kind has unknown value {node['kind']!r}")
-        if any(type(parent) is not int for parent in node["parents"]):
+        if not all(is_json(parent, int) for parent in node["parents"]):
             raise SchemaError(f"nodes[{i}].parents must hold integer node ids")
-    for i, entry in enumerate(record["history"]):
-        for name in _HISTORY_FIELDS:
-            if name not in entry:
-                raise SchemaError(f"history[{i}] missing field {name!r}")
-            if type(entry[name]) is not int:
-                raise SchemaError(f"history[{i}].{name} must be an integer")
+    for i, entry in enumerate(json_field(record, "history", (list,), "trace")):
+        for key, kinds in _HISTORY_FIELDS.items():
+            json_field(entry, key, kinds, f"history[{i}]")
+    if "outcome" in record:
+        for key, kinds in _OUTCOME_FIELDS.items():
+            json_field(record["outcome"], key, kinds, "trace.outcome")
     return record
 
 
@@ -103,11 +96,7 @@ def trace_text(record: dict) -> str:
 
 
 def load_trace(path: str | Path) -> dict:
-    try:
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read trace file {path}: {exc}") from exc
-    return validate_trace(record)
+    return validate_trace(read_json_object(path, "trace"))
 
 
 def record_to_graph(record: dict) -> ThoughtGraph:
@@ -134,7 +123,10 @@ def record_to_graph(record: dict) -> ThoughtGraph:
     graph.thought_ids = sorted(
         nid for nid, node in graph.nodes.items() if node.kind != NodeKind.DOCUMENT
     )
-    for entry in record["history"]:
+    for i, entry in enumerate(record["history"]):
+        for name in ("first", "second", "produced"):
+            if entry[name] not in graph.nodes:
+                raise SchemaError(f"history[{i}].{name} is {entry[name]}, not a node id")
         action = Action(first=entry["first"], second=entry["second"])
         graph.history.append((action, entry["produced"]))
         for parent in dict.fromkeys((entry["first"], entry["second"])):

@@ -531,8 +531,18 @@ def test_export_malformed_trace_names_field(tmp_path, capsys):
 _QUERY_NODE = {"id": 0, "kind": "query", "text": "q", "parents": [], "step": 0, "score": 0.0, "visits": 0}
 
 
-def _trace(nodes, history):
-    return json.dumps({"version": 1, "query": "q", "nodes": nodes, "history": history})
+def _trace(nodes, history, **extra):
+    return json.dumps({"version": 1, "query": "q", "nodes": nodes, "history": history, **extra})
+
+
+def _model(version=1, **tree) -> str:
+    """A one-leaf model file for the simulated mode's scoring embedder, with
+    the tree's fields replaced by `tree`."""
+    leaf = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [0.0]}
+    regressor = {"kind": "gbrt", "n_rounds": 1, "max_depth": 1, "learning_rate": 0.1,
+                 "min_leaf": 1, "base": 0.0, "trees": [{**leaf, **tree}]}
+    return json.dumps({"version": version, "embedder_id": "hashed-tf-v1-d64", "embed_dim": 64,
+                       "threshold": 0.5, "training_report": {}, "regressor": regressor})
 
 
 def _http_config(endpoint: str) -> str:
@@ -555,7 +565,7 @@ _MALFORMED_INPUTS = {
         "run",
         '{"stop_thresholds": {"oracle": "x", "self_critic": 0.8, "estimation": 0.8}}',
         2,
-        "stop_thresholds['oracle'] must be a number",
+        "stop_thresholds.oracle must be a number",
     ),
     "config_threshold_unknown_key": (
         "run",
@@ -579,7 +589,7 @@ _MALFORMED_INPUTS = {
     "config_not_utf8": ("run", b"\xff", 2, _NOT_UTF8),
     "model_not_utf8": ("run-model", b"\xff", 2, _NOT_UTF8),
     "templates_not_utf8": ("run-templates", b"\xff", 2, _NOT_UTF8),
-    "trace_nodes_not_list": ("export-trace", _trace(5, []), 2, "'nodes' must be a list"),
+    "trace_nodes_not_list": ("export-trace", _trace(5, []), 2, "trace.nodes must be a list"),
     "trace_node_not_object": ("export-trace", _trace([1], []), 2, "nodes[0] must be an object"),
     "trace_history_not_object": ("export-trace", _trace([], [5]), 2, "history[0] must be an object"),
     "trace_parent_not_int": (
@@ -591,6 +601,24 @@ _MALFORMED_INPUTS = {
         2,
         "history[0].first",
     ),
+    "config_exploration_c_nan": ("run", '{"exploration_c": NaN}', 2, "config.exploration_c must be a number"),
+    "config_timeout_negative": (
+        "run", '{"generator": {"timeout_s": -1}}', 2, "generator.timeout_s must be > 0"
+    ),
+    "config_max_concurrency_negative": (
+        "run", '{"generator": {"max_concurrency": -1}}', 2, "generator.max_concurrency must be >= 1"
+    ),
+    "trace_outcome_list": (
+        "export-dot", _trace([_QUERY_NODE], [], outcome=[0]), 2, "trace.outcome must be an object"
+    ),
+    "trace_visits_bool": (
+        "export-trace", _trace([{**_QUERY_NODE, "visits": True}], []), 2, "nodes[0].visits must be an integer"
+    ),
+    "model_feature_huge": ("run-model", _model(feature=[2**70]), 2, "regressor.trees[0].feature holds"),
+    "model_feature_strings": (
+        "run-model", _model(feature=["-1"]), 2, "regressor.trees[0].feature[0] must be an integer"
+    ),
+    "model_version_bool": ("run-model", _model(version=True), 2, "model.version must be an integer"),
     "corpus_record_not_object": ("ingest", "5\n", 3, ":1: record must be an object"),
     "corpus_text_not_string": ("ingest", '{"text": 5}\n', 3, ":1: record needs a string 'text'"),
     "corpus_not_utf8": ("ingest", b"\xff\n", 3, _NOT_UTF8),
@@ -618,6 +646,7 @@ def test_malformed_input_exits_with_documented_code(tmp_path, capsys, command, c
         "run-model": [*run, "--model", str(bad)],
         "run-templates": [*run, "--config", str(templates_config)],
         "export-trace": ["export-trace", "--trace", str(bad)],
+        "export-dot": ["export-trace", "--trace", str(bad), "--format", "graphviz"],
         "ingest": ["ingest", "--mode", "simulated", "--corpus", str(bad), "--out", str(tmp_path / "i.json")],
     }[command]
     assert main(argv) == code

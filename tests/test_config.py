@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -95,6 +96,49 @@ def test_bounds_validated_on_construction():
         EpisodeConfig(max_steps=0)
     with pytest.raises(ConfigError):
         EpisodeConfig(exploration_c=-1.0)
+
+
+@pytest.mark.parametrize(
+    "name, value, rule",
+    [
+        ("timeout_s", 0, "> 0"),
+        ("timeout_s", -1, "> 0"),
+        ("retries", -1, ">= 0"),
+        ("max_concurrency", 0, ">= 1"),  # would block every request forever
+        ("max_concurrency", -1, ">= 1"),
+        ("max_tokens", 0, ">= 1"),
+    ],
+)
+def test_generator_bounds_fail_at_load(name, value, rule):
+    with pytest.raises(ConfigError, match=f"generator.{name} must be {rule}, got {value}"):
+        load_config(overrides={"generator": {name: value}})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"exploration_c": NaN}', "config.exploration_c must be a number, got nan"),
+        ('{"p_doc": Infinity}', "config.p_doc must be a number, got inf"),
+        ('{"generator": {"temperature": -Infinity}}', "config.generator.temperature must be a number"),
+        ('{"max_steps": true}', "config.max_steps must be an integer, got True"),
+        (
+            '{"stop_thresholds": {"oracle": NaN, "self_critic": 0.8, "estimation": 0.8}}',
+            "stop_thresholds.oracle must be a number, got nan",
+        ),
+        ('{"task_mode": ["boolq"]}', "unknown task mode"),
+    ],
+)
+def test_config_file_values_follow_the_json_rule(tmp_path, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+
+
+@pytest.mark.parametrize("name", ["max_steps", "exploration_c", "p_doc", "thought_sample_size"])
+def test_episode_bounds_reject_nan(name):
+    with pytest.raises(ConfigError, match=name):
+        EpisodeConfig(**{name: math.nan})
 
 
 def test_episode_view_takes_the_given_threshold():

@@ -4,6 +4,7 @@ model files are fully checked when they load."""
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from unittest import mock
@@ -124,6 +125,24 @@ def test_fitted_model_matches_reference():
     probe = np.vstack([X, rng.normal(size=(20, N_FEATURES))])
     probe[::7, 2] = math.nan
     assert np.array_equal(model.predict(probe), reference_predict(model, probe))
+
+
+def test_fit_leaves_no_reference_cycle():
+    """Each tree's recursive builder is freed when the tree is done, not left
+    in a reference cycle for the collector."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(40, N_FEATURES))
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # the collector keeps what it frees in gc.garbage
+    try:
+        GradientBoostedRegressor(n_rounds=3, max_depth=2).fit(X, X[:, 0])
+        gc.collect()
+        leaked = [o for o in gc.garbage if getattr(o, "__qualname__", "") == "_fit_tree.<locals>.build"]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []
 
 
 def reference_fit(X, y, n_rounds, max_depth, min_leaf, learning_rate=0.1):
@@ -326,6 +345,18 @@ def _break_kind(record):
     record["regressor"]["kind"] = "ridge"
 
 
+def _break_feature_bool(record):
+    record["regressor"]["trees"][1]["feature"][0] = True
+
+
+def _break_threshold_nan(record):
+    record["regressor"]["trees"][1]["threshold"][0] = math.nan
+
+
+def _break_version_bool(record):
+    record["version"] = True
+
+
 @pytest.mark.parametrize(
     "breaker, message",
     [
@@ -339,6 +370,9 @@ def _break_kind(record):
         (_break_model_key, r"missing field 'embed_dim'"),
         (_break_base_type, r"regressor\.base must be a number"),
         (_break_kind, r"unknown regressor kind 'ridge'"),
+        (_break_feature_bool, r"trees\[1\]\.feature\[0\] must be an integer, got True"),
+        (_break_threshold_nan, r"trees\[1\]\.threshold\[0\] = nan is not a finite number"),
+        (_break_version_bool, r"model\.version must be an integer, got True"),
     ],
     ids=[
         "child_out_of_range",
@@ -351,6 +385,9 @@ def _break_kind(record):
         "missing_model_key",
         "non_numeric_base",
         "unknown_kind",
+        "boolean_feature",
+        "nan_threshold",
+        "boolean_version",
     ],
 )
 def test_malformed_model_file_rejected_at_load(model_record, tmp_path, breaker, message):

@@ -3,16 +3,20 @@ random-pairing control on a small seeded simulated suite, and the bytes of
 the suite's index and estimator model files, pinned to the values the
 engine has produced since these planners' behaviour was last changed on
 purpose. A speed-up or refactor that moves any digest changed behaviour;
-update the pins only for a change that says so."""
+update the pins only for a change that says so. Damaged copies of the
+fixture's model file and of one of its traces must fail as SchemaError."""
 
 from __future__ import annotations
 
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thoughtsearch import simenv
 from thoughtsearch.config import default_config
+from thoughtsearch.errors import SchemaError
 from thoughtsearch.generate import SimulatedGenerator
 from thoughtsearch.harness import (
     EnginePorts,
@@ -22,9 +26,9 @@ from thoughtsearch.harness import (
     train_scorer,
 )
 from thoughtsearch.retrieval import ingest_corpus, save_index
-from thoughtsearch.scoring import save_model
+from thoughtsearch.scoring import load_model, save_model
 from thoughtsearch.templates import TemplateSet
-from thoughtsearch.trace import graph_to_record, trace_text
+from thoughtsearch.trace import graph_to_record, load_trace, trace_text
 
 GOLDEN = {  # id: (method, rows sha256, trace bytes sha256)
     "mcts_self_critic": (
@@ -110,3 +114,40 @@ def test_index_and_model_files_match_golden_digests(engine, tmp_path):
         for name in ("index.bin", "model.json")
     ]
     assert digests == [INDEX_FILE_SHA256, MODEL_FILE_SHA256]
+
+
+@pytest.fixture(scope="module")
+def saved_files(engine, tmp_path_factory):
+    """The fixture's model file and the trace of one of its searches, as
+    bytes, each with its loader."""
+    examples, ports, config = engine
+    model = tmp_path_factory.mktemp("saved") / "model.json"
+    save_model(ports.scorer_model, model)
+    traces = []
+    sink = lambda example, outcome: traces.append(trace_text(graph_to_record(outcome.graph, outcome)))
+    run_benchmark(examples[:1], Method.MCTS_SELF_CRITIC, ports, config, trace_sink=sink)
+    return {
+        "model": (model.read_bytes(), load_model),
+        "trace": (traces[0].encode("utf-8"), load_trace),
+    }
+
+
+@pytest.mark.parametrize("kind", ["model", "trace"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_damaged_model_and_trace_files_raise_only_schema_error(saved_files, tmp_path_factory, kind, data):
+    """A file cut short anywhere, or with a few bytes flipped, either loads
+    or raises SchemaError; nothing else escapes its loader."""
+    blob, load = saved_files[kind]
+    blob = bytearray(blob)
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="cut at")]
+    else:
+        for at in data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4), label="flip"):
+            blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+    path = tmp_path_factory.mktemp("fuzz") / f"{kind}.json"
+    path.write_bytes(bytes(blob))
+    try:
+        load(path)
+    except SchemaError:
+        pass

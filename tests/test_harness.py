@@ -209,11 +209,16 @@ def test_load_examples_loaders(tmp_path):
         ({"query": 7, "answers": ["v"]}, "'query'"),
         ({"query": "q", "answers": ["v"], "filter_key": ["k"]}, "'filter_key'"),
         *[({"id": bad, "query": "q", "answers": ["v"]}, "'id'") for bad in ["", ".", "..", "a/b", "a\\b", "a\0b"]],
+        ({"query": "q", "answers": ["v"], "split": ["train"]}, "'split'"),
     ],
 )
 def test_load_examples_names_line_and_field(tmp_path, record, field):
     path = write_jsonl(tmp_path / "examples.jsonl", [{"query": "fine", "answers": ["v"]}, record])
-    with pytest.raises(SchemaError, match=rf"examples.jsonl:2: field {field}"):
+    if field == "'id'":
+        message = rf"examples.jsonl:2: field {field}"
+    else:  # the shared JSON wording: missing, or not of the field's kind
+        message = rf"examples.jsonl:2: example( missing field {field}|\.{field[1:-1]} must be)"
+    with pytest.raises(SchemaError, match=message):
         load_examples(path)
 
 

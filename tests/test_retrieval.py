@@ -427,6 +427,7 @@ def _non_finite_row(header, rows):
         (lambda h, r: h["documents"][0].__setitem__("filter_key", 7), r"documents\[0\].filter_key"),
         (lambda h, r: h["embedder"]["idf"].__setitem__("w0", "x"), "idf"),
         (_non_finite_row, "row 2 is not finite"),
+        (lambda h, r: h["embedder"].__setitem__("n_docs", 10**400), r"0 <= n_docs < 2\*\*63"),
     ],
     ids=[
         "truncated-to-version",
@@ -443,6 +444,7 @@ def _non_finite_row(header, rows):
         "filter-key-not-string",
         "idf-not-numeric",
         "embeddings-not-finite",
+        "n-docs-beyond-float",
     ],
 )
 def test_malformed_index_is_rejected_at_load(tmp_path, mutate, message):

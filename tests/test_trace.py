@@ -123,6 +123,43 @@ def test_validation_names_offending_field():
         validate_trace(record)
 
 
+@pytest.mark.parametrize(
+    "where, name, value, message",
+    [
+        ("nodes", "id", True, r"nodes\[1\]\.id must be an integer, got True"),
+        ("nodes", "step", True, r"nodes\[1\]\.step must be an integer"),
+        ("nodes", "visits", True, r"nodes\[1\]\.visits must be an integer"),
+        ("nodes", "score", math.nan, r"nodes\[1\]\.score must be a number, got nan"),
+        ("nodes", "score", math.inf, r"nodes\[1\]\.score must be a number, got inf"),
+        ("outcome", "best_thought", True, r"trace\.outcome\.best_thought must be an integer or null"),
+    ],
+)
+def test_validation_applies_the_json_rule(where, name, value, message):
+    """A boolean is no integer and a score must be finite."""
+    ports = SearchPorts(generator=SimulatedGenerator(), scorer=ConstantScorer(0.0))
+    outcome = run_search("q", ports, EpisodeConfig(max_steps=3, stop_threshold=0.9))
+    record = graph_to_record(outcome.graph, outcome)
+    entry = record[where] if where == "outcome" else record[where][1]
+    entry[name] = value
+    with pytest.raises(SchemaError, match=message):
+        validate_trace(record)
+
+
+@pytest.mark.parametrize("outcome", [[0], "done", None])
+def test_outcome_must_be_an_object(outcome):
+    record = {**graph_to_record(_diamond_graph()), "outcome": outcome}
+    with pytest.raises(SchemaError, match="trace.outcome must be an object"):
+        to_dot(record)
+
+
+@pytest.mark.parametrize("name", ["first", "second", "produced"])
+def test_record_to_graph_rejects_history_naming_no_node(name):
+    record = graph_to_record(_diamond_graph())
+    record["history"][1][name] = 7
+    with pytest.raises(SchemaError, match=rf"history\[1\]\.{name} is 7, not a node id"):
+        record_to_graph(record)
+
+
 def test_best_thought_highlighted_in_dot():
     ports = SearchPorts(generator=SimulatedGenerator(), scorer=ConstantScorer(1.0))
     outcome = run_search("q", ports, EpisodeConfig(max_steps=3, stop_threshold=0.5))
