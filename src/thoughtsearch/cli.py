@@ -75,7 +75,7 @@ def _ports(config: EngineConfig, need_index: bool = False, need_model: bool = Fa
     it does not name."""
     templates = _templates(config)
     generator = _generator(config, templates)
-    index = model = embedder = None
+    index = model = None
     if config.index_file:
         index = load_index(config.index_file)
         if index.embedder.dim != config.retrieval.embed_dim:
@@ -84,19 +84,14 @@ def _ports(config: EngineConfig, need_index: bool = False, need_model: bool = Fa
                 f"configured retrieval.embed_dim {config.retrieval.embed_dim}"
             )
     if config.model_file:
-        embedder = harness.scoring_embedder(config)
-        model = load_model(config.model_file, expected_embedder_id=embedder.embedder_id)
+        model = load_model(
+            config.model_file, expected_embedder_id=harness.scoring_embedder(config).embedder_id
+        )
     if need_index and index is None:
         raise ConfigError("this command requires index_file (or --index)")
     if need_model and model is None:
         raise ConfigError("estimation methods require model_file (or --model)")
-    return EnginePorts(
-        generator=generator,
-        templates=templates,
-        index=index,
-        scorer_model=model,
-        scoring_embedder=embedder,
-    )
+    return EnginePorts(generator=generator, templates=templates, index=index, scorer_model=model)
 
 
 def _load_args_config(args: argparse.Namespace) -> EngineConfig:
@@ -217,6 +212,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "config.json").write_text(config.to_json(), encoding="utf-8")
     summary: dict = {"config_hash": config_hash(config), "n_examples": len(examples), "methods": {}}
 
     for method in methods:

@@ -54,16 +54,18 @@ class SchemaError(EngineError):
 
 
 class SearchError(EngineError):
-    """Port failure inside a search; carries the partial graph for export."""
+    """Port failure inside a search; carries the partial graph for export
+    and the scorer calls the search spent before it failed."""
 
-    def __init__(self, message: str, graph=None):
+    def __init__(self, message: str, graph=None, scorer_calls: int = 0):
         super().__init__(message)
         self.graph = graph
+        self.scorer_calls = scorer_calls
 
 
 # The JSON kinds a loader may ask for, by the Python type json decodes them to.
-JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
-              dict: "an object", type(None): "null"}
+JSON_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+              list: "a list", dict: "an object", type(None): "null"}
 
 
 def is_json(value, kind: type) -> bool:
@@ -85,12 +87,17 @@ def json_field(record: dict, key: str, kinds: tuple[type, ...], where: str, erro
         raise error(f"{where} must be an object, got {reprlib.repr(record)}")
     if key not in record:
         raise error(f"{where} missing field {key!r}")
-    value = record[key]
+    return json_value(record[key], kinds, f"{where}.{key}", error)
+
+
+def json_value(value, kinds: tuple[type, ...], where: str, error=SchemaError):
+    """`value` when it is of one of `kinds` under `is_json`; otherwise
+    `error` naming `where`."""
     for kind in kinds:
         if is_json(value, kind):
             return value
     wanted = " or ".join(JSON_KINDS[kind] for kind in kinds)
-    raise error(f"{where}.{key} must be {wanted}, got {reprlib.repr(value)}")
+    raise error(f"{where} must be {wanted}, got {reprlib.repr(value)}")
 
 
 def read_json_object(path: str | Path, what: str, error=SchemaError) -> dict:

@@ -53,7 +53,7 @@ class Generator(Protocol):
     """Completion-backed operations every backend must provide.
 
     A backend whose reply is a function of the call alone may also set
-    `deterministic = True`; each search then sends it every distinct call
+    `deterministic = True`; each example then sends it every distinct call
     once (see CountingGenerator). Without the attribute it counts as False.
     """
 
@@ -69,14 +69,15 @@ class Generator(Protocol):
 
 
 class CountingGenerator:
-    """Delegating wrapper for one search: counts every call and, when the
-    inner generator is deterministic, answers a repeated call from a memo.
+    """Delegating wrapper for one example (its search, scorer and final
+    answer): counts every call and, when the inner generator is
+    deterministic, answers a repeated call from a memo.
 
     `calls` counts the calls the caller asked for; `backend_calls` counts
     those that reached the inner generator. The memo is keyed by method and
     arguments as given (parents keep their order and kinds), stores only
     results (a call that raised is retried next time), and lives as long as
-    this wrapper, so it needs no lock and nothing leaks between searches.
+    this wrapper, so it needs no lock and nothing leaks between examples.
     """
 
     def __init__(self, inner: Generator):
@@ -114,6 +115,14 @@ class CountingGenerator:
 
     def complete(self, prompt: str) -> str:
         return self._ask(("complete", prompt), self.inner.complete, prompt)
+
+
+def counting(generator: Generator) -> CountingGenerator:
+    """The ledger for `generator`: the port itself when it already counts,
+    a fresh CountingGenerator around it otherwise."""
+    if isinstance(generator, CountingGenerator):
+        return generator
+    return CountingGenerator(generator)
 
 
 def parse_facts(text: str) -> dict[str, str]:

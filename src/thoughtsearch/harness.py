@@ -10,6 +10,7 @@ query id so concurrent execution assembles an order-independent report.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
@@ -19,8 +20,9 @@ from pathlib import Path
 from typing import Callable
 
 from .config import EngineConfig
-from .errors import ConfigError, EngineError, SchemaError, json_field
-from .generate import CountingGenerator, Generator
+from .errors import ConfigError, EngineError, SchemaError, json_field, json_value
+from .generate import CountingGenerator, Generator, counting
+from .graph import ThoughtGraph
 from .metrics import best_token_f1, exact_match, parse_boolean, parse_quantity_mg
 from .mcts import SearchOutcome, SearchPorts, greedy_search, random_search, run_search
 from .retrieval import CorpusIndex, DocumentQueue, HashedEmbedder, retrieve
@@ -120,11 +122,6 @@ class BenchmarkReport:
     aggregate: float
     max_steps: int
 
-    def recompute_aggregate(self) -> float:
-        if not self.per_example:
-            return 0.0
-        return sum(r.correct for r in self.per_example) / len(self.per_example)
-
 
 @dataclass
 class EnginePorts:
@@ -134,7 +131,6 @@ class EnginePorts:
     templates: TemplateSet
     index: CorpusIndex | None = None
     scorer_model: ScorerModel | None = None
-    scoring_embedder: object | None = None
 
 
 def extract_answer(task: Task, completion: str) -> str:
@@ -164,9 +160,9 @@ def make_scorer(method: Method, example: QAExample, ports: EnginePorts, config: 
     if kind == "self_critic":
         return SelfCriticScorer(ports.templates)
     if kind == "estimation":
-        if ports.scorer_model is None or ports.scoring_embedder is None:
+        if ports.scorer_model is None:
             raise ConfigError(f"method {method.value} requires a trained scorer model")
-        return EstimatorScorer(ports.scorer_model, ports.scoring_embedder)
+        return EstimatorScorer(ports.scorer_model, scoring_embedder(config))
     raise ConfigError(f"method {method.value} has no scorer")
 
 
@@ -234,6 +230,25 @@ def train_scorer(
     return model, samples
 
 
+def _row(
+    example: QAExample,
+    ledger: CountingGenerator,
+    graph: ThoughtGraph | None,
+    scorer_calls: int,
+    **fields,
+) -> ExampleResult:
+    """One example's row: its calls from its ledger, its thoughts from the
+    graph its search built (none for a baseline or an early failure)."""
+    return ExampleResult(
+        query_id=example.query_id,
+        thought_count=graph.generated_count if graph is not None else 0,
+        generator_calls=ledger.calls,
+        scorer_calls=scorer_calls,
+        backend_calls=ledger.backend_calls,
+        **fields,
+    )
+
+
 def run_example(
     method: Method,
     example: QAExample,
@@ -242,40 +257,31 @@ def run_example(
     rng,
     trace_sink: Callable[[QAExample, SearchOutcome], None] | None = None,
 ) -> ExampleResult:
-    """One example end to end: search (if the method plans), answer, grade."""
-    generator = CountingGenerator(ports.generator)
+    """One example end to end: search (if the method plans), answer, grade.
+    The search, its scorer and the final answer share one ledger: the
+    ports' generator when it already counts, a fresh one otherwise."""
+    ledger = counting(ports.generator)
+    if ledger is not ports.generator:
+        ports = dataclasses.replace(ports, generator=ledger)
     plan = PLANS[method]
-    if plan.planner is None:
-        context = None
-        if plan.retrieves and ports.index is not None:
-            docs = retrieve(ports.index, example.query, k=1, filter_key=example.filter_key)
-            context = docs[0].text if docs else None
-        raw = generator.answer(example.query, context)
-        pred = extract_answer(example.task, raw)
-        return ExampleResult(
-            query_id=example.query_id,
-            correct=exact_match(pred, example.gold_answers),
-            thought_count=0,
-            generator_calls=generator.calls,
-            scorer_calls=0,
-            backend_calls=generator.backend_calls,
-            answer=pred,
-        )
-
-    outcome = search_example(method, example, ports, config, rng)
-    if trace_sink is not None:
-        trace_sink(example, outcome)
-    best_text = outcome.graph.node(outcome.best_thought).text
-    raw = generator.answer(example.query, best_text)
-    pred = extract_answer(example.task, raw)
-    return ExampleResult(
-        query_id=example.query_id,
+    outcome = None
+    context = None
+    if plan.planner is not None:
+        outcome = search_example(method, example, ports, config, rng)
+        if trace_sink is not None:
+            trace_sink(example, outcome)
+        context = outcome.graph.node(outcome.best_thought).text
+    elif plan.retrieves and ports.index is not None:
+        docs = retrieve(ports.index, example.query, k=1, filter_key=example.filter_key)
+        context = docs[0].text if docs else None
+    pred = extract_answer(example.task, ledger.answer(example.query, context))
+    return _row(
+        example,
+        ledger,
+        outcome.graph if outcome else None,
+        outcome.scorer_calls if outcome else 0,
         correct=exact_match(pred, example.gold_answers),
-        thought_count=outcome.graph.generated_count,
-        generator_calls=outcome.generator_calls + generator.calls,
-        scorer_calls=outcome.scorer_calls,
-        backend_calls=outcome.backend_calls + generator.backend_calls,
-        terminated_by=outcome.terminated_by.value,
+        terminated_by=outcome.terminated_by.value if outcome else "",
         answer=pred,
     )
 
@@ -288,23 +294,21 @@ def run_benchmark(
     trace_sink: Callable[[QAExample, SearchOutcome], None] | None = None,
 ) -> BenchmarkReport:
     """Run one method over a dataset. Per-example failures are recorded as
-    incorrect with an error tag and never abort the run."""
+    incorrect with an error tag and the calls and thoughts they spent, and
+    never abort the run."""
 
     def worker(idx_example: tuple[int, QAExample]) -> ExampleResult:
         idx, example = idx_example
         rng = rng_from(config.seed, idx)
+        ledger = CountingGenerator(ports.generator)
         try:
-            return run_example(method, example, ports, config, rng, trace_sink)
+            return run_example(
+                method, example, dataclasses.replace(ports, generator=ledger), config, rng, trace_sink
+            )
         except EngineError as exc:
             log.warning("example %s failed: %s", example.query_id, exc)
-            return ExampleResult(
-                query_id=example.query_id,
-                correct=0,
-                thought_count=0,
-                generator_calls=0,
-                scorer_calls=0,
-                error=str(exc),
-            )
+            graph, scorer_calls = getattr(exc, "graph", None), getattr(exc, "scorer_calls", 0)
+            return _row(example, ledger, graph, scorer_calls, correct=0, error=str(exc))
 
     indexed = list(enumerate(examples))
     if config.workers > 1:
@@ -313,11 +317,8 @@ def run_benchmark(
     else:
         results = [worker(item) for item in indexed]
     results.sort(key=lambda r: r.query_id)
-    report = BenchmarkReport(
-        method=method, per_example=results, aggregate=0.0, max_steps=config.max_steps
-    )
-    report.aggregate = report.recompute_aggregate()
-    return report
+    aggregate = sum(r.correct for r in results) / max(1, len(results))
+    return BenchmarkReport(method, results, aggregate, max_steps=config.max_steps)
 
 
 def accuracy_vs_size_curve(reports: list[BenchmarkReport]) -> list[dict]:
@@ -382,6 +383,8 @@ def _parse_example(line: str, where: str, default_id: str) -> QAExample:
         answers = [answers]
     if not answers:
         raise SchemaError(f"{where}: field 'answers' must not be empty")
+    for i, answer in enumerate(answers):
+        json_value(answer, (str, float, bool), f"{where}: example.answers[{i}]")
     try:
         task = Task(rec.get("task", "simulated_fact"))
     except ValueError:
@@ -390,7 +393,7 @@ def _parse_example(line: str, where: str, default_id: str) -> QAExample:
             f"choose from {[t.value for t in Task]}"
         ) from None
     return QAExample(
-        query_id=str(rec.get("id", default_id)),
+        query_id=str(read("id", (str, int))) if "id" in rec else default_id,
         query=query,
         gold_answers=normalize_gold(task, answers),
         task=task,

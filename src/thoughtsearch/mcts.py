@@ -23,7 +23,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .errors import ConfigError, EngineError, ExhaustedCorpusError, SearchError
-from .generate import CountingGenerator, Generator
+from .generate import CountingGenerator, Generator, counting
 from .graph import ROOT_ID, Action, EpisodeConfig, ThoughtGraph, new_process
 from .retrieval import DocumentQueue
 
@@ -60,7 +60,7 @@ class SearchOutcome:
     graph: ThoughtGraph
     best_thought: int
     terminated_by: Termination
-    generator_calls: int  # calls the planner and scorer asked for
+    generator_calls: int  # calls this search's planner and scorer asked for
     backend_calls: int  # of those, the ones the memo did not answer
     scorer_calls: int
     simulation_scores: dict[int, float] = field(default_factory=dict)
@@ -234,9 +234,12 @@ Step = Callable[[ThoughtGraph, CountingGenerator, Callable[[], str]], tuple[int,
 def _search(query: str, ports: SearchPorts, config: EpisodeConfig, step: Step) -> SearchOutcome:
     """The episode every planner shares: add one thought per step until one
     scores at least the stop threshold (it is the answer) or the budget is
-    spent (the best mean score among generated nodes is)."""
+    spent (the best mean score among generated nodes is). The calls go on
+    the ports' generator when it already counts (the example's ledger), on
+    a fresh CountingGenerator otherwise; the outcome reports this search's."""
     graph = new_process(query, max_generated=config.max_steps)
-    generator = CountingGenerator(ports.generator)
+    generator = counting(ports.generator)
+    calls_before, backend_before = generator.calls, generator.backend_calls
     provider = _query_provider(graph, ports.retriever, generator)
     scorer_calls = 0
     simulation_scores: dict[int, float] = {}
@@ -251,7 +254,11 @@ def _search(query: str, ports: SearchPorts, config: EpisodeConfig, step: Step) -
                 terminated, best = Termination.THRESHOLD_REACHED, child
                 break
     except EngineError as exc:
-        raise SearchError(f"search failed after {graph.generated_count} thoughts: {exc}", graph=graph) from exc
+        raise SearchError(
+            f"search failed after {graph.generated_count} thoughts: {exc}",
+            graph=graph,
+            scorer_calls=scorer_calls,
+        ) from exc
     if best is None:
         best = _best_generated(graph)
         if best is None:  # max_steps >= 1 guarantees at least one node
@@ -260,8 +267,8 @@ def _search(query: str, ports: SearchPorts, config: EpisodeConfig, step: Step) -
         graph=graph,
         best_thought=best,
         terminated_by=terminated,
-        generator_calls=generator.calls,
-        backend_calls=generator.backend_calls,
+        generator_calls=generator.calls - calls_before,
+        backend_calls=generator.backend_calls - backend_before,
         scorer_calls=scorer_calls,
         simulation_scores=simulation_scores,
     )

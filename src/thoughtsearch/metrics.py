@@ -2,8 +2,7 @@
 
 normalize_answer follows the SQuAD evaluation convention: lowercase, strip
 punctuation, drop English articles, collapse whitespace. exact_match and
-token_f1 operate on normalized text; rouge_l works on raw lowercased token
-sequences (no article stripping) so that sequence order matters.
+token_f1 operate on normalized text.
 """
 
 from __future__ import annotations
@@ -48,33 +47,6 @@ def token_f1(prediction: str, gold: str) -> float:
 def best_token_f1(prediction: str, gold_answers: list[str]) -> float:
     """Max token F1 over a set of acceptable answers."""
     return max(token_f1(prediction, gold) for gold in gold_answers)
-
-
-def _lcs_length(a: list[str], b: list[str]) -> int:
-    # Two-row dynamic program; O(len(a) * len(b)) time, O(len(b)) space.
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
-
-
-def rouge_l(prediction: str, gold: str) -> float:
-    """Longest-common-subsequence F-measure (beta = 1) over token sequences."""
-    pred_tokens = prediction.lower().split()
-    gold_tokens = gold.lower().split()
-    if not pred_tokens or not gold_tokens:
-        return float(pred_tokens == gold_tokens)
-    lcs = _lcs_length(pred_tokens, gold_tokens)
-    if lcs == 0:
-        return 0.0
-    precision = lcs / len(pred_tokens)
-    recall = lcs / len(gold_tokens)
-    return 2 * precision * recall / (precision + recall)
 
 
 def parse_boolean(completion: str) -> str | None:

@@ -25,7 +25,6 @@ from thoughtsearch.harness import (
     Method,
     example_search_ports,
     run_benchmark,
-    scoring_embedder,
     train_scorer,
 )
 from thoughtsearch.mcts import (
@@ -37,7 +36,7 @@ from thoughtsearch.mcts import (
     select,
     uct_value,
 )
-from thoughtsearch.metrics import exact_match, rouge_l, token_f1
+from thoughtsearch.metrics import exact_match, token_f1
 from thoughtsearch.retrieval import (
     DocumentQueue,
     chunk_words,
@@ -245,7 +244,6 @@ def benchmark_env(tmp_path_factory):
         index=index,
     )
     ports.scorer_model, _ = train_scorer(suite.train, ports, config)
-    ports.scoring_embedder = scoring_embedder(config)
     return suite, ports, config
 
 
@@ -414,50 +412,14 @@ _METRIC_CASES = [
     (lambda: token_f1("", "text"), 0.0),
     (lambda: token_f1("b b", "b"), 2 * (1 / 2) * 1 / (1 / 2 + 1)),
     (lambda: token_f1("p q r s", "p q"), 2 * (1 / 2) * 1 / (1 / 2 + 1)),
-    # rouge_l
-    (lambda: rouge_l("a b c", "a b c"), 1.0),
-    (lambda: rouge_l("p q", "x y"), 0.0),
-    (lambda: rouge_l("a b c", "a c"), 0.8),
-    (lambda: rouge_l("b a", "a b"), 0.5),
-    (lambda: rouge_l("x y z w", "y w"), 2 * (2 / 4) * (2 / 2) / (2 / 4 + 2 / 2)),
-    (lambda: rouge_l("m n", "m n o p"), 2 * (2 / 2) * (2 / 4) / (2 / 2 + 2 / 4)),
 ]
 
 
 def test_metric_reference_suite():
     hand_ok = all(abs(fn() - expected) < 1e-12 for fn, expected in _METRIC_CASES)
-
-    # Independent memoized-recursion LCS oracle over random token pairs.
-    from functools import lru_cache
-
-    def lcs_oracle(a, b):
-        @lru_cache(maxsize=None)
-        def rec(i, j):
-            if i == len(a) or j == len(b):
-                return 0
-            if a[i] == b[j]:
-                return 1 + rec(i + 1, j + 1)
-            return max(rec(i + 1, j), rec(i, j + 1))
-
-        return rec(0, 0)
-
-    rng = np.random.default_rng(8)
-    vocab = ["ash", "birch", "cedar", "dune", "elm"]
-    rouge_ok = True
-    for _ in range(1000):
-        a = tuple(vocab[i] for i in rng.integers(0, 5, size=rng.integers(1, 12)))
-        b = tuple(vocab[i] for i in rng.integers(0, 5, size=rng.integers(1, 12)))
-        lcs = lcs_oracle(a, b)
-        if lcs == 0:
-            expected = 0.0
-        else:
-            p, r = lcs / len(a), lcs / len(b)
-            expected = 2 * p * r / (p + r)
-        if abs(rouge_l(" ".join(a), " ".join(b)) - expected) > 1e-12:
-            rouge_ok = False
     _criterion(
-        "Metric reference suite (20 hand cases, 1000 LCS-oracle pairs)",
-        hand_ok and rouge_ok,
+        "Metric reference suite (14 hand cases)",
+        hand_ok,
         f"hand_cases={len(_METRIC_CASES)}",
     )
 

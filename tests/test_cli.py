@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from thoughtsearch.cli import build_parser, main
-from thoughtsearch.config import load_config
+from thoughtsearch.config import ENV_API_KEY, ENV_ENDPOINT, config_hash, load_config
 from thoughtsearch.generate import SimulatedGenerator
 from thoughtsearch.harness import (
     PLANS,
@@ -220,8 +220,15 @@ _GOOD_EXAMPLE = '{"id": "ok", "query": "need:k0 q", "answers": ["v"], "split": "
         ('{"query": "q", "answers": [], "split": "train"}', "'answers'"),
         ('{"id": "a/b", "query": "q", "answers": ["v"], "split": "train"}', "'a/b' is not a usable file name"),
         ('{"id": "ok", "query": "q", "answers": ["v"], "split": "train"}', "repeats the id of line 1"),
+        ('{"query": "q", "answers": [null, {"a": 1}], "id": [1, 2], "split": "train"}', "example.answers[0] must be"),
+        ('{"id": true, "query": "q", "answers": ["v"], "split": "train"}', "example.id must be"),
+        ('{"id": 1e308, "query": "q", "answers": ["v"], "split": "train"}', "example.id must be"),
+        ('{"query": "q", "answers": [Infinity], "split": "train"}', "example.answers[0] must be"),
     ],
-    ids=["bad_json", "not_an_object", "missing_query", "unknown_task", "empty_answers", "path_id", "repeated_id"],
+    ids=[
+        "bad_json", "not_an_object", "missing_query", "unknown_task", "empty_answers", "path_id", "repeated_id",
+        "answers_not_scalar", "id_bool", "id_huge_float", "answers_infinity",
+    ],
 )
 @pytest.mark.parametrize("command", ["eval", "train-scorer"])
 def test_malformed_example_line_is_config_error(workspace, tmp_path, capsys, command, bad_line, field):
@@ -299,7 +306,6 @@ def test_run_trace_equals_harness_trace(workspace, tmp_path, method):
         templates=TemplateSet.builtin("simulated"),
         index=load_index(index),
         scorer_model=load_model(model, expected_embedder_id=embedder.embedder_id),
-        scoring_embedder=embedder,
     )
     sunk = tmp_path / "harness.json"
     sink = lambda ex, outcome: dump_trace(graph_to_record(outcome.graph, outcome), sunk)
@@ -718,8 +724,12 @@ def test_backend_script_rejects_a_malformed_body_with_400(body):
     assert not thread.is_alive()
 
 
-def test_config_hash_echoed(workspace, tmp_path, capsys):
+def test_config_hash_echoed(workspace, tmp_path, capsys, monkeypatch):
+    """`eval` prints the config hash and writes, next to summary.json, the
+    config it hashed; the API key stays in the environment."""
     tmp, corpus, examples, index, model = workspace
+    monkeypatch.delenv(ENV_ENDPOINT, raising=False)
+    monkeypatch.setenv(ENV_API_KEY, "secret-key-value")
     outdir = tmp_path / "echo"
     main(
         [
@@ -734,11 +744,17 @@ def test_config_hash_echoed(workspace, tmp_path, capsys):
             str(outdir),
             "--limit",
             "2",
+            "--seed",
+            "9",
         ]
     )
     out = capsys.readouterr().out
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["config_hash"] in out
+    written = outdir / "config.json"
+    assert config_hash(load_config(written)) == summary["config_hash"]
+    assert load_config(written).seed == 9
+    assert "secret-key-value" not in written.read_text()
 
 
 def _readme_commands() -> list[str]:

@@ -22,7 +22,6 @@ from thoughtsearch.harness import (
     EnginePorts,
     Method,
     run_benchmark,
-    scoring_embedder,
     train_scorer,
 )
 from thoughtsearch.retrieval import ingest_corpus, save_index
@@ -81,7 +80,6 @@ def engine(tmp_path_factory):
         index=ingest_corpus(tmp / "corpus.jsonl", chunk_size=100, dim=256),
     )
     ports.scorer_model, _ = train_scorer(suite.train, ports, config)
-    ports.scoring_embedder = scoring_embedder(config)
     return suite.test, ports, config
 
 

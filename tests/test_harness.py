@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
 
 import pytest
 
@@ -20,7 +22,6 @@ from thoughtsearch.harness import (
     load_examples,
     report_to_csv,
     run_benchmark,
-    scoring_embedder,
     train_scorer,
 )
 from thoughtsearch.retrieval import ingest_corpus
@@ -42,7 +43,6 @@ def sim(tmp_path_factory):
         index=index,
     )
     ports.scorer_model, _ = train_scorer(suite.train, ports, config)
-    ports.scoring_embedder = scoring_embedder(config)
     return suite, ports, config
 
 
@@ -56,7 +56,7 @@ def test_llm_only_scores_zero_on_two_hop(sim):
 def test_report_audit_aggregate_matches_rows(sim):
     suite, ports, config = sim
     report = run_benchmark(suite.test, Method.MCTS_ORACLE, ports, config)
-    assert report.aggregate == report.recompute_aggregate()
+    assert report.aggregate == sum(r.correct for r in report.per_example) / len(report.per_example)
     assert sorted(r.query_id for r in report.per_example) == [
         e.query_id for e in sorted(suite.test, key=lambda e: e.query_id)
     ]
@@ -110,11 +110,19 @@ def test_rag_answers_one_hop_when_doc_suffices(tmp_path):
 
 
 def test_per_example_failure_is_recorded_not_raised(sim):
+    """A search that fails keeps the thoughts and calls it spent on its row."""
     suite, ports, config = sim
 
     class ExplodingScorer:
+        """Scores 0 three times, then fails on its fourth call."""
+
+        calls = 0
+
         def score(self, graph, node_id, generator):
-            raise EngineError("scorer down")
+            self.calls += 1
+            if self.calls == 4:
+                raise EngineError("scorer down")
+            return 0.0
 
     import thoughtsearch.harness as harness_mod
 
@@ -134,6 +142,45 @@ def test_per_example_failure_is_recorded_not_raised(sim):
     assert len(failed) == 1
     assert failed[0].correct == 0
     assert len(report.per_example) == 3
+    assert failed[0].error == "search failed after 4 thoughts: scorer down"
+    # Four thoughts, one generator call each; the fourth score raised.
+    row = failed[0]
+    assert (row.thought_count, row.generator_calls, row.backend_calls, row.scorer_calls) == (4, 4, 4, 3)
+
+
+class _Recorder:
+    """Deterministic simulated port that records every call reaching it."""
+
+    deterministic = True
+
+    def __init__(self):
+        self.inner, self.seen = SimulatedGenerator(), []
+
+    def __getattr__(self, name):
+        method = getattr(self.inner, name)
+
+        def call(*args):
+            self.seen.append((name, repr(args)))
+            return method(*args)
+
+        return call
+
+
+@pytest.mark.parametrize(
+    "method", [Method.MCTS_ORACLE, Method.MCTS_ORACLE_NO_IR, Method.RANDOM_CONTROL]
+)
+def test_oracle_example_sends_each_call_once(sim, method):
+    """The oracle scorer already asked for the best thought's answer, so the
+    final answer comes from the example's memo: one ledger per example
+    sends no call to the port twice and counts each one once."""
+    suite, ports, config = sim
+    for example in suite.test[:3]:
+        recorder = _Recorder()
+        report = run_benchmark([example], method, dataclasses.replace(ports, generator=recorder), config)
+        row = report.per_example[0]
+        assert not row.error
+        assert len(recorder.seen) == len(set(recorder.seen)) == row.backend_calls
+        assert row.backend_calls < row.generator_calls
 
 
 def test_curve_rows_and_call_linearity(sim):
@@ -191,12 +238,16 @@ def test_load_examples_loaders(tmp_path):
         {"id": "c", "query": "q3", "answers": ["30 mg"], "task": "extractive_mg"},
         {"id": "d", "query": "q4", "answers": ["thirty"], "task": "extractive_mg"},
         {"id": "e", "query": "q5", "answers": ["v1"], "task": "simulated_fact", "filter_key": "t5"},
+        {"id": 12, "query": "q6", "answers": [True], "task": "boolean"},
+        {"id": -3, "query": "q7", "answers": [30, 2.5]},
     ]
     path = write_jsonl(tmp_path / "examples.jsonl", records)
     examples = load_examples(path)
-    assert [e.query_id for e in examples] == ["a", "b", "c", "d", "e"]
+    assert [e.query_id for e in examples] == ["a", "b", "c", "d", "e", "12", "-3"]
     assert examples[0].gold_answers == ["1"]
     assert examples[1].gold_answers == ["0"]
+    assert examples[5].gold_answers == ["1"]
+    assert examples[6].gold_answers == ["30", "2.5"]
     assert load_examples(path, split="train")[0].query_id == "a"
     assert load_examples(path, limit=2) == examples[:2]
 
@@ -210,14 +261,19 @@ def test_load_examples_loaders(tmp_path):
         ({"query": "q", "answers": ["v"], "filter_key": ["k"]}, "'filter_key'"),
         *[({"id": bad, "query": "q", "answers": ["v"]}, "'id'") for bad in ["", ".", "..", "a/b", "a\\b", "a\0b"]],
         ({"query": "q", "answers": ["v"], "split": ["train"]}, "'split'"),
+        ({"query": "q", "answers": [None, {"a": 1}], "id": [1, 2]}, "'answers[0]'"),
+        ({"query": "q", "answers": [float("inf")]}, "'answers[0]'"),
+        ({"query": "q", "answers": ["v", [1]]}, "'answers[1]'"),
+        *[({"id": bad, "query": "q", "answers": ["v"]}, "'id'") for bad in [True, 1e308, [1, 2], None]],
     ],
 )
 def test_load_examples_names_line_and_field(tmp_path, record, field):
     path = write_jsonl(tmp_path / "examples.jsonl", [{"query": "fine", "answers": ["v"]}, record])
-    if field == "'id'":
+    if field == "'id'" and isinstance(record["id"], str):  # not a usable file name
         message = rf"examples.jsonl:2: field {field}"
     else:  # the shared JSON wording: missing, or not of the field's kind
-        message = rf"examples.jsonl:2: example( missing field {field}|\.{field[1:-1]} must be)"
+        name = re.escape(field[1:-1])
+        message = rf"examples.jsonl:2: example( missing field {field}|\.{name} must be)"
     with pytest.raises(SchemaError, match=message):
         load_examples(path)
 

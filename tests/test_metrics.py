@@ -1,10 +1,7 @@
-"""Metric reference cases plus an independent LCS oracle for rouge_l."""
+"""Metric reference cases."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +11,6 @@ from thoughtsearch.metrics import (
     normalize_answer,
     parse_boolean,
     parse_quantity_mg,
-    rouge_l,
     token_f1,
 )
 
@@ -67,52 +63,6 @@ def test_token_f1(pred, gold, expected):
 def test_token_f1_symmetric_and_bounded(a, b):
     assert token_f1(a, b) == pytest.approx(token_f1(b, a))
     assert 0.0 <= token_f1(a, b) <= 1.0
-
-
-@pytest.mark.parametrize(
-    "pred,gold,expected",
-    [
-        ("a b c", "a b c", 1.0),
-        ("p q", "x y", 0.0),
-        ("a b c", "a c", 0.8),  # LCS=2, P=2/3, R=1
-        ("b a", "a b", 2 * 0.5 * 0.5 / (0.5 + 0.5)),  # LCS=1 either order
-    ],
-)
-def test_rouge_l(pred, gold, expected):
-    assert rouge_l(pred, gold) == pytest.approx(expected)
-
-
-def _lcs_oracle(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    # Independent of the implementation: plain recursion with memoization.
-    @lru_cache(maxsize=None)
-    def rec(i: int, j: int) -> int:
-        if i == len(a) or j == len(b):
-            return 0
-        if a[i] == b[j]:
-            return 1 + rec(i + 1, j + 1)
-        return max(rec(i + 1, j), rec(i, j + 1))
-
-    return rec(0, 0)
-
-
-def test_rouge_l_against_lcs_oracle():
-    rng = np.random.default_rng(7)
-    vocab = ["red", "green", "blue", "cyan", "plum"]
-    for _ in range(1000):
-        a = [vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(1, 12))]
-        b = [vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(1, 12))]
-        lcs = _lcs_oracle(tuple(a), tuple(b))
-        if lcs == 0:
-            expected = 0.0
-        else:
-            p, r = lcs / len(a), lcs / len(b)
-            expected = 2 * p * r / (p + r)
-        assert rouge_l(" ".join(a), " ".join(b)) == pytest.approx(expected)
-
-
-def test_rouge_f_measure_swap_symmetry_at_equal_lengths():
-    pred, gold = "a b c d", "a c b d"
-    assert rouge_l(pred, gold) == pytest.approx(rouge_l(gold, pred))
 
 
 @pytest.mark.parametrize(
