@@ -104,6 +104,8 @@ def _load_args_config(args: argparse.Namespace) -> EngineConfig:
         overrides["index_file"] = args.index
     if getattr(args, "model", None):
         overrides["model_file"] = args.model
+    if getattr(args, "chunk_words", None) is not None:
+        overrides["retrieval"] = {"chunk_words": args.chunk_words}
     if getattr(args, "endpoint", None):
         overrides.setdefault("generator", {})["endpoint"] = args.endpoint
         overrides["generator"]["backend"] = "http"
@@ -112,7 +114,7 @@ def _load_args_config(args: argparse.Namespace) -> EngineConfig:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = _load_args_config(args)
-    chunk_size = args.chunk_words or config.retrieval.chunk_words
+    chunk_size = config.retrieval.chunk_words
     index = ingest_corpus(args.corpus, chunk_size, dim=config.retrieval.embed_dim)
     save_index(index, args.out)
     sources = sorted({doc.source_id for doc in index.documents})
@@ -291,10 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, mode_opt: bool = True):
+    def common(p: argparse.ArgumentParser):
         p.add_argument("--config", default=None, help="JSON config file")
-        if mode_opt:
-            p.add_argument("--mode", choices=["boolq", "emrqa", "simulated"], default=None)
+        p.add_argument("--mode", choices=["boolq", "emrqa", "simulated"], default=None)
         p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("ingest", help="chunk and embed a corpus into an index file")

@@ -26,6 +26,14 @@ ENV_ENDPOINT = "THOUGHTSEARCH_ENDPOINT"
 ENV_API_KEY = "THOUGHTSEARCH_API_KEY"
 
 
+def _check_bounds(section, where: str, rows) -> None:
+    """Each row is (field, whether its bound holds, the rule); each bound is
+    written so that NaN fails it."""
+    for name, holds, rule in rows:
+        if not holds:
+            raise ConfigError(f"{where}.{name} must be {rule}, got {getattr(section, name)!r}")
+
+
 @dataclass
 class GeneratorConfig:
     backend: str = "simulated"  # "simulated" | "http"
@@ -38,14 +46,12 @@ class GeneratorConfig:
     template_file: str = ""  # empty -> builtin templates for the task mode
 
     def __post_init__(self):
-        for name, holds, rule in (
+        _check_bounds(self, "generator", (
             ("timeout_s", self.timeout_s > 0, "> 0"),
             ("retries", self.retries >= 0, ">= 0"),
             ("max_concurrency", self.max_concurrency >= 1, ">= 1"),
             ("max_tokens", self.max_tokens >= 1, ">= 1"),
-        ):
-            if not holds:  # so NaN fails too
-                raise ConfigError(f"generator.{name} must be {rule}, got {getattr(self, name)!r}")
+        ))
 
 
 @dataclass
@@ -59,6 +65,10 @@ class RetrievalConfig:
             raise ConfigError(
                 f"retrieval.query_mode must be one of {QUERY_MODES}, got {self.query_mode!r}"
             )
+        _check_bounds(self, "retrieval", (
+            ("chunk_words", self.chunk_words >= 1, ">= 1"),
+            ("embed_dim", self.embed_dim >= 1, ">= 1"),
+        ))
 
 
 @dataclass
@@ -76,6 +86,13 @@ class ScoringConfig:
                 f"scoring.oracle_metric must be one of {ORACLE_METRICS}, "
                 f"got {self.oracle_metric!r}"
             )
+        _check_bounds(self, "scoring", (
+            ("embed_dim", self.embed_dim >= 1, ">= 1"),
+            ("gbrt_rounds", self.gbrt_rounds >= 1, ">= 1"),
+            ("gbrt_depth", self.gbrt_depth >= 1, ">= 1"),
+            ("gbrt_learning_rate", self.gbrt_learning_rate > 0, "> 0"),
+            ("holdout_fraction", 0 < self.holdout_fraction < 1, "in (0, 1)"),
+        ))
 
     def regressor_config(self) -> dict:
         return {

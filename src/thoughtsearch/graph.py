@@ -33,7 +33,6 @@ class Thought:
     text: str
     kind: NodeKind
     parents: tuple[int, ...]  # () for query/document, exactly 2 for generated
-    step: int
 
 
 @dataclass(frozen=True)
@@ -116,9 +115,7 @@ class ThoughtGraph:
 
     def _append(self, text: str, kind: NodeKind, parents: tuple[int, ...]) -> int:
         node_id = len(self.nodes)
-        self.nodes[node_id] = Thought(
-            id=node_id, text=text, kind=kind, parents=parents, step=node_id
-        )
+        self.nodes[node_id] = Thought(id=node_id, text=text, kind=kind, parents=parents)
         self.stats[node_id] = NodeStats()
         if kind != NodeKind.DOCUMENT:
             self.thought_ids.append(node_id)

@@ -412,8 +412,10 @@ def load_examples(
     Fields: query (required), answers (list or string), task, id, filter_key,
     split. An id names the example's trace file, so it must be a usable file
     name and unique in the file. An unreadable file or a malformed line raises
-    SchemaError.
+    SchemaError; a limit below 1, ConfigError.
     """
+    if limit is not None and limit < 1:
+        raise ConfigError(f"limit must be >= 1, got {limit}")
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:

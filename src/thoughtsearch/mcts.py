@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, count
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -40,12 +40,6 @@ class Scorer(Protocol):
     """Scores one freshly generated node; must return a value in [0, 1]."""
 
     def score(self, graph: ThoughtGraph, node_id: int, generator: Generator) -> float: ...
-
-
-class PairScorer(Protocol):
-    """Predicts the reward of combining two texts (the greedy planner's port)."""
-
-    def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]: ...
 
 
 @dataclass
@@ -165,19 +159,18 @@ def expand(
     generator: Generator,
     rng: np.random.Generator,
     config: EpisodeConfig,
-    query_provider=None,
+    query_provider: Callable[[], str],
 ) -> int:
     """Pair the selected node with a document or an existing thought.
 
     With probability p_doc the partner is the next queued document;
     otherwise, or when the corpus is exhausted, up to thought_sample_size
     candidate partners are sampled uniformly from the non-document nodes and
-    the one with the highest current mean score wins.
+    the one with the highest current mean score wins. query_provider phrases
+    each refill retrieval.
     """
     graph.node(selected)
-    partner = _document_partner(
-        graph, retriever, rng, config.p_doc, query_provider or (lambda: graph.query_text)
-    )
+    partner = _document_partner(graph, retriever, rng, config.p_doc, query_provider)
     if partner is None:
         candidates = graph.thought_ids
         if len(candidates) > config.thought_sample_size:

@@ -16,7 +16,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Protocol
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -34,15 +34,6 @@ class Document:
     source_id: str
     filter_key: str | None
     word_count: int
-
-
-class Embedder(Protocol):
-    dim: int
-
-    @property
-    def embedder_id(self) -> str: ...
-
-    def embed(self, text: str) -> np.ndarray: ...
 
 
 def _tokens(text: str) -> list[str]:
@@ -137,11 +128,6 @@ def _fit_idf(tallies: _Tallies, dim: int) -> HashedEmbedder:
         for token, df in sorted(doc_freq)
     }
     return HashedEmbedder(dim=dim, idf=idf, n_docs=n_docs)
-
-
-def fit_idf_embedder(texts: Iterable[str], dim: int) -> HashedEmbedder:
-    """Build a hashed embedder with smooth IDF weights from a chunk corpus."""
-    return _fit_idf(_tally(texts), dim)
 
 
 def _embed_tallies(embedder: HashedEmbedder, tallies: _Tallies) -> np.ndarray:
@@ -438,7 +424,7 @@ def _split_index_file(data: bytes, path: str | Path) -> tuple[dict, memoryview]:
     return header, memoryview(data)[end:]
 
 
-def load_index(path: str | Path, expected_embedder_id: str | None = None) -> CorpusIndex:
+def load_index(path: str | Path) -> CorpusIndex:
     """Read and fully check an index file; a malformed file raises
     SchemaError naming the field here, never later inside a search."""
     try:
@@ -458,11 +444,6 @@ def load_index(path: str | Path, expected_embedder_id: str | None = None) -> Cor
         if not is_json(weight, float):
             raise SchemaError(f"index.embedder.idf[{token!r}] = {weight!r} is not a finite number")
     embedder = HashedEmbedder(dim=dim, idf=idf, n_docs=n_docs)
-    if expected_embedder_id is not None and embedder.embedder_id != expected_embedder_id:
-        raise SchemaError(
-            f"index embedder_id {embedder.embedder_id!r} does not match "
-            f"configured {expected_embedder_id!r}"
-        )
     documents = _documents_from_list(json_field(record, "documents", (list,), "index"))
     shape = [len(documents), dim]
     if json_field(record, "shape", (list,), "index") != shape:

@@ -23,6 +23,7 @@ from .errors import CapabilityError, ConfigError, SchemaError, SearchError
 from .errors import JSON_KINDS, is_json, json_field, read_json_object
 from .generate import Generator
 from .graph import ThoughtGraph
+from .retrieval import HashedEmbedder
 from .templates import TemplateSet
 
 log = logging.getLogger(__name__)
@@ -179,7 +180,7 @@ _SPLIT_BLOCK = 1 << 16  # (feature, row) cells scored at once by _best_split
 
 
 def _best_split(
-    y: np.ndarray, order: np.ndarray, xs: np.ndarray, total: float, min_leaf: int
+    y: np.ndarray, order: np.ndarray, xs: np.ndarray, total: float
 ) -> tuple[int, float] | None:
     """Exact greedy split maximizing the reduction in squared error.
 
@@ -191,7 +192,7 @@ def _best_split(
     between features go to the first one.
     """
     n = order.shape[1]
-    if n < max(2, 2 * min_leaf):
+    if n < 2:
         return None
     base = total * total / n
     left_n = np.arange(1, n)
@@ -199,10 +200,7 @@ def _best_split(
     step = max(1, _SPLIT_BLOCK // n)
     for start in range(0, len(order), step):
         block = xs[start : start + step]
-        valid = block[:, :-1] < block[:, 1:]
-        if min_leaf > 1:
-            valid &= (left_n >= min_leaf) & (n - left_n >= min_leaf)
-        cells = np.flatnonzero(valid)
+        cells = np.flatnonzero(block[:, :-1] < block[:, 1:])
         if not len(cells):
             continue
         feat, cut = np.divmod(cells, n - 1)
@@ -243,7 +241,6 @@ def _fit_tree(
     order: np.ndarray,
     xs: np.ndarray,
     max_depth: int,
-    min_leaf: int,
 ) -> tuple[_Tree, np.ndarray]:
     """Fit one tree on the feature-major inputs XT; also return each
     training row's leaf value.
@@ -263,7 +260,7 @@ def _fit_tree(
         right.append(-1)
         value.append(float(y[rows].mean()))
         if depth < max_depth:
-            split = _best_split(y, order, xs, y[rows].sum(), min_leaf)
+            split = _best_split(y, order, xs, y[rows].sum())
             if split is not None:
                 f, t = split
                 goes_left = XT[f] <= t
@@ -309,7 +306,6 @@ class GradientBoostedRegressor:
     n_rounds: int = 100
     max_depth: int = 3
     learning_rate: float = 0.1
-    min_leaf: int = 1
     base: float = 0.0
     trees: list[_Tree] = field(default_factory=list)
 
@@ -327,7 +323,7 @@ class GradientBoostedRegressor:
         xs = np.take_along_axis(XT, order, axis=1)
         for _ in range(self.n_rounds):
             residual = y - current
-            tree, fitted = _fit_tree(XT, residual, order, xs, self.max_depth, self.min_leaf)
+            tree, fitted = _fit_tree(XT, residual, order, xs, self.max_depth)
             self.trees.append(tree)
             current += self.learning_rate * fitted
         self._forest = _compile_forest(self.trees, self.learning_rate)
@@ -352,7 +348,7 @@ class GradientBoostedRegressor:
             "n_rounds": self.n_rounds,
             "max_depth": self.max_depth,
             "learning_rate": self.learning_rate,
-            "min_leaf": self.min_leaf,
+            "min_leaf": 1,  # no fit sets another; kept so model files keep their bytes
             "base": self.base,
             "trees": [
                 {
@@ -372,13 +368,14 @@ class GradientBoostedRegressor:
         read = lambda key, kind: json_field(record, key, (kind,), "regressor")
         if read("kind", str) != "gbrt":
             raise SchemaError(f"unknown regressor kind {record['kind']!r}")
+        if read("min_leaf", int) != 1:
+            raise SchemaError(f"regressor.min_leaf must be 1, got {record['min_leaf']!r}")
         trees = [_tree_from_dict(i, t) for i, t in enumerate(read("trees", list))]
         _check_trees(trees, n_features)
         return cls(
             n_rounds=read("n_rounds", int),
             max_depth=read("max_depth", int),
             learning_rate=read("learning_rate", float),
-            min_leaf=read("min_leaf", int),
             base=read("base", float),
             trees=trees,
         )
@@ -477,7 +474,6 @@ def train_estimator(
         n_rounds=cfg.pop("rounds", 100),
         max_depth=cfg.pop("depth", 3),
         learning_rate=cfg.pop("learning_rate", 0.1),
-        min_leaf=cfg.pop("min_leaf", 1),
     )
     if cfg:
         raise ConfigError(f"unknown regressor options: {sorted(cfg)}")
@@ -597,6 +593,10 @@ def load_model(path: str | Path, expected_embedder_id: str | None = None) -> Sco
     embedder_id, embed_dim = read("embedder_id", str), read("embed_dim", int)
     if embed_dim < 1:
         raise SchemaError(f"model.embed_dim must be a positive integer, got {embed_dim!r}")
+    if embedder_id != HashedEmbedder(dim=embed_dim).embedder_id:
+        raise SchemaError(
+            f"model.embedder_id {embedder_id!r} is not the embedder of model.embed_dim {embed_dim}"
+        )
     if expected_embedder_id is not None and embedder_id != expected_embedder_id:
         raise SchemaError(
             f"model embedder_id {embedder_id!r} does not match "

@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 
 from .errors import SchemaError, is_json, json_field, read_json_object
-from .graph import Action, NodeKind, NodeStats, Thought, ThoughtGraph
+from .graph import NodeKind, ThoughtGraph
 from .mcts import SearchOutcome
 
 TRACE_VERSION = 1
@@ -42,7 +42,7 @@ def graph_to_record(graph: ThoughtGraph, outcome: SearchOutcome | None = None) -
                 "kind": node.kind.value,
                 "text": node.text,
                 "parents": list(node.parents),
-                "step": node.step,
+                "step": node.id,
                 "score": graph.stats[node.id].cumulative_score,
                 "visits": graph.stats[node.id].visits,
             }
@@ -64,21 +64,30 @@ def graph_to_record(graph: ThoughtGraph, outcome: SearchOutcome | None = None) -
 
 
 def validate_trace(record: dict) -> dict:
-    """Schema check naming the offending field on failure."""
+    """Schema check naming the offending field on failure. Node ids are
+    positions, parents earlier nodes, and history entries name nodes, as in
+    the graph a search builds."""
     version = json_field(record, "version", (int,), "trace")
     if version != TRACE_VERSION:
         raise SchemaError(f"unsupported trace version {version!r} in field 'version'")
     json_field(record, "query", (str,), "trace")
-    for i, node in enumerate(json_field(record, "nodes", (list,), "trace")):
+    nodes = json_field(record, "nodes", (list,), "trace")
+    for i, node in enumerate(nodes):
         for key, kinds in _NODE_FIELDS.items():
             json_field(node, key, kinds, f"nodes[{i}]")
         if node["kind"] not in {k.value for k in NodeKind}:
             raise SchemaError(f"nodes[{i}].kind has unknown value {node['kind']!r}")
         if not all(is_json(parent, int) for parent in node["parents"]):
             raise SchemaError(f"nodes[{i}].parents must hold integer node ids")
+        if node["id"] != i:
+            raise SchemaError(f"nodes[{i}].id is {node['id']}, expected its position")
+        for parent in node["parents"]:
+            if not 0 <= parent < i:
+                raise SchemaError(f"nodes[{i}].parents has {parent}, not an earlier node id")
     for i, entry in enumerate(json_field(record, "history", (list,), "trace")):
         for key, kinds in _HISTORY_FIELDS.items():
-            json_field(entry, key, kinds, f"history[{i}]")
+            if not 0 <= json_field(entry, key, kinds, f"history[{i}]") < len(nodes):
+                raise SchemaError(f"history[{i}].{key} is {entry[key]}, not a node id")
     if "outcome" in record:
         for key, kinds in _OUTCOME_FIELDS.items():
             json_field(record["outcome"], key, kinds, "trace.outcome")
@@ -97,41 +106,6 @@ def trace_text(record: dict) -> str:
 
 def load_trace(path: str | Path) -> dict:
     return validate_trace(read_json_object(path, "trace"))
-
-
-def record_to_graph(record: dict) -> ThoughtGraph:
-    """Rebuild the graph (with its stored statistics) from a trace record."""
-    validate_trace(record)
-    graph = ThoughtGraph(query_text=record["query"])
-    for position, node in enumerate(record["nodes"]):
-        if node["id"] != position:
-            raise SchemaError(f"nodes[{position}].id is {node['id']}, expected its position")
-        for parent in node["parents"]:
-            if not 0 <= parent < position:
-                raise SchemaError(f"nodes[{position}].parents has {parent!r}, not an earlier node id")
-        graph.nodes[node["id"]] = Thought(
-            id=node["id"],
-            text=node["text"],
-            kind=NodeKind(node["kind"]),
-            parents=tuple(node["parents"]),
-            step=node["step"],
-        )
-        graph.stats[node["id"]] = NodeStats(
-            visits=node["visits"], cumulative_score=node["score"]
-        )
-        graph.ancestors.append(graph.ancestor_mask(tuple(node["parents"])))
-    graph.thought_ids = sorted(
-        nid for nid, node in graph.nodes.items() if node.kind != NodeKind.DOCUMENT
-    )
-    for i, entry in enumerate(record["history"]):
-        for name in ("first", "second", "produced"):
-            if entry[name] not in graph.nodes:
-                raise SchemaError(f"history[{i}].{name} is {entry[name]}, not a node id")
-        action = Action(first=entry["first"], second=entry["second"])
-        graph.history.append((action, entry["produced"]))
-        for parent in dict.fromkeys((entry["first"], entry["second"])):
-            graph.stats[parent].children.append(entry["produced"])
-    return graph
 
 
 _SHAPES = {"query": "diamond", "document": "box", "generated": "ellipse"}

@@ -190,7 +190,7 @@ def test_expansion_branch_frequency(tmp_path):
         retriever = DocumentQueue(index, batch_size=12000)
         doc_branch = 0
         for _ in range(10000):
-            child = expand(graph, 0, retriever, gen, rng, config)
+            child = expand(graph, 0, retriever, gen, rng, config, lambda: graph.query_text)
             if any(
                 graph.node(p).kind == NodeKind.DOCUMENT for p in graph.node(child).parents
             ):

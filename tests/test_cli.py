@@ -9,9 +9,12 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thoughtsearch.cli import build_parser, main
 from thoughtsearch.config import ENV_API_KEY, ENV_ENDPOINT, config_hash, load_config
+from thoughtsearch.errors import SchemaError
 from thoughtsearch.generate import SimulatedGenerator
 from thoughtsearch.harness import (
     PLANS,
@@ -243,6 +246,35 @@ def test_malformed_example_line_is_config_error(workspace, tmp_path, capsys, com
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"{bad}:2" in err and field in err
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_damaged_example_line_raises_only_schema_error(workspace, tmp_path_factory, data):
+    """An examples file whose second line is cut short, or has a few bytes
+    flipped, either loads or raises SchemaError naming the file; on the
+    latter, eval and train-scorer exit 2."""
+    *_, examples, index, _model = workspace
+    first, line = examples.read_bytes().splitlines()[:2]
+    line = bytearray(line)
+    if data.draw(st.booleans(), label="truncate"):
+        line = line[: data.draw(st.integers(0, len(line) - 1), label="cut at")]
+    else:
+        for at in data.draw(st.lists(st.integers(0, len(line) - 1), min_size=1, max_size=4), label="flip"):
+            line[at] ^= data.draw(st.integers(1, 255), label="mask")
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    bad = tmp_path / "examples.jsonl"
+    bad.write_bytes(first + b"\n" + bytes(line) + b"\n")
+    try:
+        load_examples(bad)
+    except SchemaError as exc:
+        assert str(bad) in str(exc)
+    else:
+        return
+    common = ["--mode", "simulated", "--examples", str(bad), "--index", str(index)]
+    assert main(["eval", *common, "--methods", "llm_only", "--out", str(tmp_path / "out")]) == 2
+    assert main(["train-scorer", *common, "--split", "train", "--out", str(tmp_path / "m.json")]) == 2
+    assert not (tmp_path / "out").exists() and not (tmp_path / "m.json").exists()
 
 
 def test_run_oracle_without_gold_is_config_error(workspace):
@@ -494,6 +526,61 @@ def test_eval_bad_sweep_budget_fails_before_running(workspace, tmp_path, capsys,
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("ingest", ["--chunk-words", "0"], "retrieval.chunk_words must be >= 1, got 0"),
+        ("ingest", ["--chunk-words", "-2"], "retrieval.chunk_words must be >= 1, got -2"),
+        ("eval", ["--limit", "0"], "limit must be >= 1, got 0"),
+        ("eval", ["--limit", "-3"], "limit must be >= 1, got -3"),
+    ],
+)
+def test_flag_below_its_bound_exits_2(workspace, tmp_path, capsys, command, flags, message):
+    """A flag's value is held to the same bound as the config field it sets,
+    never replaced by a default or read as another value."""
+    _tmp, corpus, examples, _index, _model = workspace
+    out = tmp_path / "out"
+    argv = {
+        "ingest": ["ingest", "--mode", "simulated", "--corpus", str(corpus), "--out", str(out)],
+        "eval": ["eval", "--mode", "simulated", "--examples", str(examples), "--methods", "llm_only", "--out", str(out)],
+    }[command]
+    assert main([*argv, *flags]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_ingest_chunk_words_flag_overrides_the_config(workspace, tmp_path, capsys):
+    _tmp, corpus, *_ = workspace
+    config = tmp_path / "config.json"
+    config.write_text('{"retrieval": {"chunk_words": 40}}')
+    argv = ["ingest", "--config", str(config), "--corpus", str(corpus), "--out", str(tmp_path / "i.bin")]
+    assert main([*argv, "--chunk-words", "7"]) == 0
+    assert "chunk_words=7 " in capsys.readouterr().out
+    assert main(argv) == 0
+    assert "chunk_words=40 " in capsys.readouterr().out
+
+
+def test_eval_rejects_a_model_whose_embedder_id_is_not_of_its_embed_dim(workspace, tmp_path, capsys):
+    """A model file whose embedder_id names another dimension than its
+    embed_dim would fail every estimation search; it fails to load instead."""
+    _tmp, _corpus, examples, index, model = workspace
+    record = json.loads(model.read_text())
+    assert record["embedder_id"] == "hashed-tf-v1-d64"
+    record["embed_dim"] = 100  # the trees' features stay in range
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(record))
+    out = tmp_path / "reports"
+    argv = [
+        "eval", "--mode", "simulated", "--examples", str(examples), "--methods", "mcts_estimation",
+        "--index", str(index), "--model", str(bad), "--out", str(out), "--limit", "2",
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "model.embedder_id 'hashed-tf-v1-d64' is not the embedder of model.embed_dim 100" in err
+    assert not out.exists()
+
+
 def test_export_trace_round_trip_and_dot(workspace, tmp_path, capsys):
     tmp, corpus, examples, index, model = workspace
     example = json.loads(examples.read_text().splitlines()[0])
@@ -629,6 +716,31 @@ _MALFORMED_INPUTS = {
     "corpus_text_not_string": ("ingest", '{"text": 5}\n', 3, ":1: record needs a string 'text'"),
     "corpus_not_utf8": ("ingest", b"\xff\n", 3, _NOT_UTF8),
     "trace_not_utf8": ("export-trace", b"\xff", 2, _NOT_UTF8),
+    "config_retrieval_embed_dim_zero": (
+        "ingest-config", '{"retrieval": {"embed_dim": 0}}', 2, "retrieval.embed_dim must be >= 1, got 0"
+    ),
+    "config_retrieval_embed_dim_negative": (
+        "ingest-config", '{"retrieval": {"embed_dim": -4}}', 2, "retrieval.embed_dim must be >= 1, got -4"
+    ),
+    "config_chunk_words_zero": (
+        "ingest-config", '{"retrieval": {"chunk_words": 0}}', 2, "retrieval.chunk_words must be >= 1"
+    ),
+    "config_scoring_embed_dim_zero": (
+        "train-config", '{"scoring": {"embed_dim": 0}}', 2, "scoring.embed_dim must be >= 1"
+    ),
+    "config_gbrt_rounds_negative": (
+        "train-config", '{"scoring": {"gbrt_rounds": -1}}', 2, "scoring.gbrt_rounds must be >= 1"
+    ),
+    "config_gbrt_depth_zero": ("train-config", '{"scoring": {"gbrt_depth": 0}}', 2, "scoring.gbrt_depth must be >= 1"),
+    "config_gbrt_learning_rate_zero": (
+        "train-config", '{"scoring": {"gbrt_learning_rate": 0}}', 2, "scoring.gbrt_learning_rate must be > 0"
+    ),
+    "config_holdout_fraction_above_one": (
+        "train-config", '{"scoring": {"holdout_fraction": 1.5}}', 2, "scoring.holdout_fraction must be in (0, 1)"
+    ),
+    "config_holdout_fraction_zero": (
+        "train-config", '{"scoring": {"holdout_fraction": 0}}', 2, "scoring.holdout_fraction must be in (0, 1)"
+    ),
 }
 
 
@@ -654,6 +766,14 @@ def test_malformed_input_exits_with_documented_code(tmp_path, capsys, command, c
         "export-trace": ["export-trace", "--trace", str(bad)],
         "export-dot": ["export-trace", "--trace", str(bad), "--format", "graphviz"],
         "ingest": ["ingest", "--mode", "simulated", "--corpus", str(bad), "--out", str(tmp_path / "i.json")],
+        # The config fails before the corpus, examples or index is read.
+        "ingest-config": [
+            "ingest", "--config", str(bad), "--corpus", str(tmp_path / "absent"), "--out", str(tmp_path / "i.bin")
+        ],
+        "train-config": [
+            "train-scorer", "--config", str(bad), "--examples", str(tmp_path / "absent.jsonl"),
+            "--index", str(tmp_path / "absent.bin"), "--out", str(tmp_path / "m.json"),
+        ],
     }[command]
     assert main(argv) == code
     err = capsys.readouterr().err

@@ -25,3 +25,27 @@ def test_package_imports_only_stdlib_and_numpy():
     assert SOURCES
     outside = {path.name: sorted(_imported_modules(path) - ALLOWED) for path in SOURCES}
     assert {name: modules for name, modules in outside.items() if modules} == {}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module's top-level imports bind that nothing in the module
+    names, as a name or as a string constant (harness looks its searches
+    up by name)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    return [name for name in bound if name not in named]
+
+
+def test_package_has_no_unused_imports():
+    assert SOURCES
+    unused = {path.name: _unused_imports(path) for path in SOURCES}
+    assert {name: names for name, names in unused.items() if names} == {}

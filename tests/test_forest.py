@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from thoughtsearch import scoring
 from thoughtsearch.errors import SchemaError
+from thoughtsearch.retrieval import HashedEmbedder
 from thoughtsearch.scoring import (
     GradientBoostedRegressor,
     OfflineSample,
@@ -145,13 +146,13 @@ def test_fit_leaves_no_reference_cycle():
     assert leaked == []
 
 
-def reference_fit(X, y, n_rounds, max_depth, min_leaf, learning_rate=0.1):
+def reference_fit(X, y, n_rounds, max_depth, learning_rate=0.1):
     """Boosting with every feature column argsorted afresh at every node and
     the features tried one at a time. Returns the trees as saved."""
 
     def best_split(X, y):
         n = len(y)
-        if n < 2 * min_leaf:
+        if n < 2:
             return None
         total = y.sum()
         best_gain, best = 0.0, None
@@ -162,8 +163,6 @@ def reference_fit(X, y, n_rounds, max_depth, min_leaf, learning_rate=0.1):
             left_sum = np.cumsum(y[order])[:-1]
             left_n = np.arange(1, n)
             valid = xs[:-1] < xs[1:]
-            if min_leaf > 1:
-                valid &= (left_n >= min_leaf) & (n - left_n >= min_leaf)
             if not valid.any():
                 continue
             right_sum = total - left_sum
@@ -216,13 +215,12 @@ def reference_fit(X, y, n_rounds, max_depth, min_leaf, learning_rate=0.1):
     n_rows=st.integers(2, 40),
     n_features=st.integers(1, 5),
     max_depth=st.integers(1, 4),
-    min_leaf=st.integers(1, 4),
     n_rounds=st.integers(1, 6),
     # Cells per block of split scoring: one feature, a few, or all at once.
     block=st.sampled_from([1, 60, 1 << 12]),
 )
 def test_presorted_fit_grows_reference_trees(
-    data, n_rows, n_features, max_depth, min_leaf, n_rounds, block
+    data, n_rows, n_features, max_depth, n_rounds, block
 ):
     # Few distinct values give tied feature values and tied gains. Mostly-0.0
     # columns, like hashed TF-IDF features, leave few valid cuts, and nodes
@@ -240,10 +238,10 @@ def test_presorted_fit_grows_reference_trees(
     X = np.asarray(columns).T
     target = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0, 1)
     y = np.asarray(data.draw(st.lists(target, min_size=n_rows, max_size=n_rows)))
-    model = GradientBoostedRegressor(n_rounds=n_rounds, max_depth=max_depth, min_leaf=min_leaf)
+    model = GradientBoostedRegressor(n_rounds=n_rounds, max_depth=max_depth)
     with mock.patch.object(scoring, "_SPLIT_BLOCK", block):
         model.fit(X, y)
-    assert model.to_dict()["trees"] == reference_fit(X, y, n_rounds, max_depth, min_leaf)
+    assert model.to_dict()["trees"] == reference_fit(X, y, n_rounds, max_depth)
 
 
 def test_gain_ties_go_to_the_first_cut_of_the_first_feature():
@@ -252,7 +250,7 @@ def test_gain_ties_go_to_the_first_cut_of_the_first_feature():
     y = np.array([1.0, 0.0, 0.0, 1.0])
     model = GradientBoostedRegressor(n_rounds=1, max_depth=1, learning_rate=1.0).fit(X, y)
     assert (model.trees[0].feature[0], model.trees[0].threshold[0]) == (0, 0.5)
-    assert model.to_dict()["trees"] == reference_fit(X, y, 1, 1, 1, learning_rate=1.0)
+    assert model.to_dict()["trees"] == reference_fit(X, y, 1, 1, learning_rate=1.0)
 
 
 @pytest.mark.parametrize(
@@ -289,7 +287,8 @@ def model_record(tmp_path):
         for i in range(40)
     ]
     model = train_estimator(
-        data, holdout_fraction=0.2, regressor_config={"rounds": 3, "depth": 2}, embedder_id="e"
+        data, holdout_fraction=0.2, regressor_config={"rounds": 3, "depth": 2},
+        embedder_id=HashedEmbedder(dim=EMBED_DIM).embedder_id,
     )
     path = tmp_path / "model.json"
     save_model(model, path)
@@ -357,6 +356,14 @@ def _break_version_bool(record):
     record["version"] = True
 
 
+def _break_min_leaf(record):
+    record["regressor"]["min_leaf"] = 2
+
+
+def _break_embedder_id(record):
+    record["embed_dim"] = 100  # the trees' features stay in range
+
+
 @pytest.mark.parametrize(
     "breaker, message",
     [
@@ -373,6 +380,8 @@ def _break_version_bool(record):
         (_break_feature_bool, r"trees\[1\]\.feature\[0\] must be an integer, got True"),
         (_break_threshold_nan, r"trees\[1\]\.threshold\[0\] = nan is not a finite number"),
         (_break_version_bool, r"model\.version must be an integer, got True"),
+        (_break_min_leaf, r"regressor\.min_leaf must be 1, got 2"),
+        (_break_embedder_id, r"embedder_id 'hashed-tf-v1-d2' is not the embedder of model\.embed_dim 100"),
     ],
     ids=[
         "child_out_of_range",
@@ -388,6 +397,8 @@ def _break_version_bool(record):
         "boolean_feature",
         "nan_threshold",
         "boolean_version",
+        "min_leaf_not_one",
+        "embedder_id_of_another_dim",
     ],
 )
 def test_malformed_model_file_rejected_at_load(model_record, tmp_path, breaker, message):

@@ -16,7 +16,7 @@ def test_new_process_single_query_node():
     assert graph.history == []
     root = graph.node(0)
     assert root.kind == NodeKind.QUERY
-    assert root.step == 0
+    assert root.id == 0
     assert root.parents == ()
 
 
@@ -38,7 +38,7 @@ def test_smallest_legal_transition_is_self_pair():
     node = graph.node(node_id)
     assert node.kind == NodeKind.GENERATED
     assert node.parents == (0, 0)
-    assert node.step == 1
+    assert node.id == 1
     assert graph.history == [(Action(0, 0), node_id)]
 
 
@@ -63,9 +63,9 @@ def test_documents_are_parentless_and_get_dense_steps():
     doc = graph.add_document("some chunk")
     assert graph.node(doc).kind == NodeKind.DOCUMENT
     assert graph.node(doc).parents == ()
-    assert graph.node(doc).step == 1
+    assert graph.node(doc).id == doc == 1
     gen = graph.apply_transition(Action(0, doc), "t")
-    assert graph.node(gen).step == 2
+    assert graph.node(gen).id == gen == 2
     # history tracks generated nodes only
     assert graph.generated_count == 1
 
@@ -109,7 +109,7 @@ def test_acyclicity_parents_precede_children(ops):
             graph.apply_transition(Action(*payload), "t")
     for node in graph.nodes.values():
         for parent in node.parents:
-            assert graph.node(parent).step < node.step
+            assert graph.node(parent).id < node.id
     # Kahn-style topological sort must consume every node.
     remaining = {nid: set(node.parents) for nid, node in graph.nodes.items()}
     seen = set()

@@ -16,11 +16,9 @@ from hypothesis import strategies as st
 from thoughtsearch.errors import CorpusError, ExhaustedCorpusError, SchemaError
 from thoughtsearch.retrieval import (
     CorpusIndex,
-    Document,
     DocumentQueue,
     HashedEmbedder,
     chunk_words,
-    fit_idf_embedder,
     ingest_corpus,
     load_index,
     retrieve,
@@ -35,6 +33,12 @@ def _corpus_file(tmp_path, records):
         "\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8"
     )
     return path
+
+
+def _index_from(tmp_path, chunks: list[tuple[str, str | None]], dim: int) -> CorpusIndex:
+    """The index ingest_corpus builds with one chunk per (text, filter_key)."""
+    records = [{"source_id": f"s{i}", "filter_key": key, "text": text} for i, (text, key) in enumerate(chunks)]
+    return ingest_corpus(_corpus_file(tmp_path, records), chunk_size=100, dim=dim)
 
 
 def _words(n, prefix="w"):
@@ -113,8 +117,8 @@ _words_st = st.lists(_vocab | st.text(min_size=1, max_size=6).filter(lambda t: n
     dim=st.sampled_from([1, 7, 64, 256]),
 )
 @settings(max_examples=100, deadline=None)
-def test_embed_matches_reference(corpus, queries, dim):
-    fitted = fit_idf_embedder(corpus, dim=dim)
+def test_embed_matches_reference(tmp_path_factory, corpus, queries, dim):
+    fitted = _index_from(tmp_path_factory.mktemp("embed"), [(text, None) for text in corpus], dim).embedder
     unfitted = HashedEmbedder(dim=dim)
     for text in corpus + queries:  # queries carry tokens outside the vocabulary
         for embedder in (fitted, unfitted):
@@ -152,8 +156,8 @@ def test_ingested_rows_equal_embed_bit_for_bit(tmp_path_factory, records, chunk_
         assert row.tobytes() == index.embedder.embed(doc.text).tobytes()
 
 
-def test_term_table_is_not_part_of_equality_or_repr():
-    embedder = fit_idf_embedder(["alpha beta", "beta gamma"], dim=16)
+def test_term_table_is_not_part_of_equality_or_repr(tmp_path):
+    embedder = _index_from(tmp_path, [("alpha beta", None), ("beta gamma", None)], dim=16).embedder
     same = HashedEmbedder(dim=16, idf=dict(embedder.idf), n_docs=embedder.n_docs)
     assert embedder == same
     assert "_terms" not in repr(embedder) and "_unseen_weight" not in repr(embedder)
@@ -237,19 +241,6 @@ VOCAB = ["apple", "brick", "cloud", "delta", "ember", "frost", "grove"]
 KEYS = ["p0", "p1", "p2", None]
 
 
-def _index_from(chunks: list[tuple[str, str | None]], dim: int) -> CorpusIndex:
-    """An index built as ingest_corpus builds one, from (text, filter_key)."""
-    documents = [
-        Document(
-            doc_id=i, text=text, source_id=f"s{i}", filter_key=key, word_count=len(text.split())
-        )
-        for i, (text, key) in enumerate(chunks)
-    ]
-    embedder = fit_idf_embedder((d.text for d in documents), dim=dim)
-    embeddings = np.stack([embedder.embed(d.text) for d in documents])
-    return CorpusIndex(documents=documents, embeddings=embeddings, embedder=embedder)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
@@ -265,8 +256,8 @@ def _index_from(chunks: list[tuple[str, str | None]], dim: int) -> CorpusIndex:
     ),
     dim=st.sampled_from([4, 16, 64]),
 )
-def test_retrieve_matches_full_scan(data, chunks, dim):
-    index = _index_from(chunks, dim)
+def test_retrieve_matches_full_scan(tmp_path_factory, data, chunks, dim):
+    index = _index_from(tmp_path_factory.mktemp("scan"), chunks, dim)
     n = len(chunks)
     query = " ".join(data.draw(st.lists(st.sampled_from(VOCAB + ["unseen"]), max_size=4)))
     filter_key = data.draw(st.sampled_from(KEYS + ["absent"]))
@@ -322,13 +313,11 @@ def test_index_round_trip_and_embedder_id_check(tmp_path):
     first = out.read_bytes()
     save_index(index, out)
     assert out.read_bytes() == first  # byte-identical rewrite
-    loaded = load_index(out, expected_embedder_id=index.embedder_id)
+    loaded = load_index(out)
     assert loaded.documents == index.documents and loaded.embedder == index.embedder
     assert loaded.embedder_id == index.embedder_id
     assert loaded.embeddings.dtype == index.embeddings.dtype
     assert loaded.embeddings.tobytes() == index.embeddings.tobytes()  # bit-equal
-    with pytest.raises(SchemaError):
-        load_index(out, expected_embedder_id="hashed-tf-v1-d999")
 
 
 def test_rows_by_key_survives_round_trip(tmp_path):

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from thoughtsearch.cli import main
 from thoughtsearch.errors import SchemaError
 from thoughtsearch.generate import SimulatedGenerator
-from thoughtsearch.graph import Action, EpisodeConfig, NodeKind, new_process
+from thoughtsearch.graph import Action, EpisodeConfig, new_process
 from thoughtsearch.mcts import SearchPorts, run_search
 from thoughtsearch.retrieval import DocumentQueue
 from thoughtsearch.trace import (
     dump_trace,
     graph_to_record,
     load_trace,
-    record_to_graph,
     to_dot,
     trace_text,
     validate_trace,
@@ -78,32 +77,6 @@ def test_trace_contains_every_node_and_history_entry(tmp_path):
     assert record["outcome"]["generator_calls"] == outcome.generator_calls
 
 
-def test_record_to_graph_reconstructs(tmp_path):
-    graph = _diamond_graph()
-    graph.stats[3].visits = 1
-    graph.stats[3].cumulative_score = 0.5
-    record = graph_to_record(graph)
-    rebuilt = record_to_graph(record)
-    assert rebuilt.nodes == graph.nodes
-    assert rebuilt.history == graph.history
-    assert rebuilt.stats[3].cumulative_score == 0.5
-
-
-def test_record_to_graph_rebuilds_thought_ids(small_index):
-    ports = SearchPorts(
-        generator=SimulatedGenerator(),
-        scorer=ConstantScorer(0.0),
-        retriever=DocumentQueue(small_index, batch_size=2),
-    )
-    outcome = run_search("q", ports, EpisodeConfig(max_steps=8, stop_threshold=0.9, p_doc=0.6))
-    graph = outcome.graph
-    assert any(node.kind == NodeKind.DOCUMENT for node in graph.nodes.values())
-    rebuilt = record_to_graph(graph_to_record(graph, outcome))
-    assert rebuilt.thought_ids == graph.thought_ids == sorted(
-        nid for nid, node in graph.nodes.items() if node.kind != NodeKind.DOCUMENT
-    )
-
-
 def test_validation_names_offending_field():
     record = graph_to_record(_diamond_graph())
     record["version"] = 99
@@ -153,11 +126,46 @@ def test_outcome_must_be_an_object(outcome):
 
 
 @pytest.mark.parametrize("name", ["first", "second", "produced"])
-def test_record_to_graph_rejects_history_naming_no_node(name):
+def test_validate_trace_rejects_history_naming_no_node(name):
+    for value in (7, -1):
+        record = graph_to_record(_diamond_graph())
+        record["history"][1][name] = value
+        with pytest.raises(SchemaError, match=rf"history\[1\]\.{name} is {value}, not a node id"):
+            validate_trace(record)
+
+
+def test_validate_trace_rejects_forward_parent_references():
+    graph = new_process("q")
+    graph.apply_transition(Action(0, 0), "t1")
+    for parents, bad in (([0, 1], 1), ([0, -1], -1), ([77, 0], 77)):
+        record = graph_to_record(graph)
+        record["nodes"][1]["parents"] = parents
+        with pytest.raises(SchemaError, match=rf"nodes\[1\]\.parents has {bad}, not an earlier node id"):
+            validate_trace(record)
+    record = graph_to_record(graph)
+    record["nodes"][1]["id"] = 5
+    with pytest.raises(SchemaError, match=r"nodes\[1\]\.id is 5, expected its position"):
+        validate_trace(record)
+
+
+@pytest.mark.parametrize("fmt", ["structured", "graphviz"])
+def test_export_trace_rejects_dangling_references(tmp_path, capsys, fmt):
+    """A parent or history id that names no node fails the export with
+    exit 2 and the field, in both formats, before any output is written."""
     record = graph_to_record(_diamond_graph())
-    record["history"][1][name] = 7
-    with pytest.raises(SchemaError, match=rf"history\[1\]\.{name} is 7, not a node id"):
-        record_to_graph(record)
+    record["nodes"][3]["parents"] = [1, 77]
+    path = tmp_path / "trace.json"
+    dump_trace(record, path)
+    out = tmp_path / "out"
+    assert main(["export-trace", "--trace", str(path), "--format", fmt, "--out", str(out)]) == 2
+    assert r"nodes[3].parents has 77" in capsys.readouterr().err
+    assert not out.exists()
+    record = graph_to_record(_diamond_graph())
+    record["history"][0]["produced"] = 999
+    dump_trace(record, path)
+    assert main(["export-trace", "--trace", str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert "history[0].produced is 999" in captured.err and captured.out == ""
 
 
 def test_best_thought_highlighted_in_dot():
