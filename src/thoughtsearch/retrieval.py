@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -25,8 +26,7 @@ from .errors import CorpusError, ExhaustedCorpusError, SchemaError, is_json, jso
 INDEX_MAGIC = b"thoughtsearch-index v2\n"
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """One retrievable chunk of source text."""
 
     doc_id: int
@@ -57,17 +57,15 @@ class HashedEmbedder:
     dim: int = 256
     idf: dict[str, float] | None = None
     n_docs: int = 0
-    # Derived on construction: the (bucket, weight) of every IDF token, so
-    # that embed hashes only tokens outside the vocabulary, and the weight of
-    # those (1.0 unfitted; the smooth IDF's df=0 weight when fitted).
-    _terms: dict[str, tuple[int, float]] = field(init=False, repr=False, compare=False)
+    # Filled on use: the bucket of each IDF token embedded so far, so that a
+    # vocabulary token is hashed once. Only IDF tokens enter it, which bounds
+    # it by the index; concurrent searches can only write the same value.
+    _buckets: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The weight of a token outside the IDF table: 1.0 unfitted, the smooth
+    # IDF's df=0 weight when fitted.
     _unseen_weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._terms = {
-            token: (token_bucket(token, self.dim), weight)
-            for token, weight in (self.idf or {}).items()
-        }
         self._unseen_weight = 1.0 if self.idf is None else math.log(1.0 + self.n_docs) + 1.0
 
     @property
@@ -80,12 +78,21 @@ class HashedEmbedder:
         blob = json.dumps(sorted(self.idf.items()), separators=(",", ":"))
         return hashlib.blake2b(blob.encode("utf-8"), digest_size=6).hexdigest()
 
+    def _bucket(self, token: str) -> int:
+        """Hash a token not in the memo, and memoize it if it is an IDF token."""
+        bucket = token_bucket(token, self.dim)
+        if self.idf is not None and token in self.idf:
+            self._buckets[token] = bucket
+        return bucket
+
     def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=np.float64)
-        terms, dim, unseen = self._terms, self.dim, self._unseen_weight
+        buckets, idf, unseen = self._buckets, self.idf or {}, self._unseen_weight
         for token, count in Counter(_tokens(text)).items():
-            bucket, weight = terms.get(token) or (token_bucket(token, dim), unseen)
-            vec[bucket] += count * weight
+            bucket = buckets.get(token)
+            if bucket is None:
+                bucket = self._bucket(token)
+            vec[bucket] += count * idf.get(token, unseen)
         norm = float(np.linalg.norm(vec))
         return vec / norm if norm else vec
 
@@ -101,20 +108,22 @@ class _Tallies(NamedTuple):
 
 
 def _tally(texts: Iterable[str]) -> _Tallies:
-    """Tokenize each text once, into compact arrays rather than one Counter
-    per text kept alive."""
+    """Every chunk's tally at once. Each text is split once into token ids,
+    which follow first occurrence; one sort of the distinct (chunk, id) keys
+    by their first position then puts each chunk's entries in Counter order."""
     vocab: dict[str, int] = {}
-    ids, counts, sizes = array("q"), array("d"), array("q")
+    ids, lengths = array("q"), array("q")
     for text in texts:
-        tally = Counter(_tokens(text))
-        ids.extend(vocab.setdefault(token, len(vocab)) for token in tally)
-        counts.extend(tally.values())
-        sizes.append(len(tally))
+        tokens = _tokens(text)
+        ids.extend([vocab.setdefault(token, len(vocab)) for token in tokens])
+        lengths.append(len(tokens))
+    n, v = len(lengths), len(vocab)
+    keys = np.repeat(np.arange(n, dtype=np.int64), lengths) * v + np.asarray(ids)
+    keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first, kind="stable")
+    keys = keys[order]
     return _Tallies(
-        vocab,
-        np.asarray(ids, dtype=np.int64),
-        np.asarray(counts, dtype=np.float64),
-        np.asarray(sizes, dtype=np.int64),
+        vocab, keys % v, counts[order].astype(np.float64), np.bincount(keys // v, minlength=n)
     )
 
 
@@ -136,7 +145,9 @@ def _embed_tallies(embedder: HashedEmbedder, tallies: _Tallies) -> np.ndarray:
     one `np.add.at`, then each row divided by the same `np.linalg.norm`. Every
     token is in the embedder's vocabulary, which was fitted on these chunks."""
     # Each vocabulary token's bucket and weight, at its id.
-    bucket, weight = map(np.array, zip(*(embedder._terms[token] for token in tallies.vocab)))
+    n = len(tallies.vocab)
+    bucket = np.fromiter(map(embedder._bucket, tallies.vocab), np.int64, n)
+    weight = np.fromiter(map(embedder.idf.__getitem__, tallies.vocab), np.float64, n)
     rows = np.repeat(np.arange(len(tallies.sizes)), tallies.sizes)
     embeddings = np.zeros((len(tallies.sizes), embedder.dim), dtype=np.float64)
     np.add.at(embeddings, (rows, bucket[tallies.ids]), tallies.counts * weight[tallies.ids])
@@ -231,17 +242,9 @@ def ingest_corpus(
     documents: list[Document] = []
     for source_id, filter_key, text in _read_records(source):
         for chunk in chunk_words(text, chunk_size):
-            if not chunk:
-                continue
-            documents.append(
-                Document(
-                    doc_id=len(documents),
-                    text=chunk,
-                    source_id=source_id,
-                    filter_key=filter_key,
-                    word_count=len(chunk.split()),
-                )
-            )
+            # A chunk is its words joined by single spaces: no second split.
+            word_count = chunk.count(" ") + 1
+            documents.append(Document(len(documents), chunk, source_id, filter_key, word_count))
     if not documents:
         raise CorpusError(f"corpus at {source} produced no chunks")
     tallies = _tally(d.text for d in documents)
@@ -362,7 +365,7 @@ def _documents_from_list(records: list) -> list[Document]:
     if doc_ids != list(range(len(doc_ids))):
         i = next(i for i, doc_id in enumerate(doc_ids) if doc_id != i)
         raise SchemaError(f"index.documents[{i}].doc_id is {doc_ids[i]}, expected its position {i}")
-    return [Document(*values) for values in zip(*columns)]
+    return list(map(Document._make, zip(*columns)))
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
@@ -378,16 +381,7 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
             "n_docs": index.embedder.n_docs,
             "idf": index.embedder.idf,
         },
-        "documents": [
-            {
-                "doc_id": d.doc_id,
-                "text": d.text,
-                "source_id": d.source_id,
-                "filter_key": d.filter_key,
-                "word_count": d.word_count,
-            }
-            for d in index.documents
-        ],
+        "documents": [d._asdict() for d in index.documents],
         "shape": list(body.shape),
         "sha256": hashlib.sha256(body).hexdigest(),
     }
@@ -397,41 +391,46 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         f.write(body)
 
 
-def _split_index_file(data: bytes, path: str | Path) -> tuple[dict, memoryview]:
-    """The JSON header and the raw body of a version 2 index file."""
-    if not data.startswith(INDEX_MAGIC):
-        if data.startswith(b"{"):
+def _read_header(f, path: str | Path) -> tuple[dict, int]:
+    """The JSON header of a version 2 index file, and the byte length of the
+    body that follows it, where `f` is left."""
+    magic = f.read(len(INDEX_MAGIC))
+    if magic != INDEX_MAGIC:
+        if magic.startswith(b"{"):
             raise SchemaError(
                 f"{path} is a version 1 (JSON) index file; this version reads only "
                 "version 2 index files: re-ingest the corpus"
             )
         raise SchemaError(f"{path} does not start with the index magic line {INDEX_MAGIC!r}")
-    start = len(INDEX_MAGIC)
-    newline = data.find(b"\n", start, start + 21)  # at most 20 digits
-    length = data[start:newline] if newline >= 0 else b""
+    line = f.readline(21)  # at most 20 digits and the newline
+    length = line[:-1] if line.endswith(b"\n") else b""
     if not length.isdigit():
         raise SchemaError(f"{path}: no header length after the magic line")
-    start, end = newline + 1, newline + 1 + int(length)
-    if end > len(data):
+    remain = os.fstat(f.fileno()).st_size - f.tell()
+    if int(length) > remain:
         raise SchemaError(
             f"{path}: header length {int(length)} runs past the end of the file "
-            f"({len(data) - start} bytes remain)"
+            f"({remain} bytes remain)"
         )
     try:
-        header = json.loads(data[start:end])
+        header = json.loads(f.read(int(length)))
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise SchemaError(f"{path}: index header is not JSON: {exc}") from exc
-    return header, memoryview(data)[end:]
+    return header, remain - int(length)
 
 
 def load_index(path: str | Path) -> CorpusIndex:
     """Read and fully check an index file; a malformed file raises
     SchemaError naming the field here, never later inside a search."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            return _read_index(f, path)
     except OSError as exc:
         raise SchemaError(f"cannot read index file {path}: {exc}") from exc
-    record, body = _split_index_file(data, path)
+
+
+def _read_index(f, path: str | Path) -> CorpusIndex:
+    record, body_bytes = _read_header(f, path)
     emb_rec = json_field(record, "embedder", (dict,), "index")
     dim = json_field(emb_rec, "dim", (int,), "index.embedder")
     n_docs = json_field(emb_rec, "n_docs", (int,), "index.embedder")
@@ -450,16 +449,18 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise SchemaError(
             f"index.shape is {record['shape']}, expected {shape} (documents x embedder.dim)"
         )
-    if len(body) != shape[0] * dim * 8:
+    if body_bytes != shape[0] * dim * 8:
         raise SchemaError(
-            f"index embeddings are {len(body)} bytes, expected {shape[0]} x {dim} x 8 = "
+            f"index embeddings are {body_bytes} bytes, expected {shape[0]} x {dim} x 8 = "
             f"{shape[0] * dim * 8}"
         )
-    if hashlib.sha256(body).hexdigest() != json_field(record, "sha256", (str,), "index"):
+    # The body goes straight into an aligned array of its own: the file is
+    # never held whole, and the rows are never copied.
+    embeddings = np.empty(shape, dtype="<f8")
+    if f.readinto(embeddings) != body_bytes:
+        raise SchemaError(f"{path}: the index file changed while it was read")
+    if hashlib.sha256(embeddings).hexdigest() != json_field(record, "sha256", (str,), "index"):
         raise SchemaError("index embeddings do not match index.sha256")
-    # A copy: the body starts at any byte offset, and float64 rows want an
-    # 8-byte-aligned buffer of their own rather than a view pinning the file.
-    embeddings = np.frombuffer(body, dtype="<f8").reshape(shape).copy()
     finite = np.isfinite(embeddings).all(axis=1)
     if not finite.all():
         raise SchemaError(f"index.embeddings row {int(np.argmin(finite))} is not finite")

@@ -443,10 +443,13 @@ def train_estimator(
     dataset: Sequence[OfflineSample],
     holdout_fraction: float,
     regressor_config: dict | None = None,
-    embedder_id: str = "",
+    embedder_id: str | None = None,
     seed: int = 0,
 ) -> ScorerModel:
     """Fit the pairwise reward regressor on concatenated parent embeddings.
+
+    The model is bound to the hashed embedder of the samples' dimension;
+    `embedder_id`, when given, must name that embedder.
 
     Reports train/holdout MSE and fits the decision threshold on the training
     split (labels binarized at 0.5). A degenerate all-equal-label dataset
@@ -462,6 +465,11 @@ def train_estimator(
     for sample in dataset:
         if len(sample.emb_i) != dim or len(sample.emb_j) != dim:
             raise ConfigError("all samples must share one embedding dimension")
+    expected_id = HashedEmbedder(dim=dim).embedder_id
+    if embedder_id not in (None, expected_id):
+        raise ConfigError(
+            f"embedder_id {embedder_id!r} is not {expected_id!r}, the embedder of the samples"
+        )
     X = np.stack([np.concatenate([s.emb_i, s.emb_j]) for s in dataset])
     y = np.asarray([s.reward for s in dataset], dtype=np.float64)
 
@@ -499,7 +507,7 @@ def train_estimator(
     return ScorerModel(
         regressor=regressor,
         threshold=threshold,
-        embedder_id=embedder_id,
+        embedder_id=expected_id,
         embed_dim=dim,
         training_report=report,
     )

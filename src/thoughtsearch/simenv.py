@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import ConfigError
 from .harness import QAExample, Task
 from .retrieval import token_bucket
 from .seeding import rng_from
@@ -125,6 +126,9 @@ def build_suite(
     n_distractors: int = 6,
 ) -> SimSuite:
     """Seed-fixed suite: shared key vocabulary, per-task values and documents."""
+    for name, value in (("n_train", n_train), ("n_test", n_test), ("seed", seed)):
+        if value < 0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
     key_pool = pick_keys(n_keys, key_dim)
     train, test, records = [], [], []
     for idx in range(n_train + n_test):

@@ -91,6 +91,11 @@ def validate_trace(record: dict) -> dict:
     if "outcome" in record:
         for key, kinds in _OUTCOME_FIELDS.items():
             json_field(record["outcome"], key, kinds, "trace.outcome")
+        best = record["outcome"]["best_thought"]
+        if best is not None and not (
+            0 <= best < len(nodes) and nodes[best]["kind"] == NodeKind.GENERATED.value
+        ):
+            raise SchemaError(f"trace.outcome.best_thought is {best}, not the id of a generated node")
     return record
 
 

@@ -533,6 +533,9 @@ def test_eval_bad_sweep_budget_fails_before_running(workspace, tmp_path, capsys,
         ("ingest", ["--chunk-words", "-2"], "retrieval.chunk_words must be >= 1, got -2"),
         ("eval", ["--limit", "0"], "limit must be >= 1, got 0"),
         ("eval", ["--limit", "-3"], "limit must be >= 1, got -3"),
+        ("make-suite", ["--train", "-1"], "n_train must be >= 0, got -1"),
+        ("make-suite", ["--test", "-5"], "n_test must be >= 0, got -5"),
+        ("make-suite", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ],
 )
 def test_flag_below_its_bound_exits_2(workspace, tmp_path, capsys, command, flags, message):
@@ -543,6 +546,7 @@ def test_flag_below_its_bound_exits_2(workspace, tmp_path, capsys, command, flag
     argv = {
         "ingest": ["ingest", "--mode", "simulated", "--corpus", str(corpus), "--out", str(out)],
         "eval": ["eval", "--mode", "simulated", "--examples", str(examples), "--methods", "llm_only", "--out", str(out)],
+        "make-suite": ["make-suite", "--train", "2", "--test", "2", "--corpus-out", str(out), "--examples-out", str(out)],
     }[command]
     assert main([*argv, *flags]) == 2
     err = capsys.readouterr().err

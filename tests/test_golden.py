@@ -1,8 +1,8 @@
 """Golden digests: rows and trace bytes of every planning method and of the
 random-pairing control on a small seeded simulated suite, and the bytes of
-the suite's index and estimator model files, pinned to the values the
-engine has produced since these planners' behaviour was last changed on
-purpose. A speed-up or refactor that moves any digest changed behaviour;
+the suite's index (at two dimensions) and estimator model files, pinned to
+the values the engine has produced since these planners' behaviour was
+last changed on purpose. A speed-up or refactor that moves any digest changed behaviour;
 update the pins only for a change that says so. Damaged copies of the
 fixture's model file and of one of its traces must fail as SchemaError."""
 
@@ -66,6 +66,9 @@ GOLDEN = {  # id: (method, rows sha256, trace bytes sha256)
 # sha256 of the fixture's index file (save_index) and model file (save_model).
 INDEX_FILE_SHA256 = "c844447c257a924fce661032866dcf9b73a4466f1cae3c278d4cc457ec5fa956"
 MODEL_FILE_SHA256 = "05eb63def41520205ae0b5b001e460ef28fbfb907971c98d63f982f1cf481b1e"
+# sha256 of the index file of the fixture's corpus at dim 7: most of its
+# tokens share a bucket, so each row's sums depend on the order of the adds.
+DIM7_INDEX_FILE_SHA256 = "f80e9e70b974b547a79d3e0b72043e9d6adeffb2931d940a722b5012e0c61b55"
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +115,13 @@ def test_index_and_model_files_match_golden_digests(engine, tmp_path):
         for name in ("index.bin", "model.json")
     ]
     assert digests == [INDEX_FILE_SHA256, MODEL_FILE_SHA256]
+
+
+def test_index_file_with_bucket_collisions_matches_golden_digest(tmp_path):
+    suite = simenv.build_suite(n_train=20, n_test=20, seed=5)
+    simenv.write_records(suite.records, tmp_path / "corpus.jsonl")
+    save_index(ingest_corpus(tmp_path / "corpus.jsonl", chunk_size=100, dim=7), tmp_path / "index.bin")
+    assert hashlib.sha256((tmp_path / "index.bin").read_bytes()).hexdigest() == DIM7_INDEX_FILE_SHA256
 
 
 @pytest.fixture(scope="module")

@@ -3,9 +3,11 @@ full-scan implementation, queue refills, index files and their load checks."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,6 +20,7 @@ from thoughtsearch.retrieval import (
     CorpusIndex,
     DocumentQueue,
     HashedEmbedder,
+    _tally,
     chunk_words,
     ingest_corpus,
     load_index,
@@ -154,13 +157,64 @@ def test_ingested_rows_equal_embed_bit_for_bit(tmp_path_factory, records, chunk_
     assert index.embeddings.shape == (len(index.documents), dim)
     for doc, row in zip(index.documents, index.embeddings):
         assert row.tobytes() == index.embedder.embed(doc.text).tobytes()
+        assert doc.word_count == len(doc.text.split())
+
+
+def _reference_tally(texts):
+    """_tally as one Counter per text: ids by first occurrence across texts,
+    each text's entries in Counter order."""
+    vocab, ids, counts, sizes = {}, [], [], []
+    for text in texts:
+        tally = Counter(text.lower().split())
+        ids += [vocab.setdefault(token, len(vocab)) for token in tally]
+        counts += tally.values()
+        sizes.append(len(tally))
+    return vocab, ids, counts, sizes
+
+
+@given(
+    texts=st.lists(
+        st.lists(_vocab | st.sampled_from(["ALPHA", "alpha", "Alpha", "a", "A"]) | st.text(max_size=4), max_size=30)
+        .map(" ".join),
+        min_size=1,
+        max_size=10,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_tally_equals_one_counter_per_text(texts):
+    """Repeated and case-folded tokens, texts with no token, and words of
+    arbitrary characters (some of which split on Unicode whitespace)."""
+    got = _tally(texts)
+    vocab, ids, counts, sizes = _reference_tally(texts)
+    assert list(got.vocab.items()) == list(vocab.items())
+    assert (got.ids.dtype, got.counts.dtype, got.sizes.dtype) == (np.int64, np.float64, np.int64)
+    assert got.ids.tolist() == ids and got.counts.tolist() == counts and got.sizes.tolist() == sizes
+
+
+def test_bucket_memo_holds_only_idf_tokens(tmp_path):
+    """Buckets are memoized when a vocabulary token is first embedded, never
+    for a token outside the IDF table, and never by an unfitted embedder."""
+    index = _index_from(tmp_path, [("alpha beta", None), ("beta gamma", None)], dim=16)
+    save_index(index, tmp_path / "index.bin")
+    loaded = load_index(tmp_path / "index.bin").embedder
+    assert loaded._buckets == {}
+    for embedder in (index.embedder, loaded):
+        for text in ("Alpha unseen", "beta delta delta", "nothing known"):
+            embedder.embed(text)
+        assert set(embedder._buckets) <= set(embedder.idf)
+        assert {"alpha", "beta"} <= set(embedder._buckets)
+        assert all(bucket == token_bucket(token, 16) for token, bucket in embedder._buckets.items())
+    unfitted = HashedEmbedder(dim=16)
+    unfitted.embed("alpha beta")
+    assert unfitted._buckets == {}
 
 
 def test_term_table_is_not_part_of_equality_or_repr(tmp_path):
     embedder = _index_from(tmp_path, [("alpha beta", None), ("beta gamma", None)], dim=16).embedder
     same = HashedEmbedder(dim=16, idf=dict(embedder.idf), n_docs=embedder.n_docs)
+    embedder.embed("alpha")  # the memos now differ
     assert embedder == same
-    assert "_terms" not in repr(embedder) and "_unseen_weight" not in repr(embedder)
+    assert "_buckets" not in repr(embedder) and "_unseen_weight" not in repr(embedder)
     assert embedder != HashedEmbedder(dim=16, idf=None, n_docs=embedder.n_docs)
 
 
@@ -502,6 +556,24 @@ def test_damaged_index_file_raises_only_schema_error(tmp_path_factory, data):
         load_index(out)
     except SchemaError:
         pass
+
+
+def test_load_index_holds_the_body_once(tmp_path):
+    """The body is read straight into the embeddings array: no copy of the
+    file, and no second copy of the rows, is alive at the load's peak."""
+    records = [{"source_id": f"s{i}", "text": _words(6, f"d{i}_")} for i in range(64)]
+    out = tmp_path / "index.bin"
+    save_index(ingest_corpus(_corpus_file(tmp_path, records), chunk_size=10, dim=16384), out)
+    body = 64 * 16384 * 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        index = load_index(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index.embeddings.nbytes == body
+    assert peak < 1.3 * body, f"load_index peaked at {peak / body:.2f}x the body"
 
 
 def test_ingest_rejects_unhashable_filter_key(tmp_path):

@@ -221,7 +221,6 @@ def test_train_estimator_on_linear_synthetic():
         data,
         holdout_fraction=0.2,
         regressor_config={"rounds": 300, "depth": 3, "learning_rate": 0.1},
-        embedder_id="test-embedder",
         seed=0,
     )
     assert model.training_report["holdout_mse"] <= 0.01
@@ -317,6 +316,21 @@ def test_model_round_trip_and_embedder_check(tmp_path):
         load_model(path, expected_embedder_id="other-embedder")
 
 
+def test_model_trained_without_an_embedder_id_loads(tmp_path):
+    """The default binds the model to the hashed embedder of the samples'
+    dimension, which is what load_model checks; any other id is refused."""
+    data = _synthetic_dataset(n=40, dim_each=4)
+    model = train_estimator(data, holdout_fraction=0.2, regressor_config={"rounds": 5}, seed=0)
+    assert model.embedder_id == HashedEmbedder(dim=4).embedder_id
+    save_model(model, tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json", expected_embedder_id=HashedEmbedder(dim=4).embedder_id)
+    probe = np.linspace(-1.0, 1.0, 8)[None, :]
+    assert loaded.predict_batch(probe)[0] == model.predict_batch(probe)[0]
+    for other in ("", "hashed-tf-v1-d8", HashedEmbedder(dim=4, idf={"a": 1.0}).embedder_id):
+        with pytest.raises(ConfigError, match="the embedder of the samples"):
+            train_estimator(data, holdout_fraction=0.2, regressor_config={"rounds": 5}, embedder_id=other)
+
+
 def test_retrain_same_seed_identical_model_file(tmp_path):
     data = _synthetic_dataset(n=300, dim_each=4)
     paths = []
@@ -325,7 +339,6 @@ def test_retrain_same_seed_identical_model_file(tmp_path):
             data,
             holdout_fraction=0.2,
             regressor_config={"rounds": 30},
-            embedder_id="e",
             seed=11,
         )
         path = tmp_path / name

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from thoughtsearch.cli import main
 from thoughtsearch.errors import SchemaError
 from thoughtsearch.generate import SimulatedGenerator
-from thoughtsearch.graph import Action, EpisodeConfig, new_process
+from thoughtsearch.graph import Action, EpisodeConfig, NodeKind, new_process
 from thoughtsearch.mcts import SearchPorts, run_search
 from thoughtsearch.retrieval import DocumentQueue
 from thoughtsearch.trace import (
@@ -166,6 +166,27 @@ def test_export_trace_rejects_dangling_references(tmp_path, capsys, fmt):
     assert main(["export-trace", "--trace", str(path), "--format", fmt]) == 2
     captured = capsys.readouterr()
     assert "history[0].produced is 999" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("best", [999, -1, 0, 1])
+@pytest.mark.parametrize("fmt", ["structured", "graphviz"])
+def test_export_trace_rejects_a_best_thought_naming_no_generated_node(tmp_path, capsys, fmt, best):
+    """best_thought is null or a generated node's id: 999 and -1 name no
+    node, 0 is the query and 1 a document."""
+    graph = new_process("q")
+    graph.add_document("d")
+    graph.apply_transition(Action(0, 1), "t")
+    assert [graph.node(i).kind for i in (0, 1)] == [NodeKind.QUERY, NodeKind.DOCUMENT]
+    record = graph_to_record(graph)
+    outcome = {"best_thought": None, "terminated_by": "budget_exhausted", "generator_calls": 1, "scorer_calls": 1}
+    validate_trace({**record, "outcome": outcome})
+    validate_trace({**record, "outcome": {**outcome, "best_thought": graph.generated_ids()[0]}})
+    path = tmp_path / "trace.json"
+    dump_trace({**record, "outcome": {**outcome, "best_thought": best}}, path)
+    assert main(["export-trace", "--trace", str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert f"trace.outcome.best_thought is {best}, not the id of a generated node" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_best_thought_highlighted_in_dot():
