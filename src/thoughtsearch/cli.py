@@ -27,7 +27,7 @@ from .config import (
 from .errors import ConfigError, EngineError, SchemaError
 from .generate import HttpGenerator, SimulatedGenerator
 from .harness import EnginePorts, Method, QAExample, Task
-from .retrieval import ingest_corpus, load_index, save_index
+from .retrieval import HashedEmbedder, ingest_corpus, load_index, save_index
 from .scoring import load_model, save_dataset, save_model
 from .seeding import rng_from
 from .templates import TemplateSet
@@ -69,10 +69,11 @@ def _generator(config: EngineConfig, templates: TemplateSet):
     raise ConfigError(f"unknown generator backend {config.generator.backend!r}")
 
 
-def _ports(config: EngineConfig, need_index: bool = False, need_model: bool = False) -> EnginePorts:
+def _ports(config: EngineConfig, methods: list[Method]) -> EnginePorts:
     """Build the generator (a bad endpoint fails here, before any file
-    loads), load every file the config names, then fail on a required one
-    it does not name."""
+    loads), load every file the config names, then fail on a file that
+    `methods` need (by their PLANS) and the config does not name."""
+    plans = [harness.PLANS[method] for method in methods]
     templates = _templates(config)
     generator = _generator(config, templates)
     index = model = None
@@ -84,12 +85,11 @@ def _ports(config: EngineConfig, need_index: bool = False, need_model: bool = Fa
                 f"configured retrieval.embed_dim {config.retrieval.embed_dim}"
             )
     if config.model_file:
-        model = load_model(
-            config.model_file, expected_embedder_id=harness.scoring_embedder(config).embedder_id
-        )
-    if need_index and index is None:
+        expected = HashedEmbedder(dim=config.scoring.embed_dim).embedder_id
+        model = load_model(config.model_file, expected_embedder_id=expected)
+    if index is None and any(plan.retrieves for plan in plans):
         raise ConfigError("this command requires index_file (or --index)")
-    if need_model and model is None:
+    if model is None and any(plan.scorer == "estimation" for plan in plans):
         raise ConfigError("estimation methods require model_file (or --model)")
     return EnginePorts(generator=generator, templates=templates, index=index, scorer_model=model)
 
@@ -127,8 +127,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_args_config(args)
     method = Method(args.method)
-    plan = harness.PLANS[method]
-    ports = _ports(config, need_index=plan.retrieves, need_model=plan.scorer == "estimation")
+    ports = _ports(config, [method])
     task = _TASK_FOR_MODE[config.task_mode]
     example = QAExample(
         query_id="run",
@@ -159,7 +158,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_train_scorer(args: argparse.Namespace) -> int:
     config = _load_args_config(args)
-    ports = _ports(config, need_index=True)
+    ports = _ports(config, [Method.MCTS_ORACLE])  # the searches train_scorer runs
     examples = harness.load_examples(args.examples, split=args.split)
     if not examples:
         raise ConfigError(f"no examples with split={args.split!r} in {args.examples}")
@@ -202,12 +201,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         sweep = [dataclasses.replace(config, max_steps=int(t)) for t in budgets]
     except ValueError as exc:
         raise ConfigError(f"--sweep-t takes comma-separated integers: {exc}") from None
-    plans = [harness.PLANS[m] for m in methods]
-    ports = _ports(
-        config,
-        need_index=any(plan.retrieves for plan in plans),
-        need_model=any(plan.scorer == "estimation" for plan in plans),
-    )
+    ports = _ports(config, methods)
     examples = harness.load_examples(args.examples, split=args.split, limit=args.limit)
     if not examples:
         raise ConfigError(f"no examples loaded from {args.examples}")

@@ -95,9 +95,10 @@ class ScoringConfig:
         ))
 
     def regressor_config(self) -> dict:
+        """GradientBoostedRegressor's keywords."""
         return {
-            "rounds": self.gbrt_rounds,
-            "depth": self.gbrt_depth,
+            "n_rounds": self.gbrt_rounds,
+            "max_depth": self.gbrt_depth,
             "learning_rate": self.gbrt_learning_rate,
         }
 

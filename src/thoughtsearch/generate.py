@@ -24,6 +24,7 @@ from typing import Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .errors import CapabilityError, ConfigError, GenerationError, TransportError
+from .errors import json_field, json_value
 from .graph import NodeKind
 from .templates import TemplateSet
 
@@ -199,7 +200,8 @@ class HttpGenerator:
     """Client for a single completion-style HTTP route.
 
     Request body: {"prompt": str, "max_tokens": int, "logprob_tokens": [str]}
-    Response body: {"text": str, "token_logprobs": {str: float}}
+    Response body: {"text": str, "token_logprobs": {str: float}}, each
+    log-probability a finite JSON number
 
     Safe for concurrent use: every request opens its own connection and
     closes it (`Connection: close`), so threads share nothing but the
@@ -296,15 +298,14 @@ class HttpGenerator:
             payload["temperature"] = self.temperature
         if logprob_tokens:
             payload["logprob_tokens"] = list(logprob_tokens)
-        body = self._post(payload)
-        if not isinstance(body, dict):
-            raise GenerationError(f"backend reply is a JSON {type(body).__name__}, not an object")
-        text = body.get("text", "")
-        if not isinstance(text, str):
-            raise GenerationError("backend reply field 'text' is not a string")
+        where = "backend reply"
+        body = json_value(self._post(payload), (dict,), where, GenerationError)
+        text = json_value(body.get("text", ""), (str,), f"{where}.text", GenerationError)
         token_scores = body.get("token_logprobs")
-        if token_scores is not None and not isinstance(token_scores, dict):
-            raise GenerationError("backend reply field 'token_logprobs' is not an object")
+        if token_scores is not None:
+            json_value(token_scores, (dict,), f"{where}.token_logprobs", GenerationError)
+            for token in token_scores:
+                json_field(token_scores, token, (float,), f"{where}.token_logprobs", GenerationError)
         return GenerationResult(text=text, token_scores=token_scores)
 
     def _nonempty(self, text: str, what: str) -> str:
@@ -343,10 +344,7 @@ class HttpGenerator:
         missing = [tok for tok in tokens if tok not in result.token_scores]
         if missing:
             raise CapabilityError(f"backend omitted log-probabilities for {missing}")
-        try:
-            return {tok: float(result.token_scores[tok]) for tok in tokens}
-        except (TypeError, ValueError) as exc:
-            raise GenerationError(f"backend log-probability is not a number: {exc}") from exc
+        return {tok: float(result.token_scores[tok]) for tok in tokens}
 
     def complete(self, prompt: str) -> str:
         return self._nonempty(self._complete(prompt).text, "completion")

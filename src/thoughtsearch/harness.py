@@ -162,7 +162,7 @@ def make_scorer(method: Method, example: QAExample, ports: EnginePorts, config: 
     if kind == "estimation":
         if ports.scorer_model is None:
             raise ConfigError(f"method {method.value} requires a trained scorer model")
-        return EstimatorScorer(ports.scorer_model, scoring_embedder(config))
+        return EstimatorScorer(ports.scorer_model)
     raise ConfigError(f"method {method.value} has no scorer")
 
 
@@ -201,30 +201,23 @@ def search_example(
     return search(example.query, example_search_ports(method, example, ports, config), episode, rng)
 
 
-def scoring_embedder(config: EngineConfig) -> HashedEmbedder:
-    """The embedder the reward estimator is trained and queried with."""
-    return HashedEmbedder(dim=config.scoring.embed_dim)
-
-
 def train_scorer(
     examples: list[QAExample], ports: EnginePorts, config: EngineConfig
 ) -> tuple[ScorerModel, list[OfflineSample]]:
     """Collect the offline dataset from oracle-scored MCTS searches over
     `examples` and fit the reward estimator on it; returns the model and
     the samples."""
-    embedder = scoring_embedder(config)
     samples = collect_offline_dataset(
         examples,
         lambda example, rng: example_search_ports(Method.MCTS_ORACLE, example, ports, config),
         config.episode(stop_threshold=config.stop_thresholds["oracle"]),
-        embedder,
+        HashedEmbedder(dim=config.scoring.embed_dim),
         seed=config.seed,
     )
     model = train_estimator(
         samples,
         holdout_fraction=config.scoring.holdout_fraction,
         regressor_config=config.scoring.regressor_config(),
-        embedder_id=embedder.embedder_id,
         seed=config.seed,
     )
     return model, samples
@@ -417,7 +410,8 @@ def load_examples(
     if limit is not None and limit < 1:
         raise ConfigError(f"limit must be >= 1, got {limit}")
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        # Not splitlines: it also splits at U+2028, which a JSON string may hold.
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read examples file {path}: {exc}") from exc
     examples = []

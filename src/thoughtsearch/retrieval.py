@@ -200,9 +200,23 @@ def _read_text(path: Path) -> str:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 
 
+# A corpus record's fields: text is required, the others optional.
+_RECORD_FIELDS = {"text": (str,), "filter_key": (str, type(None)), "source_id": (str, int)}
+
+
+def _check_record(rec, where: str) -> None:
+    """Raise CorpusError naming `where` and the first field of a corpus
+    record that breaks the JSON rule."""
+    for name, kinds in _RECORD_FIELDS.items():
+        if name == "text" or name in rec:  # json_field fails a non-object at "text"
+            json_field(rec, name, kinds, where, CorpusError)
+
+
 def _read_records(source: str | Path) -> list[tuple[str, str | None, str]]:
     """Yield (source_id, filter_key, text) from a directory of .txt files or
-    a newline-delimited JSON record file with fields source_id/filter_key/text."""
+    a newline-delimited JSON record file with fields source_id (a string, or
+    an integer read as its decimal string), filter_key (a string or null)
+    and text (a string)."""
     path = Path(source)
     if path.is_dir():
         files = sorted(p for p in path.rglob("*.txt") if p.is_file())
@@ -216,17 +230,19 @@ def _read_records(source: str | Path) -> list[tuple[str, str | None, str]]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise CorpusError(f"{path}:{lineno}: bad record: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise CorpusError(f"{path}:{lineno}: record must be an object")
-            if not isinstance(rec.get("text"), str):
-                raise CorpusError(f"{path}:{lineno}: record needs a string 'text'")
-            if not isinstance(rec.get("filter_key"), (str, type(None))):
-                raise CorpusError(f"{path}:{lineno}: filter_key must be a string or null")
-            records.append(
-                (str(rec.get("source_id", f"record-{lineno}")), rec.get("filter_key"), rec["text"])
-            )
+            # For these kinds the JSON rule is an exact type test, made
+            # inline: a json_field call per field would slow every line.
+            if (
+                type(rec) is not dict
+                or type(rec.get("text")) is not str
+                or type(rec.get("filter_key")) not in _RECORD_FIELDS["filter_key"]
+                or type(rec.get("source_id", "")) not in _RECORD_FIELDS["source_id"]
+            ):
+                _check_record(rec, f"{path}:{lineno}: record")  # raises
+            source_id = rec["source_id"] if "source_id" in rec else f"record-{lineno}"
+            records.append((str(source_id), rec.get("filter_key"), rec["text"]))
         if not records:
             raise CorpusError(f"no records in {path}")
         return records

@@ -23,7 +23,9 @@ from .errors import CapabilityError, ConfigError, SchemaError, SearchError
 from .errors import JSON_KINDS, is_json, json_field, read_json_object
 from .generate import Generator
 from .graph import ThoughtGraph
+from .mcts import run_search
 from .retrieval import HashedEmbedder
+from .seeding import rng_from
 from .templates import TemplateSet
 
 log = logging.getLogger(__name__)
@@ -448,7 +450,9 @@ def train_estimator(
 ) -> ScorerModel:
     """Fit the pairwise reward regressor on concatenated parent embeddings.
 
-    The model is bound to the hashed embedder of the samples' dimension;
+    `regressor_config` holds GradientBoostedRegressor keywords (n_rounds,
+    max_depth, learning_rate); the rest keep the regressor's defaults. The
+    model is bound to the hashed embedder of the samples' dimension;
     `embedder_id`, when given, must name that embedder.
 
     Reports train/holdout MSE and fits the decision threshold on the training
@@ -459,7 +463,7 @@ def train_estimator(
         raise ConfigError(f"need at least 10 samples to train, got {len(dataset)}")
     if not 0.0 < holdout_fraction < 1.0:
         raise ConfigError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
-    cfg = dict(regressor_config or {})
+    cfg = regressor_config or {}
 
     dim = len(dataset[0].emb_i)
     for sample in dataset:
@@ -478,13 +482,10 @@ def train_estimator(
     n_holdout = max(1, int(round(len(y) * holdout_fraction)))
     hold_idx, train_idx = order[:n_holdout], order[n_holdout:]
 
-    regressor = GradientBoostedRegressor(
-        n_rounds=cfg.pop("rounds", 100),
-        max_depth=cfg.pop("depth", 3),
-        learning_rate=cfg.pop("learning_rate", 0.1),
-    )
-    if cfg:
-        raise ConfigError(f"unknown regressor options: {sorted(cfg)}")
+    unknown = set(cfg) - {"n_rounds", "max_depth", "learning_rate"}
+    if unknown:
+        raise ConfigError(f"unknown regressor options: {sorted(unknown)}")
+    regressor = GradientBoostedRegressor(**cfg)
     if bool(np.allclose(y, y[0])):
         log.warning("all %d labels equal %.3f; training a constant model", len(y), y[0])
         regressor = GradientBoostedRegressor(n_rounds=0)
@@ -520,16 +521,13 @@ def collect_offline_dataset(
     embedder,
     seed: int = 0,
 ) -> list[OfflineSample]:
-    """Run the oracle-scored search per training example and record one sample
-    per generated node: (parent embeddings, that node's oracle reward).
+    """Run the oracle-scored search per training QAExample and record one
+    sample per generated node: (parent embeddings, that node's oracle reward).
 
     ports_factory(example, rng) must return ready SearchPorts with an oracle
     scorer; per-example failures are skipped with a warning. Each distinct
     parent text is embedded once per call.
     """
-    from .mcts import run_search
-    from .seeding import rng_from
-
     samples: list[OfflineSample] = []
     vectors: dict[str, np.ndarray] = {}
 
@@ -543,7 +541,7 @@ def collect_offline_dataset(
         try:
             outcome = run_search(example.query, ports_factory(example, rng), config, rng)
         except SearchError as exc:
-            log.warning("skipping example %s: %s", getattr(example, "query_id", idx), exc)
+            log.warning("skipping example %s: %s", example.query_id, exc)
             continue
         graph = outcome.graph
         for node_id in graph.generated_ids():
@@ -553,7 +551,7 @@ def collect_offline_dataset(
                     emb_i=embed(graph.node(first).text),
                     emb_j=embed(graph.node(second).text),
                     reward=outcome.simulation_scores[node_id],
-                    query_id=str(getattr(example, "query_id", idx)),
+                    query_id=example.query_id,
                 )
             )
     return samples
@@ -627,8 +625,11 @@ def load_model(path: str | Path, expected_embedder_id: str | None = None) -> Sco
 
 
 def score_from_logprobs(logprob_yes: float, logprob_no: float) -> float:
-    """Probability ratio p1 / (p1 + p0), computed in the shift-stable form."""
-    return 1.0 / (1.0 + math.exp(logprob_no - logprob_yes))
+    """Probability ratio p1 / (p1 + p0) in the shift-stable form; 0.0 past exp's range."""
+    try:
+        return 1.0 / (1.0 + math.exp(logprob_no - logprob_yes))
+    except OverflowError:
+        return 0.0
 
 
 @functools.cache
@@ -684,7 +685,9 @@ class SelfCriticScorer:
 
 class EstimatorScorer:
     """Estimator as both a node scorer (via the node's parent pair) and the
-    pairwise scorer the greedy planner needs.
+    pairwise scorer the greedy planner needs. It embeds with the embedder
+    train_estimator and load_model bind every model to: the unfitted hashed
+    embedder of the model's dimension.
 
     One instance serves one search. It memoizes embeddings by text and
     scores by text pair, so each distinct text is embedded once and each
@@ -693,19 +696,9 @@ class EstimatorScorer:
     rest of its batch.
     """
 
-    def __init__(self, model: ScorerModel, embedder):
-        if embedder.embedder_id != model.embedder_id:
-            raise ConfigError(
-                f"estimator embedder {embedder.embedder_id!r} does not match "
-                f"model {model.embedder_id!r}"
-            )
-        if embedder.dim != model.embed_dim:
-            raise ConfigError(
-                f"embedding dimension mismatch: model expects {model.embed_dim}, "
-                f"embedder gives {embedder.dim}"
-            )
+    def __init__(self, model: ScorerModel):
         self.model = model
-        self.embedder = embedder
+        self.embedder = HashedEmbedder(dim=model.embed_dim)
         self._embeddings: dict[str, np.ndarray] = {}
         self._scores: dict[tuple[str, str], float] = {}
 

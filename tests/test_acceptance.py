@@ -346,7 +346,7 @@ def test_estimator_training_synthetic():
     model = train_estimator(
         data,
         holdout_fraction=0.2,
-        regressor_config={"rounds": 300, "depth": 3, "learning_rate": 0.1},
+        regressor_config={"n_rounds": 300, "max_depth": 3, "learning_rate": 0.1},
         seed=0,
     )
     order = np.random.default_rng(0).permutation(n)

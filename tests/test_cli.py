@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from thoughtsearch.cli import build_parser, main
 from thoughtsearch.config import ENV_API_KEY, ENV_ENDPOINT, config_hash, load_config
-from thoughtsearch.errors import SchemaError
+from thoughtsearch.errors import CorpusError, SchemaError
 from thoughtsearch.generate import SimulatedGenerator
 from thoughtsearch.harness import (
     PLANS,
@@ -22,9 +22,8 @@ from thoughtsearch.harness import (
     Method,
     load_examples,
     run_benchmark,
-    scoring_embedder,
 )
-from thoughtsearch.retrieval import load_index
+from thoughtsearch.retrieval import HashedEmbedder, ingest_corpus, load_index
 from thoughtsearch.scoring import load_model
 from thoughtsearch.templates import TemplateSet
 from thoughtsearch.trace import dump_trace, graph_to_record
@@ -277,6 +276,78 @@ def test_damaged_example_line_raises_only_schema_error(workspace, tmp_path_facto
     assert not (tmp_path / "out").exists() and not (tmp_path / "m.json").exists()
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_damaged_corpus_line_raises_only_corpus_error(workspace, tmp_path_factory, data):
+    """A corpus whose second record is cut short, has a few bytes flipped,
+    is buried 200,000 brackets deep or has another JSON value as its
+    source_id either ingests, with that source_id a string or the decimal
+    of an integer, or raises CorpusError naming the file (and a line, for
+    a bad record: a flipped byte may be a line break to splitlines); on the
+    latter, ingest exits 3."""
+    _tmp, corpus, *_ = workspace
+    first, line = corpus.read_bytes().splitlines()[:2]
+    line = bytearray(line)
+    damage = data.draw(st.sampled_from(["truncate", "flip", "nest", "source_id"]), label="damage")
+    if damage == "truncate":
+        line = line[: data.draw(st.integers(0, len(line) - 1), label="cut at")]
+    elif damage == "flip":
+        for at in data.draw(st.lists(st.integers(0, len(line) - 1), min_size=1, max_size=4), label="flip"):
+            line[at] ^= data.draw(st.integers(1, 255), label="mask")
+    elif damage == "nest":
+        line = b"[" * 200_000 + line
+    else:
+        record = {**json.loads(line), "source_id": data.draw(_JSON_VALUES, label="source_id")}
+        line = json.dumps(record).encode("utf-8")
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    bad = tmp_path / "corpus.jsonl"
+    bad.write_bytes(first + b"\n" + bytes(line) + b"\n")
+    try:
+        index = ingest_corpus(bad, chunk_size=100, dim=16)
+    except CorpusError as exc:
+        assert re.match(rf"{re.escape(str(bad))}:\d+: |cannot read corpus file {re.escape(str(bad))}", str(exc))
+    else:
+        source_ids = {json.loads(first)["source_id"]}
+        if bytes(line).strip():  # a blank line holds no record
+            source_id = json.loads(line).get("source_id", "record-2")
+            assert type(source_id) in (str, int)
+            source_ids.add(str(source_id))
+        assert {doc.source_id for doc in index.documents} <= source_ids
+        return
+    out = tmp_path / "index.bin"
+    assert main(["ingest", "--mode", "simulated", "--corpus", str(bad), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda method: method.value)
+def test_commands_need_an_index_and_a_model_as_plans_say(workspace, tmp_path, capsys, method):
+    """With no index, eval and run of a method exit 2 exactly when it
+    retrieves; with no model, exactly when it scores by estimation."""
+    _tmp, _corpus, examples, index, model = workspace
+    plan = PLANS[method]
+    out = str(tmp_path / "out")
+    commands = [["eval", "--mode", "simulated", "--examples", str(examples), "--limit", "1",
+                 "--methods", method.value, "--out", out]]
+    if plan.planner is not None:
+        example = load_examples(examples, split="test")[0]
+        commands.append(["run", "--mode", "simulated", "--query", example.query, "--method", method.value,
+                         "--filter-key", example.filter_key, "--trace", str(tmp_path / "trace.json"),
+                         "--gold", *example.gold_answers])
+    for argv in commands:
+        assert main([*argv, "--model", str(model)]) == (2 if plan.retrieves else 0)
+        assert ("requires index_file" in capsys.readouterr().err) == plan.retrieves
+        estimates = plan.scorer == "estimation"
+        assert main([*argv, "--index", str(index)]) == (2 if estimates else 0)
+        assert ("require model_file" in capsys.readouterr().err) == estimates
+
+
 def test_run_oracle_without_gold_is_config_error(workspace):
     *_, index, model = workspace
     assert (
@@ -332,7 +403,7 @@ def test_run_trace_equals_harness_trace(workspace, tmp_path, method):
     assert main(argv) == 0
 
     config = load_config(task_mode="simulated")
-    embedder = scoring_embedder(config)
+    embedder = HashedEmbedder(dim=config.scoring.embed_dim)
     ports = EnginePorts(
         generator=SimulatedGenerator(),
         templates=TemplateSet.builtin("simulated"),
@@ -717,8 +788,16 @@ _MALFORMED_INPUTS = {
     ),
     "model_version_bool": ("run-model", _model(version=True), 2, "model.version must be an integer"),
     "corpus_record_not_object": ("ingest", "5\n", 3, ":1: record must be an object"),
-    "corpus_text_not_string": ("ingest", '{"text": 5}\n', 3, ":1: record needs a string 'text'"),
+    "corpus_text_not_string": ("ingest", '{"text": 5}\n', 3, ":1: record.text must be a string"),
     "corpus_not_utf8": ("ingest", b"\xff\n", 3, _NOT_UTF8),
+    "corpus_record_nested_deep": ("ingest", "[" * 200_000 + "\n", 3, ":1: bad record"),
+    "corpus_source_id_null": (
+        "ingest", '{"text": "a", "source_id": null}\n', 3, ":1: record.source_id must be a string or an integer"
+    ),
+    "corpus_source_id_object": (
+        "ingest", '{"text": "a", "source_id": {"x": [1, 2]}}\n', 3, ":1: record.source_id must be"
+    ),
+    "corpus_source_id_bool": ("ingest", '{"text": "a", "source_id": true}\n', 3, ":1: record.source_id"),
     "trace_not_utf8": ("export-trace", b"\xff", 2, _NOT_UTF8),
     "config_retrieval_embed_dim_zero": (
         "ingest-config", '{"retrieval": {"embed_dim": 0}}', 2, "retrieval.embed_dim must be >= 1, got 0"

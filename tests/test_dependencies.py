@@ -7,7 +7,11 @@ import sys
 from pathlib import Path
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "thoughtsearch"}
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "thoughtsearch").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "thoughtsearch").glob("*.py"))
+# The code that may keep an engine name alive: the engine, its scripts and
+# its benchmark. Tests do not count.
+CALLERS = sorted(path for top in ("src", "scripts", "perfbench") for path in (ROOT / top).rglob("*.py"))
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -49,3 +53,38 @@ def test_package_has_no_unused_imports():
     assert SOURCES
     unused = {path.name: _unused_imports(path) for path in SOURCES}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Every name `node` refers to: as a name, an attribute or a string
+    constant (perfbench wraps functions by name)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def test_every_engine_function_and_class_is_used():
+    """A top-level function or class of the engine that no code refers to,
+    outside its own definition, is dead: the engine keeps only the code its
+    commands and workloads run."""
+    assert SOURCES and CALLERS
+    defined = {}  # (path, name) -> its definition
+    used = []  # (path, top-level statement, the names it refers to)
+    for path in CALLERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            used.append((path, stmt, _referenced(stmt)))
+            if path in SOURCES and isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[path, stmt.name] = stmt
+    dead = [
+        f"{path.name}:{name}"
+        for (path, name), definition in defined.items()
+        if not any(name in names for _, stmt, names in used if stmt is not definition)
+    ]
+    assert dead == []

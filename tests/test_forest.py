@@ -287,7 +287,7 @@ def model_record(tmp_path):
         for i in range(40)
     ]
     model = train_estimator(
-        data, holdout_fraction=0.2, regressor_config={"rounds": 3, "depth": 2},
+        data, holdout_fraction=0.2, regressor_config={"n_rounds": 3, "max_depth": 2},
         embedder_id=HashedEmbedder(dim=EMBED_DIM).embedder_id,
     )
     path = tmp_path / "model.json"

@@ -431,8 +431,14 @@ def test_http_client_error_fails_fast(backend, status):
         (b'{"text": ["a"]}', "thought"),
         (b'{"text": "", "token_logprobs": [0.0]}', "score"),
         (b'{"text": "", "token_logprobs": {"1": "high", "0": -1.0}}', "score"),
+        (b'{"text": "", "token_logprobs": {"1": NaN, "0": -1.0}}', "score"),
+        (b'{"text": "", "token_logprobs": {"1": true, "0": -1.0}}', "score"),
+        (b'{"text": "", "token_logprobs": {"1": "-0.5", "0": -1.0}}', "score"),
     ],
-    ids=["array", "string", "not_json", "int_text", "list_text", "list_logprobs", "text_logprob"],
+    ids=[
+        "array", "string", "not_json", "int_text", "list_text", "list_logprobs", "text_logprob",
+        "nan_logprob", "bool_logprob", "numeric_string_logprob",
+    ],
 )
 def test_http_malformed_reply_is_generation_error(backend, body, call):
     _Backend.bad_bodies = [body]
@@ -457,7 +463,7 @@ def test_bad_reply_fails_one_example_and_the_rest_are_graded(backend):
     report = run_benchmark(examples, Method.LLM_ONLY, ports, default_config("boolq"))
     failed = [row for row in report.per_example if row.error]
     assert [row.query_id for row in failed] == ["q0"]
-    assert "not an object" in failed[0].error
+    assert "backend reply must be an object" in failed[0].error
     graded = [row for row in report.per_example if not row.error]
     assert len(graded) == 3 and all(row.answer.startswith("echo ") for row in graded)
     assert _Backend.requests_seen == 4

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
 
 import pytest
@@ -250,6 +251,14 @@ def test_load_examples_loaders(tmp_path):
     assert examples[6].gold_answers == ["30", "2.5"]
     assert load_examples(path, split="train")[0].query_id == "a"
     assert load_examples(path, limit=2) == examples[:2]
+
+
+def test_example_query_may_hold_a_line_separator(tmp_path):
+    """JSON allows U+2028 raw inside a string: the examples file splits into
+    lines at newlines only."""
+    path = tmp_path / "examples.jsonl"
+    path.write_text(json.dumps({"query": "q\u2028r", "answers": ["a"]}, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert [example.query for example in load_examples(path)] == ["q\u2028r"]
 
 
 @pytest.mark.parametrize(

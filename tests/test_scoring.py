@@ -4,7 +4,6 @@ fitting, estimator training on a synthetic regression oracle, persistence."""
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,6 +92,9 @@ def test_probability_ratio_examples():
     assert score_from_logprobs(lp(0.6), lp(0.2)) == pytest.approx(0.75)
     # p0 -> 0 drives the ratio to 1
     assert score_from_logprobs(lp(0.5), -745.0) == pytest.approx(1.0)
+    # p1 -> 0 drives it to 0, also past where exp overflows
+    assert score_from_logprobs(-745.0, lp(0.5)) == pytest.approx(0.0)
+    assert score_from_logprobs(-1000.0, 0.0) == 0.0
 
 
 @given(
@@ -220,7 +222,7 @@ def test_train_estimator_on_linear_synthetic():
     model = train_estimator(
         data,
         holdout_fraction=0.2,
-        regressor_config={"rounds": 300, "depth": 3, "learning_rate": 0.1},
+        regressor_config={"n_rounds": 300, "max_depth": 3, "learning_rate": 0.1},
         seed=0,
     )
     assert model.training_report["holdout_mse"] <= 0.01
@@ -235,7 +237,7 @@ def test_estimator_predictions_correlate_with_labels():
     model = train_estimator(
         data,
         holdout_fraction=0.2,
-        regressor_config={"rounds": 300},
+        regressor_config={"n_rounds": 300},
         seed=0,
     )
     rng = np.random.default_rng(0)
@@ -261,11 +263,19 @@ def test_train_estimator_degenerate_constant():
     model = train_estimator(
         data,
         holdout_fraction=0.25,
-        regressor_config={"rounds": 100, "depth": 3, "learning_rate": 0.1},
+        regressor_config={"n_rounds": 100, "max_depth": 3, "learning_rate": 0.1},
         seed=0,
     )
     features = np.concatenate([np.zeros(dim), np.ones(dim)])[None, :]
     assert model.predict_batch(features)[0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("option", ["rounds", "depth", "base", "trees"])
+def test_train_estimator_refuses_unknown_regressor_options(option):
+    """regressor_config takes GradientBoostedRegressor's fit settings under
+    their own names, and nothing else."""
+    with pytest.raises(ConfigError, match=rf"unknown regressor options: \['{option}'\]"):
+        train_estimator(_synthetic_dataset(n=20), holdout_fraction=0.2, regressor_config={option: 1})
 
 
 def test_train_estimator_requires_min_samples():
@@ -281,13 +291,11 @@ def test_estimator_predict_constant_and_clamp():
             for i in range(20)
         ],
         holdout_fraction=0.2,
-        regressor_config={"rounds": 10},
+        regressor_config={"n_rounds": 10},
         seed=0,
     )
     value = model.predict_batch(np.array([[3.0, 0.0], [-50.0, 0.0], [50.0, 0.0]]))
     assert np.all((0.0 <= value) & (value <= 1.0))
-    with pytest.raises(ConfigError, match="dimension mismatch"):
-        EstimatorScorer(model, SimpleNamespace(embedder_id=model.embedder_id, dim=2))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +308,7 @@ def test_model_round_trip_and_embedder_check(tmp_path):
     model = train_estimator(
         data,
         holdout_fraction=0.2,
-        regressor_config={"rounds": 20},
+        regressor_config={"n_rounds": 20},
         embedder_id="hashed-tf-v1-d4",
         seed=0,
     )
@@ -320,7 +328,7 @@ def test_model_trained_without_an_embedder_id_loads(tmp_path):
     """The default binds the model to the hashed embedder of the samples'
     dimension, which is what load_model checks; any other id is refused."""
     data = _synthetic_dataset(n=40, dim_each=4)
-    model = train_estimator(data, holdout_fraction=0.2, regressor_config={"rounds": 5}, seed=0)
+    model = train_estimator(data, holdout_fraction=0.2, regressor_config={"n_rounds": 5}, seed=0)
     assert model.embedder_id == HashedEmbedder(dim=4).embedder_id
     save_model(model, tmp_path / "model.json")
     loaded = load_model(tmp_path / "model.json", expected_embedder_id=HashedEmbedder(dim=4).embedder_id)
@@ -328,7 +336,7 @@ def test_model_trained_without_an_embedder_id_loads(tmp_path):
     assert loaded.predict_batch(probe)[0] == model.predict_batch(probe)[0]
     for other in ("", "hashed-tf-v1-d8", HashedEmbedder(dim=4, idf={"a": 1.0}).embedder_id):
         with pytest.raises(ConfigError, match="the embedder of the samples"):
-            train_estimator(data, holdout_fraction=0.2, regressor_config={"rounds": 5}, embedder_id=other)
+            train_estimator(data, holdout_fraction=0.2, regressor_config={"n_rounds": 5}, embedder_id=other)
 
 
 def test_retrain_same_seed_identical_model_file(tmp_path):
@@ -338,7 +346,7 @@ def test_retrain_same_seed_identical_model_file(tmp_path):
         model = train_estimator(
             data,
             holdout_fraction=0.2,
-            regressor_config={"rounds": 30},
+            regressor_config={"n_rounds": 30},
             seed=11,
         )
         path = tmp_path / name
@@ -468,17 +476,30 @@ def test_estimator_scorer_checks_embedder_id():
     model = train_estimator(
         data,
         holdout_fraction=0.2,
-        regressor_config={"rounds": 10},
+        regressor_config={"n_rounds": 10},
         embedder_id="hashed-tf-v1-d32",
         seed=0,
     )
-    scorer = EstimatorScorer(model, HashedEmbedder(dim=32))
+    scorer = EstimatorScorer(model)
+    assert scorer.embedder.embedder_id == model.embedder_id
     graph = new_process("q")
     node = graph.apply_transition(Action(0, 0), "some text")
     value = scorer.score(graph, node, SimulatedGenerator())
     assert 0.0 <= value <= 1.0
-    with pytest.raises(ConfigError, match="does not match"):
-        EstimatorScorer(model, HashedEmbedder(dim=64))
+
+
+@pytest.mark.parametrize("dim", [32, 64])
+def test_estimator_scorer_embeds_with_its_models_embedder(tmp_path, dim):
+    """The scorer's embedder is the one the model is bound to, for a model
+    fresh from training and for the same model read back from its file."""
+    model = train_estimator(
+        _synthetic_dataset(n=60, dim_each=dim), holdout_fraction=0.2, regressor_config={"n_rounds": 3}
+    )
+    save_model(model, tmp_path / "model.json")
+    for scored in (model, load_model(tmp_path / "model.json")):
+        embedder = EstimatorScorer(scored).embedder
+        assert embedder.embedder_id == scored.embedder_id == HashedEmbedder(dim=dim).embedder_id
+        assert embedder.dim == dim
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +537,18 @@ class UncachedPairScorer:
         return [float(v) for v in self.model.predict_batch(features)]
 
 
+def _counting_scorer(model, embedder: CountingEmbedder) -> EstimatorScorer:
+    """An estimator scorer that embeds through `embedder`."""
+    scorer = EstimatorScorer(model)
+    scorer.embedder = embedder
+    return scorer
+
+
 def _hashed_gbrt_model(dim: int = 32):
     return train_estimator(
         _synthetic_dataset(n=300, dim_each=dim),
         holdout_fraction=0.2,
-        regressor_config={"rounds": 20},
+        regressor_config={"n_rounds": 20},
         embedder_id=HashedEmbedder(dim=dim).embedder_id,
         seed=0,
     )
@@ -533,11 +561,11 @@ def test_estimator_memo_is_exact_and_embeds_each_text_once():
     pairs += pairs[2:7]  # repeated pairs, in one batch and across batches
     expected = UncachedPairScorer(model, HashedEmbedder(dim=32)).score_pairs(pairs)
     assert expected == [
-        EstimatorScorer(model, HashedEmbedder(dim=32)).score_pairs([pair])[0] for pair in pairs
+        EstimatorScorer(model).score_pairs([pair])[0] for pair in pairs
     ]
 
     embedder = CountingEmbedder(dim=32)
-    scorer = EstimatorScorer(model, embedder)
+    scorer = _counting_scorer(model, embedder)
     rows = []
     model.predict_batch = lambda features, inner=model.predict_batch: (
         rows.append(len(features)) or inner(features)
@@ -554,7 +582,7 @@ def test_estimator_memo_is_exact_and_embeds_each_text_once():
     assert rows == [len(set(pairs))]
     assert embedder.calls == {text: 1 for text in texts}
 
-    EstimatorScorer(model, embedder).score_pairs(pairs[:1])  # a new search starts afresh
+    _counting_scorer(model, embedder).score_pairs(pairs[:1])  # a new search starts afresh
     assert embedder.calls[texts[0]] == 2
 
 
@@ -578,7 +606,7 @@ def test_greedy_search_memo_keeps_calls_and_trace(small_index):
         return outcome.scorer_calls, trace_text(graph_to_record(outcome.graph, outcome))
 
     embedder = CountingEmbedder(dim=32)
-    cached = search(EstimatorScorer(model, embedder))
+    cached = search(_counting_scorer(model, embedder))
     assert cached == search(UncachedPairScorer(model, HashedEmbedder(dim=32)))
     assert cached[0] > len(embedder.calls)
     assert all(count == 1 for count in embedder.calls.values())
