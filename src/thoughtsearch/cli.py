@@ -27,7 +27,7 @@ from .config import (
 from .errors import ConfigError, EngineError, SchemaError
 from .generate import HttpGenerator, SimulatedGenerator
 from .harness import EnginePorts, Method, QAExample, Task
-from .retrieval import HashedEmbedder, ingest_corpus, load_index, save_index
+from .retrieval import ingest_corpus, load_index, save_index
 from .scoring import load_model, save_dataset, save_model
 from .seeding import rng_from
 from .templates import TemplateSet
@@ -85,8 +85,12 @@ def _ports(config: EngineConfig, methods: list[Method]) -> EnginePorts:
                 f"configured retrieval.embed_dim {config.retrieval.embed_dim}"
             )
     if config.model_file:
-        expected = HashedEmbedder(dim=config.scoring.embed_dim).embedder_id
-        model = load_model(config.model_file, expected_embedder_id=expected)
+        model = load_model(config.model_file)
+        if model.embed_dim != config.scoring.embed_dim:
+            raise ConfigError(
+                f"model embedding dimension {model.embed_dim} does not match "
+                f"configured scoring.embed_dim {config.scoring.embed_dim}"
+            )
     if index is None and any(plan.retrieves for plan in plans):
         raise ConfigError("this command requires index_file (or --index)")
     if model is None and any(plan.scorer == "estimation" for plan in plans):

@@ -201,7 +201,7 @@ class HttpGenerator:
 
     Request body: {"prompt": str, "max_tokens": int, "logprob_tokens": [str]}
     Response body: {"text": str, "token_logprobs": {str: float}}, each
-    log-probability a finite JSON number
+    requested log-probability a finite JSON number or -Infinity
 
     Safe for concurrent use: every request opens its own connection and
     closes it (`Connection: close`), so threads share nothing but the
@@ -298,15 +298,11 @@ class HttpGenerator:
             payload["temperature"] = self.temperature
         if logprob_tokens:
             payload["logprob_tokens"] = list(logprob_tokens)
-        where = "backend reply"
-        body = json_value(self._post(payload), (dict,), where, GenerationError)
-        text = json_value(body.get("text", ""), (str,), f"{where}.text", GenerationError)
-        token_scores = body.get("token_logprobs")
-        if token_scores is not None:
-            json_value(token_scores, (dict,), f"{where}.token_logprobs", GenerationError)
-            for token in token_scores:
-                json_field(token_scores, token, (float,), f"{where}.token_logprobs", GenerationError)
-        return GenerationResult(text=text, token_scores=token_scores)
+        body = json_value(self._post(payload), (dict,), "backend reply", GenerationError)
+        text = json_value(body.get("text", ""), (str,), "backend reply.text", GenerationError)
+        scores = body.get("token_logprobs")
+        json_value(scores, (dict, type(None)), "backend reply.token_logprobs", GenerationError)
+        return GenerationResult(text=text, token_scores=scores)
 
     def _nonempty(self, text: str, what: str) -> str:
         if not text.strip():
@@ -338,13 +334,18 @@ class HttpGenerator:
     def score_tokens(self, prompt: str, tokens: Sequence[str]) -> dict[str, float]:
         if not tokens:
             raise GenerationError("score_tokens requires at least one token")
-        result = self._complete(prompt, logprob_tokens=tokens)
-        if result.token_scores is None:
+        scores = self._complete(prompt, logprob_tokens=tokens).token_scores
+        if scores is None:
             raise CapabilityError("backend does not report token log-probabilities")
-        missing = [tok for tok in tokens if tok not in result.token_scores]
+        missing = [tok for tok in tokens if tok not in scores]
         if missing:
             raise CapabilityError(f"backend omitted log-probabilities for {missing}")
-        return {tok: float(result.token_scores[tok]) for tok in tokens}
+        for tok in tokens:
+            # -Infinity, probability 0, is a log-probability; NaN, +Infinity,
+            # booleans and strings are not.
+            if scores[tok] != -math.inf:
+                json_field(scores, tok, (float,), "backend reply.token_logprobs", GenerationError)
+        return {tok: float(scores[tok]) for tok in tokens}
 
     def complete(self, prompt: str) -> str:
         return self._nonempty(self._complete(prompt).text, "completion")

@@ -204,14 +204,6 @@ def _read_text(path: Path) -> str:
 _RECORD_FIELDS = {"text": (str,), "filter_key": (str, type(None)), "source_id": (str, int)}
 
 
-def _check_record(rec, where: str) -> None:
-    """Raise CorpusError naming `where` and the first field of a corpus
-    record that breaks the JSON rule."""
-    for name, kinds in _RECORD_FIELDS.items():
-        if name == "text" or name in rec:  # json_field fails a non-object at "text"
-            json_field(rec, name, kinds, where, CorpusError)
-
-
 def _read_records(source: str | Path) -> list[tuple[str, str | None, str]]:
     """Yield (source_id, filter_key, text) from a directory of .txt files or
     a newline-delimited JSON record file with fields source_id (a string, or
@@ -225,22 +217,18 @@ def _read_records(source: str | Path) -> list[tuple[str, str | None, str]]:
         return [(str(p.relative_to(path)), None, _read_text(p)) for p in files]
     if path.is_file():
         records = []
-        for lineno, line in enumerate(_read_text(path).splitlines(), 1):
+        # Not splitlines: it also splits at U+2028, which a JSON string may hold.
+        for lineno, line in enumerate(_read_text(path).split("\n"), 1):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
             except (ValueError, RecursionError) as exc:
                 raise CorpusError(f"{path}:{lineno}: bad record: {exc}") from exc
-            # For these kinds the JSON rule is an exact type test, made
-            # inline: a json_field call per field would slow every line.
-            if (
-                type(rec) is not dict
-                or type(rec.get("text")) is not str
-                or type(rec.get("filter_key")) not in _RECORD_FIELDS["filter_key"]
-                or type(rec.get("source_id", "")) not in _RECORD_FIELDS["source_id"]
-            ):
-                _check_record(rec, f"{path}:{lineno}: record")  # raises
+            where = f"{path}:{lineno}: record"
+            for name, kinds in _RECORD_FIELDS.items():
+                if name == "text" or name in rec:  # json_field fails a non-object at "text"
+                    json_field(rec, name, kinds, where, CorpusError)
             source_id = rec["source_id"] if "source_id" in rec else f"record-{lineno}"
             records.append((str(source_id), rec.get("filter_key"), rec["text"]))
         if not records:

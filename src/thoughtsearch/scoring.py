@@ -625,7 +625,10 @@ def load_model(path: str | Path, expected_embedder_id: str | None = None) -> Sco
 
 
 def score_from_logprobs(logprob_yes: float, logprob_no: float) -> float:
-    """Probability ratio p1 / (p1 + p0) in the shift-stable form; 0.0 past exp's range."""
+    """Probability ratio p1 / (p1 + p0) in the shift-stable form; 0.0 past
+    exp's range, and 0.5 for equal log-probabilities, -inf ones included."""
+    if logprob_yes == logprob_no:
+        return 0.5
     try:
         return 1.0 / (1.0 + math.exp(logprob_no - logprob_yes))
     except OverflowError:

@@ -703,13 +703,13 @@ def _trace(nodes, history, **extra):
     return json.dumps({"version": 1, "query": "q", "nodes": nodes, "history": history, **extra})
 
 
-def _model(version=1, **tree) -> str:
-    """A one-leaf model file for the simulated mode's scoring embedder, with
-    the tree's fields replaced by `tree`."""
+def _model(version=1, dim=64, **tree) -> str:
+    """A one-leaf model file, by default for the simulated mode's scoring
+    embedder, with the tree's fields replaced by `tree`."""
     leaf = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [0.0]}
     regressor = {"kind": "gbrt", "n_rounds": 1, "max_depth": 1, "learning_rate": 0.1,
                  "min_leaf": 1, "base": 0.0, "trees": [{**leaf, **tree}]}
-    return json.dumps({"version": version, "embedder_id": "hashed-tf-v1-d64", "embed_dim": 64,
+    return json.dumps({"version": version, "embedder_id": f"hashed-tf-v1-d{dim}", "embed_dim": dim,
                        "threshold": 0.5, "training_report": {}, "regressor": regressor})
 
 
@@ -787,6 +787,9 @@ _MALFORMED_INPUTS = {
         "run-model", _model(feature=["-1"]), 2, "regressor.trees[0].feature[0] must be an integer"
     ),
     "model_version_bool": ("run-model", _model(version=True), 2, "model.version must be an integer"),
+    "model_embed_dim_not_configured": (
+        "run-model", _model(dim=32), 2, "model embedding dimension 32 does not match configured scoring.embed_dim 64"
+    ),
     "corpus_record_not_object": ("ingest", "5\n", 3, ":1: record must be an object"),
     "corpus_text_not_string": ("ingest", '{"text": 5}\n', 3, ":1: record.text must be a string"),
     "corpus_not_utf8": ("ingest", b"\xff\n", 3, _NOT_UTF8),

@@ -434,10 +434,12 @@ def test_http_client_error_fails_fast(backend, status):
         (b'{"text": "", "token_logprobs": {"1": NaN, "0": -1.0}}', "score"),
         (b'{"text": "", "token_logprobs": {"1": true, "0": -1.0}}', "score"),
         (b'{"text": "", "token_logprobs": {"1": "-0.5", "0": -1.0}}', "score"),
+        (b'{"text": "", "token_logprobs": {"1": Infinity, "0": -1.0}}', "score"),
+        (b'{"text": "", "token_logprobs": {"1": null, "0": -1.0}}', "score"),
     ],
     ids=[
         "array", "string", "not_json", "int_text", "list_text", "list_logprobs", "text_logprob",
-        "nan_logprob", "bool_logprob", "numeric_string_logprob",
+        "nan_logprob", "bool_logprob", "numeric_string_logprob", "infinity_logprob", "null_logprob",
     ],
 )
 def test_http_malformed_reply_is_generation_error(backend, body, call):
@@ -451,6 +453,19 @@ def test_http_malformed_reply_is_generation_error(backend, body, call):
         else:
             gen.score_tokens("prompt", ["1", "0"])
     assert _Backend.requests_seen == 1  # a bad reply is not retried
+
+
+def test_http_logprobs_checked_only_for_requested_tokens(backend):
+    """-Infinity is a requested token's probability 0; an entry nobody
+    asked for is not read, so it cannot fail the call."""
+    _Backend.bad_bodies = [
+        b'{"text": "", "token_logprobs": {"1": -Infinity, "0": -1.0, "x": NaN}}',
+        b'{"text": "a thought", "token_logprobs": {"x": null}}',
+    ]
+    gen = _client(backend)
+    assert gen.score_tokens("prompt", ["1", "0"]) == {"1": -math.inf, "0": -1.0}
+    thought = gen.generate_thought([("t", NodeKind.GENERATED), ("d", NodeKind.DOCUMENT)], "q")
+    assert thought == "a thought"
 
 
 def test_bad_reply_fails_one_example_and_the_rest_are_graded(backend):

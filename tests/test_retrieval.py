@@ -576,6 +576,15 @@ def test_load_index_holds_the_body_once(tmp_path):
     assert peak < 1.3 * body, f"load_index peaked at {peak / body:.2f}x the body"
 
 
+def test_corpus_record_may_hold_a_line_separator(tmp_path):
+    """JSON allows U+2028 raw inside a string: the record file splits into
+    records at newlines only."""
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps({"text": "a\u2028b c"}, ensure_ascii=False) + "\n", encoding="utf-8")
+    index = ingest_corpus(path, chunk_size=10)
+    assert [doc.source_id for doc in index.documents] == ["record-1"]
+
+
 def test_ingest_rejects_unhashable_filter_key(tmp_path):
     path = _corpus_file(tmp_path, [{"source_id": "s", "filter_key": ["a"], "text": "x y"}])
     with pytest.raises(CorpusError, match="filter_key"):

@@ -95,6 +95,10 @@ def test_probability_ratio_examples():
     # p1 -> 0 drives it to 0, also past where exp overflows
     assert score_from_logprobs(-745.0, lp(0.5)) == pytest.approx(0.0)
     assert score_from_logprobs(-1000.0, 0.0) == 0.0
+    # -inf is probability 0; two of them leave the ratio at even odds
+    assert score_from_logprobs(-math.inf, 0.0) == 0.0
+    assert score_from_logprobs(0.0, -math.inf) == 1.0
+    assert score_from_logprobs(-math.inf, -math.inf) == 0.5
 
 
 @given(
