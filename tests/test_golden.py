@@ -1,6 +1,7 @@
 """Golden digests: rows and trace bytes of every planning method and of the
 random-pairing control on a small seeded simulated suite, and the bytes of
-the suite's index (at two dimensions) and estimator model files, pinned to
+the suite's corpus, examples, dataset, index (at two dimensions) and
+estimator model files, pinned to
 the values the engine has produced since these planners' behaviour was
 last changed on purpose. A speed-up or refactor that moves any digest changed behaviour;
 update the pins only for a change that says so. Damaged copies of the
@@ -25,7 +26,7 @@ from thoughtsearch.harness import (
     train_scorer,
 )
 from thoughtsearch.retrieval import ingest_corpus, save_index
-from thoughtsearch.scoring import load_model, save_model
+from thoughtsearch.scoring import load_model, save_dataset, save_model
 from thoughtsearch.templates import TemplateSet
 from thoughtsearch.trace import graph_to_record, load_trace, trace_text
 
@@ -69,6 +70,14 @@ MODEL_FILE_SHA256 = "05eb63def41520205ae0b5b001e460ef28fbfb907971c98d63f982f1cf4
 # sha256 of the index file of the fixture's corpus at dim 7: most of its
 # tokens share a bucket, so each row's sums depend on the order of the adds.
 DIM7_INDEX_FILE_SHA256 = "f80e9e70b974b547a79d3e0b72043e9d6adeffb2931d940a722b5012e0c61b55"
+# sha256 of the fixture's corpus file (write_records), examples file
+# (write_examples of train and test) and dataset file (save_dataset of the
+# samples train_scorer collects).
+WRITTEN_FILE_SHA256 = {
+    "corpus.jsonl": "c7f1be9d8d0c9e99438de42e64b4b8962ddc95a53a703ca7979ad270cfd62dd2",
+    "examples.jsonl": "b29f4f258dae70fd3920a8f5fe334e8478cc26f3286520f67d939dd53536030b",
+    "dataset.jsonl": "53451423f8e9145182d39180dd023abc29eadd3cf10563bdf07353a531a248e3",
+}
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +91,15 @@ def engine(tmp_path_factory):
         templates=TemplateSet.builtin("simulated"),
         index=ingest_corpus(tmp / "corpus.jsonl", chunk_size=100, dim=256),
     )
-    ports.scorer_model, _ = train_scorer(suite.train, ports, config)
-    return suite.test, ports, config
+    ports.scorer_model, samples = train_scorer(suite.train, ports, config)
+    simenv.write_examples(suite.train + suite.test, tmp / "examples.jsonl")
+    save_dataset(samples, tmp / "dataset.jsonl")
+    return suite.test, ports, config, tmp
 
 
 @pytest.mark.parametrize("case", list(GOLDEN))
 def test_rows_and_trace_bytes_match_golden_digests(engine, case):
-    examples, ports, config = engine
+    examples, ports, config, _ = engine
     method, *golden = GOLDEN[case]
     traces = hashlib.sha256()
 
@@ -107,7 +118,7 @@ def test_rows_and_trace_bytes_match_golden_digests(engine, case):
 
 
 def test_index_and_model_files_match_golden_digests(engine, tmp_path):
-    _, ports, _ = engine
+    _, ports, _, _ = engine
     save_index(ports.index, tmp_path / "index.bin")
     save_model(ports.scorer_model, tmp_path / "model.json")
     digests = [
@@ -115,6 +126,12 @@ def test_index_and_model_files_match_golden_digests(engine, tmp_path):
         for name in ("index.bin", "model.json")
     ]
     assert digests == [INDEX_FILE_SHA256, MODEL_FILE_SHA256]
+
+
+def test_corpus_examples_and_dataset_files_match_golden_digests(engine):
+    *_, tmp = engine
+    digests = {name: hashlib.sha256((tmp / name).read_bytes()).hexdigest() for name in WRITTEN_FILE_SHA256}
+    assert digests == WRITTEN_FILE_SHA256
 
 
 def test_index_file_with_bucket_collisions_matches_golden_digest(tmp_path):
@@ -128,7 +145,7 @@ def test_index_file_with_bucket_collisions_matches_golden_digest(tmp_path):
 def saved_files(engine, tmp_path_factory):
     """The fixture's model file and the trace of one of its searches, as
     bytes, each with its loader."""
-    examples, ports, config = engine
+    examples, ports, config, _ = engine
     model = tmp_path_factory.mktemp("saved") / "model.json"
     save_model(ports.scorer_model, model)
     traces = []
