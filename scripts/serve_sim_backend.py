@@ -15,6 +15,7 @@ import argparse
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from thoughtsearch.errors import SchemaError, decode_json
 from thoughtsearch.generate import SimulatedGenerator, parse_facts, parse_needs
 
 
@@ -46,13 +47,13 @@ class Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         try:
-            payload = json.loads(self.rfile.read(length))
+            payload = decode_json(self.rfile.read(length), "request body")
             prompt = payload["prompt"]
             body: dict = {"text": completion_for(prompt)}
             tokens = payload.get("logprob_tokens")
             if tokens:
                 body["token_logprobs"] = self.generator.score_tokens(prompt, tokens)
-        except (ValueError, KeyError, TypeError):  # not JSON, no prompt, or not an object
+        except (SchemaError, KeyError, TypeError):  # not JSON, no prompt, or not an object
             self.send_response(400)
             self.send_header("Content-Length", "0")
             self.end_headers()

@@ -5,7 +5,8 @@ its trace), train-scorer (collect the offline dataset and fit the reward
 estimator), eval (benchmark methods over a dataset), export-trace
 (structured or graphviz rendering).
 
-Exit codes: 0 success, 2 configuration/schema errors, 3 runtime port errors.
+Exit codes: 0 success, 2 configuration/schema errors and output paths that
+cannot be written, 3 runtime port errors.
 """
 
 from __future__ import annotations
@@ -377,6 +378,9 @@ def main(argv: list[str] | None = None) -> int:
     except EngineError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OSError as exc:  # an output path that cannot be written; loaders raise EngineErrors
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .errors import ConfigError, json_field, read_json_object
+from .errors import ConfigError, canonical_json, json_field, read_json_object
 from .graph import EpisodeConfig
 
 TASK_MODES = ("boolq", "emrqa", "simulated")
@@ -256,5 +256,5 @@ def load_config(
 
 
 def config_hash(config: EngineConfig) -> str:
-    blob = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(blob.encode("utf-8"), digest_size=6).hexdigest()
+    blob = canonical_json(config.to_dict()).encode("utf-8")
+    return hashlib.blake2b(blob, digest_size=6).hexdigest()

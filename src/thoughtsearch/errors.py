@@ -1,5 +1,6 @@
-"""Exception taxonomy shared across the engine, and the one JSON reading
-rule that every file loader applies.
+"""Exception taxonomy shared across the engine, and the one JSON codec:
+the reading rule every file loader and backend reply goes through, and the
+canonical encoding every byte-stable file is written in.
 
 CLI exit codes group these: configuration/schema problems are operator
 errors, everything else is a runtime port failure.
@@ -100,13 +101,48 @@ def json_value(value, kinds: tuple[type, ...], where: str, error=SchemaError):
     raise error(f"{where} must be {wanted}, got {reprlib.repr(value)}")
 
 
+def read_text(path: str | Path, what: str, error=SchemaError) -> str:
+    """The text of a UTF-8 file; a file that cannot be read or decoded
+    raises `error` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def decode_json(data: str | bytes, where: str, error=SchemaError):
+    """The value JSON text `data` holds; data that is not UTF-8 or JSON, or
+    nests too deep to decode, raises `error` as `{where}: {cause}`."""
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise error(f"{where}: {exc}") from exc
+
+
 def read_json_object(path: str | Path, what: str, error=SchemaError) -> dict:
     """The JSON object a UTF-8 file holds; a file that cannot be read or
     decoded, or holds anything but an object, raises `error` naming it."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
-        raise error(f"cannot read {what} file {path}: {exc}") from exc
+    data = decode_json(read_text(path, what, error), f"cannot read {what} file {path}", error)
     if type(data) is not dict:
         raise error(f"{what} file {path} must hold an object, got {reprlib.repr(data)}")
     return data
+
+
+def read_json_lines(path: str | Path, what: str, error=SchemaError):
+    """Yield (line number, value) for each non-blank line of a UTF-8 file of
+    JSON lines; a bad line raises `error` as `path:line: bad JSON: {cause}`."""
+    # Not splitlines: it also splits at U+2028, which a JSON string may hold.
+    for lineno, line in enumerate(read_text(path, what, error).split("\n"), 1):
+        if line.strip():
+            yield lineno, decode_json(line, f"{path}:{lineno}: bad JSON", error)
+
+
+def canonical_json(value) -> str:
+    """`value` as canonical compact JSON: sorted keys, no whitespace."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def write_json_lines(path: str | Path, records) -> None:
+    """Write one canonical JSON line per record, each ending in a newline;
+    a file of no records is a single newline."""
+    Path(path).write_text("\n".join(map(canonical_json, records)) + "\n", encoding="utf-8")

@@ -24,7 +24,7 @@ from typing import Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .errors import CapabilityError, ConfigError, GenerationError, TransportError
-from .errors import json_field, json_value
+from .errors import decode_json, json_field, json_value
 from .graph import NodeKind
 from .templates import TemplateSet
 
@@ -284,10 +284,7 @@ class HttpGenerator:
                 continue
             if status >= 300:
                 raise TransportError(f"completion endpoint rejected the request with HTTP {status}")
-            try:
-                return json.loads(data)
-            except ValueError as exc:
-                raise GenerationError(f"backend reply is not JSON: {exc}") from exc
+            return decode_json(data, "backend reply is not JSON", GenerationError)
         raise TransportError(f"completion endpoint failed: {last_error}") from last_error
 
     def _complete(

@@ -11,7 +11,6 @@ query id so concurrent execution assembles an order-independent report.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from .config import EngineConfig
-from .errors import ConfigError, EngineError, SchemaError, json_field, json_value
+from .errors import ConfigError, EngineError, SchemaError, json_field, json_value, read_json_lines
 from .generate import CountingGenerator, Generator, counting
 from .graph import ThoughtGraph
 from .metrics import best_token_f1, exact_match, parse_boolean, parse_quantity_mg
@@ -361,13 +360,9 @@ def normalize_gold(task: Task, answers: list) -> list[str]:
     return [str(a) for a in answers]
 
 
-def _parse_example(line: str, where: str, default_id: str) -> QAExample:
-    """One example line; a malformed one raises SchemaError naming `where`
-    (path:line) and the field."""
-    try:
-        rec = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise SchemaError(f"{where}: bad JSON: {exc}") from exc
+def _parse_example(rec, where: str, default_id: str) -> QAExample:
+    """One decoded example record; a malformed one raises SchemaError naming
+    `where` (path:line) and the field."""
     read = lambda key, kinds: json_field(rec, key, kinds, f"{where}: example")
     query = read("query", (str,))
     filter_key = read("filter_key", (str, type(None))) if "filter_key" in rec else None
@@ -409,18 +404,11 @@ def load_examples(
     """
     if limit is not None and limit < 1:
         raise ConfigError(f"limit must be >= 1, got {limit}")
-    try:
-        # Not splitlines: it also splits at U+2028, which a JSON string may hold.
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"cannot read examples file {path}: {exc}") from exc
     examples = []
     seen: dict[str, int] = {}
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
+    for lineno, rec in read_json_lines(path, "examples"):
         where = f"{path}:{lineno}"
-        example = _parse_example(line, where, default_id=f"q{lineno:05d}")
+        example = _parse_example(rec, where, default_id=f"q{lineno:05d}")
         query_id = example.query_id
         if query_id in ("", ".", "..") or any(c in query_id for c in "/\\\0"):
             raise SchemaError(f"{where}: field 'id' {query_id!r} is not a usable file name")

@@ -10,7 +10,6 @@ structure here.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from array import array
@@ -21,7 +20,8 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import CorpusError, ExhaustedCorpusError, SchemaError, is_json, json_field
+from .errors import CorpusError, ExhaustedCorpusError, SchemaError, canonical_json, decode_json
+from .errors import is_json, json_field, read_json_lines, read_text
 
 INDEX_MAGIC = b"thoughtsearch-index v2\n"
 
@@ -75,7 +75,7 @@ class HashedEmbedder:
         return f"hashed-tfidf-v1-d{self.dim}-{self._idf_fingerprint()}"
 
     def _idf_fingerprint(self) -> str:
-        blob = json.dumps(sorted(self.idf.items()), separators=(",", ":"))
+        blob = canonical_json(sorted(self.idf.items()))
         return hashlib.blake2b(blob.encode("utf-8"), digest_size=6).hexdigest()
 
     def _bucket(self, token: str) -> int:
@@ -193,13 +193,6 @@ def chunk_words(text: str, size: int) -> list[str]:
     return [" ".join(words[i : i + size]) for i in range(0, len(words), size)]
 
 
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
-
-
 # A corpus record's fields: text is required, the others optional.
 _RECORD_FIELDS = {"text": (str,), "filter_key": (str, type(None)), "source_id": (str, int)}
 
@@ -214,17 +207,10 @@ def _read_records(source: str | Path) -> list[tuple[str, str | None, str]]:
         files = sorted(p for p in path.rglob("*.txt") if p.is_file())
         if not files:
             raise CorpusError(f"no .txt files under {path}")
-        return [(str(p.relative_to(path)), None, _read_text(p)) for p in files]
+        return [(str(p.relative_to(path)), None, read_text(p, "corpus", CorpusError)) for p in files]
     if path.is_file():
         records = []
-        # Not splitlines: it also splits at U+2028, which a JSON string may hold.
-        for lineno, line in enumerate(_read_text(path).split("\n"), 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise CorpusError(f"{path}:{lineno}: bad record: {exc}") from exc
+        for lineno, rec in read_json_lines(path, "corpus", CorpusError):
             where = f"{path}:{lineno}: record"
             for name, kinds in _RECORD_FIELDS.items():
                 if name == "text" or name in rec:  # json_field fails a non-object at "text"
@@ -389,7 +375,7 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         "shape": list(body.shape),
         "sha256": hashlib.sha256(body).hexdigest(),
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = canonical_json(header).encode("utf-8")
     with open(path, "wb") as f:
         f.write(INDEX_MAGIC + b"%d\n" % len(blob) + blob)
         f.write(body)
@@ -416,10 +402,7 @@ def _read_header(f, path: str | Path) -> tuple[dict, int]:
             f"{path}: header length {int(length)} runs past the end of the file "
             f"({remain} bytes remain)"
         )
-    try:
-        header = json.loads(f.read(int(length)))
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
-        raise SchemaError(f"{path}: index header is not JSON: {exc}") from exc
+    header = decode_json(f.read(int(length)), f"{path}: index header is not JSON")
     return header, remain - int(length)
 
 

@@ -10,7 +10,6 @@ gradient-boosted tree ensemble.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapabilityError, ConfigError, SchemaError, SearchError
-from .errors import JSON_KINDS, is_json, json_field, read_json_object
+from .errors import JSON_KINDS, is_json, json_field, read_json_object, write_json_lines
 from .generate import Generator
 from .graph import ThoughtGraph
 from .mcts import run_search
@@ -558,20 +557,18 @@ def collect_offline_dataset(
 
 
 def save_dataset(samples: Sequence[OfflineSample], path: str | Path) -> None:
-    lines = [
-        json.dumps(
+    write_json_lines(
+        path,
+        (
             {
                 "query_id": s.query_id,
                 "emb_i": [float(v) for v in s.emb_i],
                 "emb_j": [float(v) for v in s.emb_j],
                 "reward": s.reward,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        for s in samples
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            }
+            for s in samples
+        ),
+    )
 
 
 def save_model(model: ScorerModel, path: str | Path) -> None:
@@ -583,10 +580,7 @@ def save_model(model: ScorerModel, path: str | Path) -> None:
         "training_report": model.training_report,
         "regressor": model.regressor.to_dict(),
     }
-    Path(path).write_text(
-        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+    write_json_lines(path, [record])  # a model file is one canonical JSON line
 
 
 def load_model(path: str | Path, expected_embedder_id: str | None = None) -> ScorerModel:

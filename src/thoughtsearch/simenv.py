@@ -10,11 +10,10 @@ retrieval.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, write_json_lines
 from .harness import QAExample, Task
 from .retrieval import token_bucket
 from .seeding import rng_from
@@ -147,13 +146,13 @@ def build_suite(
 
 
 def write_records(records: list[dict], path: str | Path) -> None:
-    lines = [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_json_lines(path, records)
 
 
 def write_examples(examples: list[QAExample], path: str | Path) -> None:
-    lines = [
-        json.dumps(
+    write_json_lines(
+        path,
+        (
             {
                 "id": ex.query_id,
                 "query": ex.query,
@@ -161,10 +160,7 @@ def write_examples(examples: list[QAExample], path: str | Path) -> None:
                 "task": ex.task.value,
                 "filter_key": ex.filter_key,
                 "split": ex.split,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        for ex in examples
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            }
+            for ex in examples
+        ),
+    )

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 TEMPLATE_NAMES = (
     "ThoughtGen",
@@ -77,10 +77,7 @@ class TemplateSet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TemplateSet":
-        try:
-            return cls.from_text(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read template file {path}: {exc}") from exc
+        return cls.from_text(read_text(path, "template", ConfigError))
 
     @classmethod
     def builtin(cls, mode: str) -> "TemplateSet":

@@ -5,10 +5,9 @@ after the fact.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from .errors import SchemaError, is_json, json_field, read_json_object
+from .errors import SchemaError, canonical_json, is_json, json_field, read_json_object
 from .graph import NodeKind, ThoughtGraph
 from .mcts import SearchOutcome
 
@@ -106,7 +105,7 @@ def dump_trace(record: dict, path: str | Path) -> None:
 def trace_text(record: dict) -> str:
     """The record as canonical compact JSON: sorted keys, no whitespace, one
     trailing newline."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(record) + "\n"
 
 
 def load_trace(path: str | Path) -> dict:

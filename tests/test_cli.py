@@ -793,7 +793,7 @@ _MALFORMED_INPUTS = {
     "corpus_record_not_object": ("ingest", "5\n", 3, ":1: record must be an object"),
     "corpus_text_not_string": ("ingest", '{"text": 5}\n', 3, ":1: record.text must be a string"),
     "corpus_not_utf8": ("ingest", b"\xff\n", 3, _NOT_UTF8),
-    "corpus_record_nested_deep": ("ingest", "[" * 200_000 + "\n", 3, ":1: bad record"),
+    "corpus_record_nested_deep": ("ingest", "[" * 200_000 + "\n", 3, ":1: bad JSON"),
     "corpus_source_id_null": (
         "ingest", '{"text": "a", "source_id": null}\n', 3, ":1: record.source_id must be a string or an integer"
     ),
@@ -867,6 +867,30 @@ def test_malformed_input_exits_with_documented_code(tmp_path, capsys, command, c
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["make-suite", "ingest", "run", "train-scorer", "eval", "export-trace"])
+def test_output_path_that_cannot_be_written_exits_2(workspace, tmp_path, capsys, command):
+    """An output path under a regular file fails with exit 2 and a message
+    naming the path, never a traceback."""
+    tmp, corpus, examples, index, model = workspace
+    (tmp_path / "plain.txt").write_text("")
+    out = str(tmp_path / "plain.txt" / "out")
+    trace = tmp_path / "trace.json"
+    trace.write_text(_trace([_QUERY_NODE], []))
+    simulated = ["--mode", "simulated"]
+    argv = {
+        "make-suite": ["make-suite", "--train", "1", "--test", "1", "--corpus-out", out, "--examples-out", out],
+        "ingest": ["ingest", *simulated, "--corpus", str(corpus), "--out", out],
+        "run": ["run", *simulated, "--query", "q", "--index", str(index), "--max-steps", "2", "--trace", out],
+        "train-scorer": ["train-scorer", *simulated, "--examples", str(examples), "--index", str(index), "--out", out],
+        "eval": ["eval", *simulated, "--examples", str(examples), "--methods", "llm_only", "--out", out],
+        "export-trace": ["export-trace", "--trace", str(trace), "--out", out],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert out in err
+    assert "Traceback" not in err
+
+
 def test_run_through_wire_backend(workspace, tmp_path, capsys):
     """Full flow over the HTTP wire protocol, served by the backend script."""
     import threading
@@ -906,7 +930,10 @@ def test_run_through_wire_backend(workspace, tmp_path, capsys):
         server.shutdown()
 
 
-@pytest.mark.parametrize("body", [b"[]", b'"text"', b"5", b"{}", b'{"prompt": 5}', b"\xff"])
+@pytest.mark.parametrize(
+    "body",
+    [b"[]", b'"text"', b"5", b"{}", b'{"prompt": 5}', b"\xff", pytest.param(b"[" * 200_000, id="nested_deep")],
+)
 def test_backend_script_rejects_a_malformed_body_with_400(body):
     import http.client
     import threading

@@ -55,6 +55,34 @@ def test_package_has_no_unused_imports():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def _codec_bypasses(path: Path) -> list[str]:
+    """Each call in one source file that decodes JSON, or picks its own
+    separators for encoding it, outside the codec in errors.py."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.append(f"line {node.lineno}: from json import")
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        if not (isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+            continue
+        name = node.func.attr
+        if name in ("load", "loads") or (
+            name == "dumps" and any(kw.arg == "separators" for kw in node.keywords)
+        ):
+            found.append(f"line {node.lineno}: json.{name}")
+    return found
+
+
+def test_only_errors_decodes_json_and_picks_separators():
+    """JSON is decoded, and written in a byte-stable form, by the codec in
+    errors.py alone; the indented config and summary files and the request
+    payload keep plain json.dumps."""
+    assert SOURCES
+    bypasses = {path.name: _codec_bypasses(path) for path in SOURCES if path.name != "errors.py"}
+    assert {name: calls for name, calls in bypasses.items() if calls} == {}
+
+
 def _referenced(node: ast.AST) -> set[str]:
     """Every name `node` refers to: as a name, an attribute or a string
     constant (perfbench wraps functions by name)."""

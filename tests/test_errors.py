@@ -1,4 +1,5 @@
-"""The one JSON reading rule that every file loader applies."""
+"""The one JSON codec: the reading rule every file loader and backend reply
+goes through, and the canonical writer of byte-stable files."""
 
 from __future__ import annotations
 
@@ -6,7 +7,15 @@ import math
 
 import pytest
 
-from thoughtsearch.errors import ConfigError, SchemaError, is_json, json_field, read_json_object
+from thoughtsearch.errors import (
+    ConfigError,
+    SchemaError,
+    is_json,
+    json_field,
+    read_json_lines,
+    read_json_object,
+    write_json_lines,
+)
 
 
 @pytest.mark.parametrize(
@@ -78,3 +87,19 @@ def test_read_json_object_reads_an_object_and_names_a_missing_file(tmp_path):
     assert read_json_object(path, "trace") == {"a": [1]}
     with pytest.raises(SchemaError, match="cannot read trace file"):
         read_json_object(tmp_path / "absent.json", "trace")
+
+
+def test_json_lines_round_trip_in_canonical_form(tmp_path):
+    """Sorted keys, no whitespace, ASCII escapes, a newline after every
+    record, and no records is one newline; a raw U+2028 inside a string does
+    not split its line."""
+    path = tmp_path / "records.jsonl"
+    write_json_lines(path, [{"b": 1, "a": "x\u2028y"}, [1.5, None]])
+    assert path.read_bytes() == b'{"a":"x\\u2028y","b":1}\n[1.5,null]\n'
+    assert list(read_json_lines(path, "corpus")) == [(1, {"a": "x\u2028y", "b": 1}), (2, [1.5, None])]
+    path.write_text('{"a": "x\u2028y"}\n', encoding="utf-8")
+    assert list(read_json_lines(path, "corpus")) == [(1, {"a": "x\u2028y"})]
+    write_json_lines(path, [])
+    assert path.read_bytes() == b"\n"
+    assert list(read_json_lines(path, "corpus")) == []
+

@@ -436,10 +436,12 @@ def test_http_client_error_fails_fast(backend, status):
         (b'{"text": "", "token_logprobs": {"1": "-0.5", "0": -1.0}}', "score"),
         (b'{"text": "", "token_logprobs": {"1": Infinity, "0": -1.0}}', "score"),
         (b'{"text": "", "token_logprobs": {"1": null, "0": -1.0}}', "score"),
+        (b"[" * 200_000, "answer"),
     ],
     ids=[
         "array", "string", "not_json", "int_text", "list_text", "list_logprobs", "text_logprob",
         "nan_logprob", "bool_logprob", "numeric_string_logprob", "infinity_logprob", "null_logprob",
+        "nested_deep",
     ],
 )
 def test_http_malformed_reply_is_generation_error(backend, body, call):
@@ -474,14 +476,18 @@ def test_bad_reply_fails_one_example_and_the_rest_are_graded(backend):
         for i in range(4)
     ]
     ports = EnginePorts(generator=_client(backend), templates=TemplateSet.builtin("boolq"))
-    _Backend.bad_bodies = [b"[]"]
-    report = run_benchmark(examples, Method.LLM_ONLY, ports, default_config("boolq"))
-    failed = [row for row in report.per_example if row.error]
-    assert [row.query_id for row in failed] == ["q0"]
-    assert "backend reply must be an object" in failed[0].error
-    graded = [row for row in report.per_example if not row.error]
-    assert len(graded) == 3 and all(row.answer.startswith("echo ") for row in graded)
-    assert _Backend.requests_seen == 4
+    for body, names in [
+        (b"[]", "backend reply must be an object"),
+        (b"[" * 200_000, "backend reply is not JSON"),  # nested too deep to decode
+    ]:
+        _Backend.bad_bodies, _Backend.requests_seen = [body], 0
+        report = run_benchmark(examples, Method.LLM_ONLY, ports, default_config("boolq"))
+        failed = [row for row in report.per_example if row.error]
+        assert [row.query_id for row in failed] == ["q0"]
+        assert names in failed[0].error
+        graded = [row for row in report.per_example if not row.error]
+        assert len(graded) == 3 and all(row.answer.startswith("echo ") for row in graded)
+        assert _Backend.requests_seen == 4
 
 
 def test_http_read_timeout_is_retried_then_transport_error(backend, sleeps):
