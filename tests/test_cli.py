@@ -871,7 +871,7 @@ def test_malformed_input_exits_with_documented_code(tmp_path, capsys, command, c
 def test_output_path_that_cannot_be_written_exits_2(workspace, tmp_path, capsys, command):
     """An output path under a regular file fails with exit 2 and a message
     naming the path, never a traceback."""
-    tmp, corpus, examples, index, model = workspace
+    _, corpus, examples, index, _ = workspace
     (tmp_path / "plain.txt").write_text("")
     out = str(tmp_path / "plain.txt" / "out")
     trace = tmp_path / "trace.json"
