@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thoughtsearch import simenv
-from thoughtsearch.config import default_config
+from thoughtsearch.config import config_hash, default_config
 from thoughtsearch.errors import SchemaError
 from thoughtsearch.generate import SimulatedGenerator
 from thoughtsearch.harness import (
@@ -78,6 +78,8 @@ WRITTEN_FILE_SHA256 = {
     "examples.jsonl": "b29f4f258dae70fd3920a8f5fe334e8478cc26f3286520f67d939dd53536030b",
     "dataset.jsonl": "53451423f8e9145182d39180dd023abc29eadd3cf10563bdf07353a531a248e3",
 }
+# config_hash of each task mode's resolved defaults.
+DEFAULT_CONFIG_HASH = {"boolq": "4b4ca4f691a7", "emrqa": "f470d36ab9dd", "simulated": "b81e0adb9799"}
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +134,10 @@ def test_corpus_examples_and_dataset_files_match_golden_digests(engine):
     *_, tmp = engine
     digests = {name: hashlib.sha256((tmp / name).read_bytes()).hexdigest() for name in WRITTEN_FILE_SHA256}
     assert digests == WRITTEN_FILE_SHA256
+
+
+def test_mode_defaults_match_golden_config_hashes():
+    assert {mode: config_hash(default_config(mode)) for mode in DEFAULT_CONFIG_HASH} == DEFAULT_CONFIG_HASH
 
 
 def test_index_file_with_bucket_collisions_matches_golden_digest(tmp_path):
