@@ -19,12 +19,7 @@ import sys
 from pathlib import Path
 
 from . import harness, simenv
-from .config import (
-    ENV_API_KEY,
-    EngineConfig,
-    config_hash,
-    load_config,
-)
+from .config import ENV_API_KEY, TASK_MODES, EngineConfig, config_hash, load_config
 from .errors import ConfigError, EngineError, SchemaError
 from .generate import HttpGenerator, SimulatedGenerator
 from .harness import EnginePorts, Method, QAExample, Task
@@ -54,20 +49,18 @@ def _templates(config: EngineConfig) -> TemplateSet:
 def _generator(config: EngineConfig, templates: TemplateSet):
     if config.generator.backend == "simulated":
         return SimulatedGenerator()
-    if config.generator.backend == "http":
-        if not config.generator.endpoint:
-            raise ConfigError("http generator backend requires generator.endpoint")
-        return HttpGenerator(
-            endpoint=config.generator.endpoint,
-            templates=templates,
-            timeout_s=config.generator.timeout_s,
-            retries=config.generator.retries,
-            max_concurrency=config.generator.max_concurrency,
-            max_tokens=config.generator.max_tokens,
-            temperature=config.generator.temperature,
-            api_key=os.environ.get(ENV_API_KEY),
-        )
-    raise ConfigError(f"unknown generator backend {config.generator.backend!r}")
+    if not config.generator.endpoint:  # the backend is "http", checked at load
+        raise ConfigError("http generator backend requires generator.endpoint")
+    return HttpGenerator(
+        endpoint=config.generator.endpoint,
+        templates=templates,
+        timeout_s=config.generator.timeout_s,
+        retries=config.generator.retries,
+        max_concurrency=config.generator.max_concurrency,
+        max_tokens=config.generator.max_tokens,
+        temperature=config.generator.temperature,
+        api_key=os.environ.get(ENV_API_KEY),
+    )
 
 
 def _ports(config: EngineConfig, methods: list[Method]) -> EnginePorts:
@@ -131,6 +124,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_args_config(args)
+    if not args.query.strip():
+        raise ConfigError(f"--query must not be blank, got {args.query!r}")
     method = Method(args.method)
     ports = _ports(config, [method])
     task = _TASK_FOR_MODE[config.task_mode]
@@ -232,9 +227,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         results = report.per_example
         n = len(results)
         generator_calls = sum(r.generator_calls for r in results)
+        failed = sum(1 for r in results if r.error)
         summary["methods"][method.value] = {
             "aggregate": report.aggregate,
             "n": n,
+            "failed": failed,
             "max_steps": report.max_steps,
             "generator_calls": generator_calls,
             "backend_calls": sum(r.backend_calls for r in results),
@@ -251,7 +248,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(
             f"{method.value}: accuracy={report.aggregate:.4f} "
             f"thoughts={sum(r.thought_count for r in results) / n:.2f} "
-            f"generator_calls={generator_calls / n:.2f} over {n} examples"
+            f"generator_calls={generator_calls / n:.2f} over {n} examples failed={failed}"
         )
 
     (outdir / "summary.json").write_text(
@@ -294,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser):
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--mode", choices=["boolq", "emrqa", "simulated"], default=None)
+        p.add_argument("--mode", choices=TASK_MODES, default=None)
         p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("ingest", help="chunk and embed a corpus into an index file")

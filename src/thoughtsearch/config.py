@@ -2,7 +2,8 @@
 overrides for endpoint values, and a content hash for reproducibility.
 
 Task modes ship the hyperparameters each benchmark ran with, so a bare
-config reproduces the intended setup shape.
+config reproduces the intended setup shape. The dataclass defaults are the
+default mode's; each other mode lists only where it departs from them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,24 @@ from pathlib import Path
 from .errors import ConfigError, canonical_json, json_field, read_json_object
 from .graph import EpisodeConfig
 
-TASK_MODES = ("boolq", "emrqa", "simulated")
+# Where each mode departs from the dataclass defaults (the simulated mode's).
+_MODE_DEFAULTS: dict[str, dict] = {
+    "boolq": {
+        "stop_thresholds": {"oracle": 0.5, "self_critic": 0.49, "estimation": 0.21},
+        "retrieval": {"chunk_words": 500, "query_mode": "formulated"},
+        "scoring": {"oracle_metric": "exact", "embed_dim": 256},
+    },
+    "emrqa": {
+        "p_doc": 1.0,
+        "doc_batch_size": 10,
+        "stop_thresholds": {"oracle": 0.5, "self_critic": 0.49, "estimation": 0.22},
+        "scoring": {"oracle_metric": "exact", "embed_dim": 256},
+    },
+    "simulated": {},
+}
+
+TASK_MODES = tuple(_MODE_DEFAULTS)
+GENERATOR_BACKENDS = ("simulated", "http")
 SCORER_KINDS = ("oracle", "self_critic", "estimation")
 QUERY_MODES = ("raw", "formulated")
 ORACLE_METRICS = ("exact", "token_f1")
@@ -27,8 +45,8 @@ ENV_API_KEY = "THOUGHTSEARCH_API_KEY"
 
 
 def _check_bounds(section, where: str, rows) -> None:
-    """Each row is (field, whether its bound holds, the rule); each bound is
-    written so that NaN fails it."""
+    """Each row is (field, whether its bound or choice holds, the rule); each
+    bound is written so that NaN fails it."""
     for name, holds, rule in rows:
         if not holds:
             raise ConfigError(f"{where}.{name} must be {rule}, got {getattr(section, name)!r}")
@@ -36,7 +54,7 @@ def _check_bounds(section, where: str, rows) -> None:
 
 @dataclass
 class GeneratorConfig:
-    backend: str = "simulated"  # "simulated" | "http"
+    backend: str = "simulated"
     endpoint: str = ""
     timeout_s: float = 30.0
     retries: int = 2
@@ -46,7 +64,8 @@ class GeneratorConfig:
     template_file: str = ""  # empty -> builtin templates for the task mode
 
     def __post_init__(self):
-        _check_bounds(self, "generator", (
+        _check_bounds(self, "config.generator", (
+            ("backend", self.backend in GENERATOR_BACKENDS, f"one of {GENERATOR_BACKENDS}"),
             ("timeout_s", self.timeout_s > 0, "> 0"),
             ("retries", self.retries >= 0, ">= 0"),
             ("max_concurrency", self.max_concurrency >= 1, ">= 1"),
@@ -56,16 +75,13 @@ class GeneratorConfig:
 
 @dataclass
 class RetrievalConfig:
-    chunk_words: int = 500
+    chunk_words: int = 100
     embed_dim: int = 256
-    query_mode: str = "formulated"  # "formulated" | "raw"
+    query_mode: str = "raw"
 
     def __post_init__(self):
-        if self.query_mode not in QUERY_MODES:
-            raise ConfigError(
-                f"retrieval.query_mode must be one of {QUERY_MODES}, got {self.query_mode!r}"
-            )
-        _check_bounds(self, "retrieval", (
+        _check_bounds(self, "config.retrieval", (
+            ("query_mode", self.query_mode in QUERY_MODES, f"one of {QUERY_MODES}"),
             ("chunk_words", self.chunk_words >= 1, ">= 1"),
             ("embed_dim", self.embed_dim >= 1, ">= 1"),
         ))
@@ -73,20 +89,16 @@ class RetrievalConfig:
 
 @dataclass
 class ScoringConfig:
-    embed_dim: int = 256
+    embed_dim: int = 64
     gbrt_rounds: int = 100
     gbrt_depth: int = 3
     gbrt_learning_rate: float = 0.1
     holdout_fraction: float = 0.2
-    oracle_metric: str = "exact"  # "exact" | "token_f1"
+    oracle_metric: str = "token_f1"
 
     def __post_init__(self):
-        if self.oracle_metric not in ORACLE_METRICS:
-            raise ConfigError(
-                f"scoring.oracle_metric must be one of {ORACLE_METRICS}, "
-                f"got {self.oracle_metric!r}"
-            )
-        _check_bounds(self, "scoring", (
+        _check_bounds(self, "config.scoring", (
+            ("oracle_metric", self.oracle_metric in ORACLE_METRICS, f"one of {ORACLE_METRICS}"),
             ("embed_dim", self.embed_dim >= 1, ">= 1"),
             ("gbrt_rounds", self.gbrt_rounds >= 1, ">= 1"),
             ("gbrt_depth", self.gbrt_depth >= 1, ">= 1"),
@@ -112,7 +124,7 @@ class EngineConfig:
     doc_batch_size: int = 2
     thought_sample_size: int = 5
     stop_thresholds: dict = field(
-        default_factory=lambda: {"oracle": 0.5, "self_critic": 0.49, "estimation": 0.21}
+        default_factory=lambda: {"oracle": 0.75, "self_critic": 0.8, "estimation": 0.8}
     )
     seed: int = 0
     workers: int = 1
@@ -123,8 +135,9 @@ class EngineConfig:
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
 
     def __post_init__(self):
-        if self.task_mode not in TASK_MODES:
-            raise ConfigError(f"task_mode must be one of {TASK_MODES}, got {self.task_mode!r}")
+        _check_bounds(self, "config", (
+            ("task_mode", self.task_mode in TASK_MODES, f"one of {TASK_MODES}"),
+        ))
         for kind in self.stop_thresholds:
             if kind not in SCORER_KINDS:
                 raise ConfigError(
@@ -132,12 +145,11 @@ class EngineConfig:
                 )
         for kind in SCORER_KINDS:
             json_field(self.stop_thresholds, kind, (float,), "stop_thresholds", ConfigError)
-        if self.doc_batch_size < 1:
-            raise ConfigError(f"doc_batch_size must be >= 1, got {self.doc_batch_size}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must be a 64-bit unsigned integer")
+        _check_bounds(self, "config", (
+            ("doc_batch_size", self.doc_batch_size >= 1, ">= 1"),
+            ("workers", self.workers >= 1, ">= 1"),
+            ("seed", 0 <= self.seed < 2**64, "a 64-bit unsigned integer"),
+        ))
         # Bounds shared with the per-episode view.
         self.episode(stop_threshold=0.0)
 
@@ -158,37 +170,10 @@ class EngineConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-_MODE_DEFAULTS: dict[str, dict] = {
-    "boolq": {
-        "p_doc": 0.5,
-        "doc_batch_size": 2,
-        "stop_thresholds": {"oracle": 0.5, "self_critic": 0.49, "estimation": 0.21},
-        "retrieval": {"chunk_words": 500, "query_mode": "formulated"},
-        "scoring": {"oracle_metric": "exact"},
-    },
-    "emrqa": {
-        "p_doc": 1.0,
-        "doc_batch_size": 10,
-        "stop_thresholds": {"oracle": 0.5, "self_critic": 0.49, "estimation": 0.22},
-        "retrieval": {"chunk_words": 100, "query_mode": "raw"},
-        "scoring": {"oracle_metric": "exact"},
-    },
-    "simulated": {
-        "p_doc": 0.5,
-        "doc_batch_size": 2,
-        "stop_thresholds": {"oracle": 0.75, "self_critic": 0.8, "estimation": 0.8},
-        "retrieval": {"chunk_words": 100, "query_mode": "raw"},
-        "scoring": {"oracle_metric": "token_f1", "embed_dim": 64},
-    },
-}
-
-
 def default_config(task_mode: str) -> EngineConfig:
     if task_mode not in TASK_MODES:  # a tuple, so an unhashable value fails here too
         raise ConfigError(f"unknown task mode {task_mode!r}")
-    return _apply_overrides(
-        EngineConfig(task_mode=task_mode), _MODE_DEFAULTS[task_mode]
-    )
+    return _apply_overrides(EngineConfig(task_mode=task_mode), _MODE_DEFAULTS[task_mode])
 
 
 _SECTIONS = {"generator": GeneratorConfig, "retrieval": RetrievalConfig, "scoring": ScoringConfig}
@@ -238,17 +223,14 @@ def load_config(
     overrides: dict | None = None,
 ) -> EngineConfig:
     """Resolve a config: file values over mode defaults, then explicit
-    overrides, then environment variables for endpoint values."""
-    if path is not None:
-        data = read_json_object(path, "config", ConfigError)
-        mode = task_mode or data.get("task_mode", "simulated")
-        config = _apply_overrides(default_config(mode), data)
-        if task_mode is not None:
-            config = _apply_overrides(config, {"task_mode": task_mode})
-    else:
-        config = default_config(task_mode or "simulated")
-    if overrides:
-        config = _apply_overrides(config, overrides)
+    overrides, then environment variables for endpoint values. Each layer is
+    built and checked in turn, so a later one cannot hide a bad value in an
+    earlier one."""
+    data = read_json_object(path, "config", ConfigError) if path is not None else {}
+    config = default_config(task_mode or data.get("task_mode", EngineConfig.task_mode))
+    for layer in (data, {"task_mode": task_mode} if task_mode else None, overrides):
+        if layer:
+            config = _apply_overrides(config, layer)
     endpoint = os.environ.get(ENV_ENDPOINT)
     if endpoint:
         config.generator.endpoint = endpoint

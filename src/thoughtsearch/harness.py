@@ -365,6 +365,8 @@ def _parse_example(rec, where: str, default_id: str) -> QAExample:
     `where` (path:line) and the field."""
     read = lambda key, kinds: json_field(rec, key, kinds, f"{where}: example")
     query = read("query", (str,))
+    if not query.strip():
+        raise SchemaError(f"{where}: field 'query' must not be blank")
     filter_key = read("filter_key", (str, type(None))) if "filter_key" in rec else None
     answers = read("answer" if "answer" in rec and "answers" not in rec else "answers", (str, list))
     if isinstance(answers, str):

@@ -2,7 +2,8 @@
 
 Templates live in a plain-text file of named sections so operators can edit
 them per task without touching code. Each body may use only the five named
-slots: {thoughts}, {documents}, {query}, {context}, {thought}.
+slots: {thoughts}, {documents}, {query}, {context}, {thought}. Any other
+brace is literal text.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ class PromptTemplate:
                 )
 
     def render(self, **slots: str) -> str:
-        filled = {name: slots.get(name, "") for name in SLOTS}
-        return self.body.format(**filled)
+        """The body with each slot replaced by its value ("" when not given)."""
+        return _PLACEHOLDER.sub(lambda match: slots.get(match.group(1), ""), self.body)
 
 
 class TemplateSet:
@@ -81,11 +82,9 @@ class TemplateSet:
 
     @classmethod
     def builtin(cls, mode: str) -> "TemplateSet":
-        if mode in ("boolq", "simulated"):
-            return cls.from_text(BOOLQ_TEMPLATES)
-        if mode == "emrqa":
-            return cls.from_text(EMRQA_TEMPLATES)
-        raise ConfigError(f"no builtin templates for task mode {mode!r}")
+        if mode not in BUILTIN_TEMPLATES:
+            raise ConfigError(f"no builtin templates for task mode {mode!r}")
+        return cls.from_text(BUILTIN_TEMPLATES[mode])
 
 
 BOOLQ_TEMPLATES = '''\
@@ -175,3 +174,5 @@ CONTEXT : "{thought}"[/INST]
 
 OUTPUT NUMBER :
 '''
+
+BUILTIN_TEMPLATES = {"boolq": BOOLQ_TEMPLATES, "emrqa": EMRQA_TEMPLATES, "simulated": BOOLQ_TEMPLATES}

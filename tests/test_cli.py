@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import json
 import re
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thoughtsearch.cli import build_parser, main
-from thoughtsearch.config import ENV_API_KEY, ENV_ENDPOINT, config_hash, load_config
+from thoughtsearch.cli import _TASK_FOR_MODE, build_parser, main
+from thoughtsearch.config import ENV_API_KEY, ENV_ENDPOINT, TASK_MODES, config_hash, load_config
 from thoughtsearch.errors import CorpusError, SchemaError
 from thoughtsearch.generate import SimulatedGenerator
 from thoughtsearch.harness import (
@@ -25,7 +26,7 @@ from thoughtsearch.harness import (
 )
 from thoughtsearch.retrieval import HashedEmbedder, ingest_corpus, load_index
 from thoughtsearch.scoring import load_model
-from thoughtsearch.templates import TemplateSet
+from thoughtsearch.templates import BOOLQ_TEMPLATES, BUILTIN_TEMPLATES, TemplateSet
 from thoughtsearch.trace import dump_trace, graph_to_record
 
 
@@ -379,6 +380,16 @@ def test_run_method_choices_are_the_planner_methods():
             assert parser.parse_args(argv).method == method.value
 
 
+def test_every_mode_list_is_the_config_task_modes():
+    """`--mode`, the task of each mode and the built-in template sets name
+    exactly the config's task modes."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    mode_flags = [p._option_string_actions.get("--mode") for p in commands.choices.values()]
+    assert {tuple(flag.choices) for flag in mode_flags if flag} == {TASK_MODES}
+    assert tuple(_TASK_FOR_MODE) == TASK_MODES
+    assert tuple(BUILTIN_TEMPLATES) == TASK_MODES
+
+
 _PLANNER_METHODS = [m for m, plan in PLANS.items() if plan.planner is not None]
 
 
@@ -469,6 +480,44 @@ def test_unreachable_endpoint_is_transport_error(workspace, tmp_path):
         )
     )
     assert main(["run", "--config", str(config), "--query", "q", "--index", str(index)]) == 3
+
+
+def test_eval_counts_the_examples_that_failed(workspace, tmp_path, capsys):
+    """Against a backend that is down every example fails; eval still exits 0
+    and says how many failed."""
+    _tmp, _corpus, examples, _index, _model = workspace
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {"generator": {"backend": "http", "endpoint": "http://127.0.0.1:9/nowhere", "timeout_s": 0.2, "retries": 0}}
+        )
+    )
+    argv = ["eval", "--examples", str(examples), "--methods", "llm_only", "--limit", "3"]
+    for extra, failed in (["--config", str(config)], 3), ([], 0):
+        out = tmp_path / f"reports{failed}"
+        assert main([*argv, *extra, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(f"over 3 examples failed={failed}")
+        entry = json.loads((out / "summary.json").read_text())["methods"]["llm_only"]
+        assert (entry["n"], entry["failed"]) == (3, failed)
+
+
+def test_template_brace_that_is_not_a_slot_is_literal_text(workspace, tmp_path):
+    """A SelfCritic body holding a JSON object and a stray brace runs: only
+    the five slots are substituted."""
+    _tmp, _corpus, examples, index, _model = workspace
+    assert BOOLQ_TEMPLATES.count('"{thought}"') == 1
+    templates = tmp_path / "templates.txt"
+    templates.write_text(BOOLQ_TEMPLATES.replace('"{thought}"', '"{thought}" as {"score": 1} {'))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"generator": {"template_file": str(templates)}}))
+    out = tmp_path / "reports"
+    argv = [
+        "eval", "--config", str(config), "--examples", str(examples), "--split", "test",
+        "--methods", "mcts_self_critic", "--index", str(index), "--limit", "3", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    _header, *rows = (out / "mcts_self_critic.csv").read_text().splitlines()
+    assert len(rows) == 3 and all(row.endswith(",") for row in rows)  # no error column
 
 
 def test_eval_with_malformed_endpoint_exits_2_before_any_search(workspace, tmp_path, capsys):
@@ -750,6 +799,16 @@ _MALFORMED_INPUTS = {
     "config_oracle_metric": (
         "run", '{"scoring": {"oracle_metric": "f1"}}', 2, "scoring.oracle_metric must be one of"
     ),
+    "config_backend_unknown": (
+        "ingest-config",
+        '{"generator": {"backend": "htp"}}',
+        2,
+        "config.generator.backend must be one of ('simulated', 'http'), got 'htp'",
+    ),
+    "run_query_blank": ("run-query", "   ", 2, "--query must not be blank"),
+    "examples_query_blank": (
+        "eval-examples", '{"query": " ", "answers": ["v"]}\n', 2, "input.json:1: field 'query' must not be blank"
+    ),
     "endpoint_no_scheme": ("run", _http_config("localhost:8808/complete"), 2, "'localhost:8808/complete'"),
     "endpoint_ftp": ("run", _http_config("ftp://127.0.0.1/x"), 2, "'ftp://127.0.0.1/x' is not an http"),
     "endpoint_no_host": ("run", _http_config("http:///nohost"), 2, "'http:///nohost' is not an http"),
@@ -849,6 +908,10 @@ def test_malformed_input_exits_with_documented_code(tmp_path, capsys, command, c
         "run": [*run, "--config", str(bad)],
         "run-model": [*run, "--model", str(bad)],
         "run-templates": [*run, "--config", str(templates_config)],
+        "run-query": ["run", "--query", content, "--trace", str(tmp_path / "t.json")],
+        "eval-examples": [
+            "eval", "--mode", "simulated", "--examples", str(bad), "--methods", "llm_only", "--out", str(tmp_path / "out")
+        ],
         "export-trace": ["export-trace", "--trace", str(bad)],
         "export-dot": ["export-trace", "--trace", str(bad), "--format", "graphviz"],
         "ingest": ["ingest", "--mode", "simulated", "--corpus", str(bad), "--out", str(tmp_path / "i.json")],

@@ -42,6 +42,12 @@ def test_mode_defaults_carry_benchmark_hyperparameters():
     assert sim.scoring.embed_dim == 64
 
 
+def test_bare_config_is_the_default_mode(monkeypatch):
+    monkeypatch.delenv("THOUGHTSEARCH_ENDPOINT", raising=False)
+    assert EngineConfig() == default_config("simulated")
+    assert load_config() == EngineConfig()
+
+
 def test_config_round_trip_identity(tmp_path):
     config = default_config("emrqa")
     config.seed = 1234567

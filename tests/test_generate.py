@@ -48,6 +48,11 @@ def test_template_rejects_unknown_placeholder():
         PromptTemplate(name="ThoughtGen", body="hello {nonsense}")
 
 
+def test_render_leaves_a_brace_that_is_not_a_slot_literal():
+    template = PromptTemplate(name="SelfCritic", body='{"a": 1} { {query} {{thought}}')
+    assert template.render(query="q", thought="t") == '{"a": 1} { q {t}'
+
+
 def test_template_file_round_trip(tmp_path):
     from thoughtsearch.templates import BOOLQ_TEMPLATES
 
