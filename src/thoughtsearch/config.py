@@ -2,8 +2,7 @@
 overrides for endpoint values, and a content hash for reproducibility.
 
 Task modes ship the hyperparameters each benchmark ran with, so a bare
-config reproduces the intended setup shape. The dataclass defaults are the
-default mode's; each other mode lists only where it departs from them.
+config reproduces the intended setup shape.
 """
 
 from __future__ import annotations
