@@ -5,8 +5,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thoughtsearch import simenv
 from thoughtsearch.config import SCORER_KINDS, default_config
@@ -213,6 +217,51 @@ def test_rerun_is_byte_identical(sim):
     a = report_to_csv(run_benchmark(suite.test[:8], Method.MCTS_ESTIMATION, ports, config))
     b = report_to_csv(run_benchmark(suite.test[:8], Method.MCTS_ESTIMATION, ports, config))
     assert a == b
+
+
+_PLANNER_METHODS = [method for method, plan in PLANS.items() if plan.planner is not None]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_hops=st.integers(1, 3),
+    n_test=st.integers(1, 3),
+    short=st.integers(1, 5),
+    extra=st.integers(1, 6),
+)
+def test_a_smaller_budget_runs_the_first_steps_of_a_larger_one(sim, seed, n_hops, n_test, short, extra):
+    """No step reads the thought budget, so the search is anytime: for every
+    planner method over a drawn suite, a budget-T search holds at most T
+    thoughts and is the first T steps of a budget-T' search (T < T'), with
+    the same history and nodes; one that stops at its threshold first is the
+    same search, row for row."""
+    _, ports, config = sim
+    suite = simenv.build_suite(n_train=0, n_test=n_test, seed=seed, n_hops=n_hops)
+    with tempfile.TemporaryDirectory() as tmp:
+        simenv.write_records(suite.records, Path(tmp) / "corpus.jsonl")
+        ports = dataclasses.replace(ports, index=ingest_corpus(Path(tmp) / "corpus.jsonl", chunk_size=100, dim=256))
+    for method in _PLANNER_METHODS:
+        runs = []
+        for budget in (short, short + extra):
+            graphs = {}
+            report = run_benchmark(
+                suite.test,
+                method,
+                ports,
+                dataclasses.replace(config, max_steps=budget),
+                trace_sink=lambda example, outcome: graphs.__setitem__(example.query_id, outcome.graph),
+            )
+            for row in report.per_example:
+                assert not row.error and row.thought_count <= budget, (method, row)
+            runs.append((report.per_example, graphs))
+        (short_rows, short_graphs), (long_rows, long_graphs) = runs
+        for short_row, long_row in zip(short_rows, long_rows):
+            first, whole = short_graphs[short_row.query_id], long_graphs[long_row.query_id]
+            assert first.history == whole.history[: len(first.history)], method
+            assert list(first.nodes.values()) == list(whole.nodes.values())[: len(first.nodes)], method
+            if short_row.thought_count < short:
+                assert short_row == long_row, method
 
 
 def test_every_method_has_one_plan():
