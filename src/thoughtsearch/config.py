@@ -15,7 +15,6 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .errors import ConfigError, canonical_json, json_field, read_json_object
-from .graph import EpisodeConfig
 
 # Where each mode departs from the dataclass defaults (the simulated mode's).
 _MODE_DEFAULTS: dict[str, dict] = {
@@ -49,6 +48,25 @@ def _check_bounds(section, where: str, rows) -> None:
     for name, holds, rule in rows:
         if not holds:
             raise ConfigError(f"{where}.{name} must be {rule}, got {getattr(section, name)!r}")
+
+
+@dataclass
+class EpisodeConfig:
+    """Knobs for one search episode. Bounds are enforced on construction."""
+
+    max_steps: int = 10
+    stop_threshold: float = 0.5
+    exploration_c: float = math.sqrt(2.0)
+    p_doc: float = 0.5
+    thought_sample_size: int = 5
+
+    def __post_init__(self):
+        _check_bounds(self, "config", (
+            ("max_steps", self.max_steps >= 1, ">= 1"),
+            ("exploration_c", self.exploration_c >= 0, ">= 0"),
+            ("p_doc", 0 <= self.p_doc <= 1, "in [0, 1]"),
+            ("thought_sample_size", self.thought_sample_size >= 1, ">= 1"),
+        ))
 
 
 @dataclass
@@ -179,6 +197,8 @@ _SECTIONS = {"generator": GeneratorConfig, "retrieval": RetrievalConfig, "scorin
 
 
 def _apply_overrides(config: EngineConfig, overrides: dict) -> EngineConfig:
+    """`config` with `overrides` laid over it; every key must name a field,
+    and every value is checked again."""
     data = config.to_dict()
     for key, value in overrides.items():
         if key not in data:
@@ -190,30 +210,20 @@ def _apply_overrides(config: EngineConfig, overrides: dict) -> EngineConfig:
                 data[key][sub_key] = sub_value
         else:
             data[key] = value
-    return config_from_dict(data)
+    _check_fields(EngineConfig, data, "config")
+    for key, cls in _SECTIONS.items():
+        _check_fields(cls, data[key], f"config.{key}")
+        data[key] = cls(**data[key])
+    return EngineConfig(**data)
 
 
 def _check_fields(cls, values: dict, where: str) -> None:
-    """Every key must name a field of cls, and every value have the JSON kind
-    of that field's default; a section is an object."""
-    unknown = set(values) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"{where} has unknown fields {sorted(unknown)}")
+    """Every value must have the JSON kind of its field's default in cls; a
+    section is an object."""
     for f in fields(cls):
-        if f.name in values:
-            default = f.default if f.default is not MISSING else f.default_factory()
-            kind = dict if is_dataclass(default) else type(default)
-            json_field(values, f.name, (kind,), where, ConfigError)
-
-
-def config_from_dict(data: dict) -> EngineConfig:
-    data = dict(data)
-    _check_fields(EngineConfig, data, "config")
-    for key, cls in _SECTIONS.items():
-        raw = data.get(key, {})
-        _check_fields(cls, raw, f"config.{key}")
-        data[key] = cls(**raw)
-    return EngineConfig(**data)
+        default = f.default if f.default is not MISSING else f.default_factory()
+        kind = dict if is_dataclass(default) else type(default)
+        json_field(values, f.name, (kind,), where, ConfigError)
 
 
 def load_config(

@@ -26,10 +26,6 @@ class GraphError(EngineError):
     """Rejected graph input: empty query, dangling node reference."""
 
 
-class BudgetError(GraphError):
-    """Transition attempted after the generated-node budget was spent."""
-
-
 class GenerationError(EngineError):
     """Backend returned an unusable completion (e.g. empty text)."""
 

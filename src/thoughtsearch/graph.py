@@ -10,11 +10,10 @@ scoring, no LLM access.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import BudgetError, ConfigError, GraphError
+from .errors import GraphError
 
 ROOT_ID = 0
 
@@ -57,30 +56,6 @@ class NodeStats:
 
 
 @dataclass
-class EpisodeConfig:
-    """Knobs for one search episode. Bounds are enforced on construction."""
-
-    max_steps: int = 10
-    stop_threshold: float = 0.5
-    exploration_c: float = math.sqrt(2.0)
-    p_doc: float = 0.5
-    thought_sample_size: int = 5
-
-    def __post_init__(self):
-        # Each bound is written so that NaN fails it.
-        if not self.max_steps >= 1:
-            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
-        if not self.exploration_c >= 0.0:
-            raise ConfigError(f"exploration_c must be >= 0, got {self.exploration_c}")
-        if not 0.0 <= self.p_doc <= 1.0:
-            raise ConfigError(f"p_doc must be in [0, 1], got {self.p_doc}")
-        if not self.thought_sample_size >= 1:
-            raise ConfigError(
-                f"thought_sample_size must be >= 1, got {self.thought_sample_size}"
-            )
-
-
-@dataclass
 class ThoughtGraph:
     """The full search state: node map, planner stats, transition history.
 
@@ -88,7 +63,6 @@ class ThoughtGraph:
     """
 
     query_text: str
-    max_generated: int | None = None
     nodes: dict[int, Thought] = field(default_factory=dict)
     stats: dict[int, NodeStats] = field(default_factory=dict)
     history: list[tuple[Action, int]] = field(default_factory=list)
@@ -143,10 +117,6 @@ class ThoughtGraph:
         for ref in (action.first, action.second):
             if ref not in self.nodes:
                 raise GraphError(f"action references unknown node id {ref}")
-        if self.max_generated is not None and self.generated_count >= self.max_generated:
-            raise BudgetError(
-                f"step budget exhausted: {self.max_generated} generated nodes"
-            )
         node_id = self._append(
             new_text, NodeKind.GENERATED, (action.first, action.second)
         )
@@ -154,10 +124,10 @@ class ThoughtGraph:
         return node_id
 
 
-def new_process(query: str, max_generated: int | None = None) -> ThoughtGraph:
+def new_process(query: str) -> ThoughtGraph:
     """Start a fresh graph containing only the query node."""
     if not query.strip():
         raise GraphError("query must be non-empty")
-    graph = ThoughtGraph(query_text=query, max_generated=max_generated)
+    graph = ThoughtGraph(query_text=query)
     graph._append(query, NodeKind.QUERY, ())
     return graph

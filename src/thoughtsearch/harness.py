@@ -79,10 +79,6 @@ PLANS: dict[Method, Plan] = {
     Method.RANDOM_CONTROL: Plan("random", "oracle", retrieves=True),
 }
 
-# The module global each planner's search runs as.
-_SEARCHES = {"mcts": "run_search", "greedy": "greedy_search", "random": "random_search"}
-
-
 @dataclass(frozen=True)
 class QAExample:
     query_id: str
@@ -192,10 +188,10 @@ def search_example(
     rng,
 ) -> SearchOutcome:
     """Search one example with a planning method's ports, its scorer's stop
-    threshold and its planner's search. The search is looked up as a module
-    global on each call, so a wrapper installed on it sees every search."""
+    threshold and its planner's search. The dict is built on each call, so a
+    wrapper installed on a module's search function sees every search."""
     plan = PLANS[method]
-    search = globals()[_SEARCHES[plan.planner]]
+    search = {"mcts": run_search, "greedy": greedy_search, "random": random_search}[plan.planner]
     episode = config.episode(stop_threshold=config.stop_thresholds[plan.scorer])
     return search(example.query, example_search_ports(method, example, ports, config), episode, rng)
 

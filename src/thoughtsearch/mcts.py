@@ -22,9 +22,10 @@ from typing import Callable, Protocol
 
 import numpy as np
 
+from .config import EpisodeConfig
 from .errors import ConfigError, EngineError, ExhaustedCorpusError, SearchError
 from .generate import CountingGenerator, Generator, counting
-from .graph import ROOT_ID, Action, EpisodeConfig, ThoughtGraph, new_process
+from .graph import ROOT_ID, Action, ThoughtGraph, new_process
 from .retrieval import DocumentQueue
 
 
@@ -230,7 +231,7 @@ def _search(query: str, ports: SearchPorts, config: EpisodeConfig, step: Step) -
     spent (the best mean score among generated nodes is). The calls go on
     the ports' generator when it already counts (the example's ledger), on
     a fresh CountingGenerator otherwise; the outcome reports this search's."""
-    graph = new_process(query, max_generated=config.max_steps)
+    graph = new_process(query)
     generator = counting(ports.generator)
     calls_before, backend_before = generator.calls, generator.backend_calls
     provider = _query_provider(graph, ports.retriever, generator)
@@ -239,7 +240,7 @@ def _search(query: str, ports: SearchPorts, config: EpisodeConfig, step: Step) -
     terminated = Termination.BUDGET_EXHAUSTED
     best: int | None = None
     try:
-        while graph.generated_count < config.max_steps:
+        while graph.generated_count < config.max_steps:  # the one budget check
             child, score, calls = step(graph, generator, provider)
             scorer_calls += calls
             simulation_scores[child] = score
@@ -252,10 +253,8 @@ def _search(query: str, ports: SearchPorts, config: EpisodeConfig, step: Step) -
             graph=graph,
             scorer_calls=scorer_calls,
         ) from exc
-    if best is None:
+    if best is None:  # max_steps >= 1 guarantees at least one thought
         best = _best_generated(graph)
-        if best is None:  # max_steps >= 1 guarantees at least one node
-            raise SearchError("search produced no thoughts", graph=graph)
     return SearchOutcome(
         graph=graph,
         best_thought=best,

@@ -17,9 +17,9 @@ import pytest
 
 from tests.conftest import ConstantScorer, write_jsonl
 from thoughtsearch import simenv
-from thoughtsearch.config import default_config
+from thoughtsearch.config import EpisodeConfig, default_config
 from thoughtsearch.generate import SimulatedGenerator
-from thoughtsearch.graph import Action, EpisodeConfig, NodeKind, new_process
+from thoughtsearch.graph import Action, NodeKind, new_process
 from thoughtsearch.harness import (
     EnginePorts,
     Method,

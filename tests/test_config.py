@@ -10,13 +10,12 @@ import pytest
 
 from thoughtsearch.config import (
     EngineConfig,
-    config_from_dict,
+    EpisodeConfig,
     config_hash,
     default_config,
     load_config,
 )
 from thoughtsearch.errors import ConfigError
-from thoughtsearch.graph import EpisodeConfig
 
 
 def test_mode_defaults_carry_benchmark_hyperparameters():
@@ -86,9 +85,9 @@ def test_env_endpoint_override(tmp_path, monkeypatch):
 
 def test_unknown_fields_rejected():
     with pytest.raises(ConfigError):
-        config_from_dict({"task_mode": "boolq", "no_such_field": 1})
+        load_config(overrides={"task_mode": "boolq", "no_such_field": 1})
     with pytest.raises(ConfigError):
-        config_from_dict({"task_mode": "boolq", "retrieval": {"bogus": 2}})
+        load_config(overrides={"task_mode": "boolq", "retrieval": {"bogus": 2}})
 
 
 def test_bounds_validated_on_construction():

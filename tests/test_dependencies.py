@@ -31,21 +31,38 @@ def test_package_imports_only_stdlib_and_numpy():
     assert {name: modules for name, modules in outside.items() if modules} == {}
 
 
+def _package_imports(path: Path) -> set[str]:
+    """The package modules one source file imports: relative imports, and
+    absolute ones that name the package."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else [alias.name for alias in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            names.update(m for m in modules if m.split(".")[0] == "thoughtsearch")
+    return names
+
+
+def test_graph_and_config_import_only_errors_from_the_package():
+    """The graph is the policy-free environment and the config the settings
+    every layer reads, so neither depends on another layer."""
+    src = ROOT / "src" / "thoughtsearch"
+    assert {name: _package_imports(src / name) for name in ("graph.py", "config.py")} == {
+        "graph.py": {"errors"},
+        "config.py": {"errors"},
+    }
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names a module's top-level imports bind that nothing in the module
-    names, as a name or as a string constant (harness looks its searches
-    up by name)."""
+    names."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     bound = []
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
             bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
-    named = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            named.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            named.add(node.value)
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in bound if name not in named]
 
 

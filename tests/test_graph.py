@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thoughtsearch.errors import BudgetError, GraphError
+from thoughtsearch.errors import GraphError
 from thoughtsearch.graph import Action, NodeKind, new_process
 
 
@@ -46,16 +46,6 @@ def test_transition_rejects_unknown_node():
     graph = new_process("q")
     with pytest.raises(GraphError):
         graph.apply_transition(Action(0, 99), "t")
-
-
-def test_budget_exhaustion_after_max_transitions():
-    budget = 4
-    graph = new_process("q", max_generated=budget)
-    for i in range(budget):
-        graph.apply_transition(Action(0, i), f"t{i}")
-    with pytest.raises(BudgetError):
-        graph.apply_transition(Action(0, 0), "one too many")
-    assert graph.generated_count == budget
 
 
 def test_documents_are_parentless_and_get_dense_steps():

@@ -9,9 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from thoughtsearch.config import EpisodeConfig
 from thoughtsearch.errors import ConfigError
 from thoughtsearch.generate import SimulatedGenerator, parse_facts
-from thoughtsearch.graph import Action, EpisodeConfig, NodeKind, new_process
+from thoughtsearch.graph import Action, NodeKind, new_process
 from thoughtsearch.mcts import (
     SearchPorts,
     Termination,

@@ -384,7 +384,7 @@ def test_collect_offline_dataset_one_sample_per_node():
             scorer=OracleScorer(example.gold_answers, best_token_f1),
         )
 
-    from thoughtsearch.graph import EpisodeConfig
+    from thoughtsearch.config import EpisodeConfig
 
     embedder = HashedEmbedder(dim=32)
     config = EpisodeConfig(max_steps=4, stop_threshold=2.0)  # always exhausts the budget
@@ -396,7 +396,7 @@ def test_collect_offline_dataset_one_sample_per_node():
 
 def test_collect_replay_byte_identical_dataset_file(tmp_path):
     from thoughtsearch.harness import QAExample, Task
-    from thoughtsearch.graph import EpisodeConfig
+    from thoughtsearch.config import EpisodeConfig
     from thoughtsearch.mcts import SearchPorts
 
     examples = [
@@ -427,7 +427,7 @@ def test_collect_replay_byte_identical_dataset_file(tmp_path):
 
 
 def test_collect_embeds_each_distinct_parent_text_once():
-    from thoughtsearch.graph import EpisodeConfig
+    from thoughtsearch.config import EpisodeConfig
     from thoughtsearch.harness import QAExample, Task
     from thoughtsearch.mcts import SearchPorts
 
@@ -591,7 +591,7 @@ def test_estimator_memo_is_exact_and_embeds_each_text_once():
 
 
 def test_greedy_search_memo_keeps_calls_and_trace(small_index):
-    from thoughtsearch.graph import EpisodeConfig
+    from thoughtsearch.config import EpisodeConfig
     from thoughtsearch.mcts import SearchPorts, greedy_search
     from thoughtsearch.retrieval import DocumentQueue
     from thoughtsearch.trace import graph_to_record, trace_text

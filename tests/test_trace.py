@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thoughtsearch.cli import main
+from thoughtsearch.config import EpisodeConfig
 from thoughtsearch.errors import SchemaError
 from thoughtsearch.generate import SimulatedGenerator
-from thoughtsearch.graph import Action, EpisodeConfig, NodeKind, new_process
+from thoughtsearch.graph import Action, NodeKind, new_process
 from thoughtsearch.mcts import SearchPorts, run_search
 from thoughtsearch.retrieval import DocumentQueue
 from thoughtsearch.trace import (
