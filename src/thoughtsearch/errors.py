@@ -97,6 +97,16 @@ def json_value(value, kinds: tuple[type, ...], where: str, error=SchemaError):
     raise error(f"{where} must be {wanted}, got {reprlib.repr(value)}")
 
 
+def utf8_text(value: str, where: str, error=SchemaError) -> str:
+    """`value` when it encodes as UTF-8; otherwise `error` naming `where`. A
+    JSON string may hold a lone surrogate (RFC 8259 8.2), which does not."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise error(f"{where} must encode as UTF-8 ({exc.reason} at index {exc.start})") from None
+    return value
+
+
 def read_text(path: str | Path, what: str, error=SchemaError) -> str:
     """The text of a UTF-8 file; a file that cannot be read or decoded
     raises `error` naming it."""

@@ -24,7 +24,7 @@ from typing import Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .errors import CapabilityError, ConfigError, GenerationError, TransportError
-from .errors import decode_json, json_field, json_value
+from .errors import decode_json, json_field, json_value, utf8_text
 from .graph import NodeKind
 from .templates import TemplateSet
 
@@ -297,6 +297,7 @@ class HttpGenerator:
             payload["logprob_tokens"] = list(logprob_tokens)
         body = json_value(self._post(payload), (dict,), "backend reply", GenerationError)
         text = json_value(body.get("text", ""), (str,), "backend reply.text", GenerationError)
+        utf8_text(text, "backend reply.text", GenerationError)
         scores = body.get("token_logprobs")
         json_value(scores, (dict, type(None)), "backend reply.token_logprobs", GenerationError)
         return GenerationResult(text=text, token_scores=scores)

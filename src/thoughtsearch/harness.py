@@ -20,6 +20,7 @@ from typing import Callable
 
 from .config import EngineConfig
 from .errors import ConfigError, EngineError, SchemaError, json_field, json_value, read_json_lines
+from .errors import utf8_text
 from .generate import CountingGenerator, Generator, counting
 from .graph import ThoughtGraph
 from .metrics import best_token_f1, exact_match, parse_boolean, parse_quantity_mg
@@ -327,11 +328,14 @@ def accuracy_vs_size_curve(reports: list[BenchmarkReport]) -> list[dict]:
     return rows
 
 
+# Free text stays one CSV field: no field separator, no line break.
+_CSV_TEXT = str.maketrans({",": ";", "\n": " ", "\r": " "})
+
+
 def report_to_csv(report: BenchmarkReport) -> str:
     lines = ["query_id,correct,thought_count,generator_calls,scorer_calls,terminated_by,answer,error"]
     for r in report.per_example:
-        answer = r.answer.replace(",", ";").replace("\n", " ")
-        error = r.error.replace(",", ";").replace("\n", " ")
+        answer, error = r.answer.translate(_CSV_TEXT), r.error.translate(_CSV_TEXT)
         lines.append(
             f"{r.query_id},{r.correct},{r.thought_count},{r.generator_calls},"
             f"{r.scorer_calls},{r.terminated_by},{answer},{error}"
@@ -360,7 +364,8 @@ def _parse_example(rec, where: str, default_id: str) -> QAExample:
     """One decoded example record; a malformed one raises SchemaError naming
     `where` (path:line) and the field."""
     read = lambda key, kinds: json_field(rec, key, kinds, f"{where}: example")
-    query = read("query", (str,))
+    text = lambda value, name: utf8_text(value, f"{where}: field {name!r}")
+    query = text(read("query", (str,)), "query")
     if not query.strip():
         raise SchemaError(f"{where}: field 'query' must not be blank")
     filter_key = read("filter_key", (str, type(None))) if "filter_key" in rec else None
@@ -371,6 +376,7 @@ def _parse_example(rec, where: str, default_id: str) -> QAExample:
         raise SchemaError(f"{where}: field 'answers' must not be empty")
     for i, answer in enumerate(answers):
         json_value(answer, (str, float, bool), f"{where}: example.answers[{i}]")
+        text(str(answer), f"answers[{i}]")
     try:
         task = Task(rec.get("task", "simulated_fact"))
     except ValueError:
@@ -379,7 +385,7 @@ def _parse_example(rec, where: str, default_id: str) -> QAExample:
             f"choose from {[t.value for t in Task]}"
         ) from None
     return QAExample(
-        query_id=str(read("id", (str, int))) if "id" in rec else default_id,
+        query_id=text(str(read("id", (str, int))), "id") if "id" in rec else default_id,
         query=query,
         gold_answers=normalize_gold(task, answers),
         task=task,
@@ -396,9 +402,10 @@ def load_examples(
     """Read the newline-delimited example format.
 
     Fields: query (required), answers (list or string), task, id, filter_key,
-    split. An id names the example's trace file, so it must be a usable file
-    name and unique in the file. An unreadable file or a malformed line raises
-    SchemaError; a limit below 1, ConfigError.
+    split. An id names the example's trace file and CSV row, so it must be a
+    usable file name with no comma or line break, and unique in the file. An
+    id, query or answer must encode as UTF-8. An unreadable file or a
+    malformed line raises SchemaError; a limit below 1, ConfigError.
     """
     if limit is not None and limit < 1:
         raise ConfigError(f"limit must be >= 1, got {limit}")
@@ -408,8 +415,8 @@ def load_examples(
         where = f"{path}:{lineno}"
         example = _parse_example(rec, where, default_id=f"q{lineno:05d}")
         query_id = example.query_id
-        if query_id in ("", ".", "..") or any(c in query_id for c in "/\\\0"):
-            raise SchemaError(f"{where}: field 'id' {query_id!r} is not a usable file name")
+        if query_id in ("", ".", "..") or any(c in query_id for c in "/\\\0,\r\n"):
+            raise SchemaError(f"{where}: field 'id' {query_id!r} is not a usable file name or CSV field")
         if query_id in seen:
             raise SchemaError(f"{where}: id {query_id!r} repeats the id of line {seen[query_id]}")
         seen[query_id] = lineno

@@ -809,6 +809,35 @@ _MALFORMED_INPUTS = {
     "examples_query_blank": (
         "eval-examples", '{"query": " ", "answers": ["v"]}\n', 2, "input.json:1: field 'query' must not be blank"
     ),
+    # An id names a CSV row, so it holds no comma or line break; every
+    # text field must encode as UTF-8 (JSON allows a lone surrogate).
+    "examples_id_comma": (
+        "eval-examples", '{"id": "a,b", "query": "q", "answers": ["v"]}\n', 2, "input.json:1: field 'id'"
+    ),
+    "examples_id_newline": (
+        "eval-examples", r'{"id": "a\nb", "query": "q", "answers": ["v"]}' "\n", 2, "input.json:1: field 'id'"
+    ),
+    "examples_id_return": (
+        "eval-examples", r'{"id": "a\rb", "query": "q", "answers": ["v"]}' "\n", 2, "input.json:1: field 'id'"
+    ),
+    "examples_id_surrogate": (
+        "eval-examples",
+        r'{"id": "q\ud800", "query": "q", "answers": ["v"]}' "\n",
+        2,
+        "input.json:1: field 'id' must encode as UTF-8",
+    ),
+    "examples_query_surrogate": (
+        "eval-examples",
+        r'{"query": "q\ud800", "answers": ["v"]}' "\n",
+        2,
+        "input.json:1: field 'query' must encode as UTF-8",
+    ),
+    "examples_answer_surrogate": (
+        "eval-examples",
+        r'{"query": "q", "answers": ["v", "w\udfff"]}' "\n",
+        2,
+        "input.json:1: field 'answers[1]' must encode as UTF-8",
+    ),
     "endpoint_no_scheme": ("run", _http_config("localhost:8808/complete"), 2, "'localhost:8808/complete'"),
     "endpoint_ftp": ("run", _http_config("ftp://127.0.0.1/x"), 2, "'ftp://127.0.0.1/x' is not an http"),
     "endpoint_no_host": ("run", _http_config("http:///nohost"), 2, "'http:///nohost' is not an http"),

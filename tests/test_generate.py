@@ -3,6 +3,7 @@ exercised against a locally served backend speaking the wire protocol."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import threading
@@ -14,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thoughtsearch import generate
+from thoughtsearch.cli import main
 from thoughtsearch.config import default_config
 from thoughtsearch.errors import CapabilityError, ConfigError, GenerationError, TransportError
 from thoughtsearch.generate import (
@@ -493,6 +495,27 @@ def test_bad_reply_fails_one_example_and_the_rest_are_graded(backend):
         graded = [row for row in report.per_example if not row.error]
         assert len(graded) == 3 and all(row.answer.startswith("echo ") for row in graded)
         assert _Backend.requests_seen == 4
+
+
+def test_reply_text_utf8_cannot_encode_fails_one_example_through_eval(backend, tmp_path, capsys):
+    """A reply whose text holds a lone surrogate (valid JSON) fails its own
+    example; eval grades the rest and writes one CSV row per example."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"generator": {"backend": "http", "endpoint": backend}}))
+    examples = tmp_path / "examples.jsonl"
+    records = [{"id": f"q{i}", "query": f"question {i}", "answers": ["v"]} for i in range(3)]
+    examples.write_text("".join(json.dumps(record) + "\n" for record in records))
+    _Backend.bad_bodies = [b'{"text": "bad \\ud800 reply"}']
+    out = tmp_path / "out"
+    argv = ["eval", "--config", str(config), "--examples", str(examples), "--methods", "llm_only", "--out", str(out)]
+    assert main(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    header, *rows = csv.reader((out / "llm_only.csv").read_text(encoding="utf-8").splitlines())
+    assert len(header) == 8 and [len(row) for row in rows] == [8, 8, 8]
+    errors = {row[0]: row[7] for row in rows}
+    assert errors["q1"] == errors["q2"] == ""
+    assert errors["q0"].startswith("backend reply.text must encode as UTF-8")
+    assert json.loads((out / "summary.json").read_text())["methods"]["llm_only"]["failed"] == 1
 
 
 def test_http_read_timeout_is_retried_then_transport_error(backend, sleeps):

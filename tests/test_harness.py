@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import re
@@ -18,7 +19,9 @@ from thoughtsearch.errors import EngineError, SchemaError
 from thoughtsearch.generate import SimulatedGenerator
 from thoughtsearch.harness import (
     PLANS,
+    BenchmarkReport,
     EnginePorts,
+    ExampleResult,
     Method,
     QAExample,
     Task,
@@ -217,6 +220,19 @@ def test_rerun_is_byte_identical(sim):
     a = report_to_csv(run_benchmark(suite.test[:8], Method.MCTS_ESTIMATION, ports, config))
     b = report_to_csv(run_benchmark(suite.test[:8], Method.MCTS_ESTIMATION, ports, config))
     assert a == b
+
+
+def test_report_rows_are_one_csv_line_each():
+    """A comma or any line break in an answer or error stays inside its field."""
+    rows = [
+        ExampleResult("q1", 0, 2, 3, 2, answer="v1\rv2,v3", error="a\r\nb"),
+        ExampleResult("q2", 1, 1, 2, 1, answer="v\n4", terminated_by="threshold_reached"),
+    ]
+    text = report_to_csv(BenchmarkReport(Method.MCTS_ORACLE, rows, 0.5, max_steps=10))
+    parsed = list(csv.reader(text.splitlines()))
+    assert [len(row) for row in parsed] == [8, 8, 8]
+    assert parsed[1] == ["q1", "0", "2", "3", "2", "", "v1 v2;v3", "a  b"]
+    assert parsed[2][6] == "v 4"
 
 
 _PLANNER_METHODS = [method for method, plan in PLANS.items() if plan.planner is not None]
