@@ -42,22 +42,16 @@ class CorpusError(EngineError):
     """Unreadable or empty corpus input."""
 
 
-class ExhaustedCorpusError(CorpusError):
-    """No retrievable documents remain for this search."""
-
-
 class SchemaError(EngineError):
     """Malformed persisted file: index, scorer model, or trace."""
 
 
 class SearchError(EngineError):
-    """Port failure inside a search; carries the partial graph for export
-    and the scorer calls the search spent before it failed."""
+    """Port failure inside a search; carries its mcts.SearchOutcome so far."""
 
-    def __init__(self, message: str, graph=None, scorer_calls: int = 0):
+    def __init__(self, message: str, outcome):
         super().__init__(message)
-        self.graph = graph
-        self.scorer_calls = scorer_calls
+        self.outcome = outcome
 
 
 # The JSON kinds a loader may ask for, by the Python type json decodes them to.

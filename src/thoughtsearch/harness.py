@@ -19,10 +19,9 @@ from pathlib import Path
 from typing import Callable
 
 from .config import EngineConfig
-from .errors import ConfigError, EngineError, SchemaError, json_field, json_value, read_json_lines
-from .errors import utf8_text
+from .errors import ConfigError, EngineError, SchemaError, SearchError, json_field, json_value
+from .errors import read_json_lines, utf8_text
 from .generate import CountingGenerator, Generator, counting
-from .graph import ThoughtGraph
 from .metrics import best_token_f1, exact_match, parse_boolean, parse_quantity_mg
 from .mcts import SearchOutcome, SearchPorts, greedy_search, random_search, run_search
 from .retrieval import CorpusIndex, DocumentQueue, HashedEmbedder, retrieve
@@ -220,19 +219,16 @@ def train_scorer(
 
 
 def _row(
-    example: QAExample,
-    ledger: CountingGenerator,
-    graph: ThoughtGraph | None,
-    scorer_calls: int,
-    **fields,
+    example: QAExample, ledger: CountingGenerator, outcome: SearchOutcome | None, **fields
 ) -> ExampleResult:
-    """One example's row: its calls from its ledger, its thoughts from the
-    graph its search built (none for a baseline or an early failure)."""
+    """One example's row: its calls from its ledger, its thoughts and scorer
+    calls from its search's outcome (none for a baseline or an error
+    outside the search)."""
     return ExampleResult(
         query_id=example.query_id,
-        thought_count=graph.generated_count if graph is not None else 0,
+        thought_count=outcome.graph.generated_count if outcome else 0,
         generator_calls=ledger.calls,
-        scorer_calls=scorer_calls,
+        scorer_calls=outcome.scorer_calls if outcome else 0,
         backend_calls=ledger.backend_calls,
         **fields,
     )
@@ -265,10 +261,7 @@ def run_example(
         context = docs[0].text if docs else None
     pred = extract_answer(example.task, ledger.answer(example.query, context))
     return _row(
-        example,
-        ledger,
-        outcome.graph if outcome else None,
-        outcome.scorer_calls if outcome else 0,
+        example, ledger, outcome,
         correct=exact_match(pred, example.gold_answers),
         terminated_by=outcome.terminated_by.value if outcome else "",
         answer=pred,
@@ -296,8 +289,8 @@ def run_benchmark(
             )
         except EngineError as exc:
             log.warning("example %s failed: %s", example.query_id, exc)
-            graph, scorer_calls = getattr(exc, "graph", None), getattr(exc, "scorer_calls", 0)
-            return _row(example, ledger, graph, scorer_calls, correct=0, error=str(exc))
+            outcome = exc.outcome if isinstance(exc, SearchError) else None
+            return _row(example, ledger, outcome, correct=0, error=str(exc))
 
     indexed = list(enumerate(examples))
     if config.workers > 1:

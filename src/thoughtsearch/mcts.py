@@ -23,7 +23,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .config import EpisodeConfig
-from .errors import ConfigError, EngineError, ExhaustedCorpusError, SearchError
+from .errors import ConfigError, EngineError, SearchError
 from .generate import CountingGenerator, Generator, counting
 from .graph import ROOT_ID, Action, ThoughtGraph, new_process
 from .retrieval import DocumentQueue
@@ -52,12 +52,14 @@ class SearchPorts:
 
 @dataclass
 class SearchOutcome:
+    """What one search did, filled in as it runs (a failure's is partial)."""
+
     graph: ThoughtGraph
-    best_thought: int
-    terminated_by: Termination
-    generator_calls: int  # calls this search's planner and scorer asked for
-    backend_calls: int  # of those, the ones the memo did not answer
-    scorer_calls: int
+    best_thought: int | None = None
+    terminated_by: Termination = Termination.BUDGET_EXHAUSTED
+    generator_calls: int = 0  # calls this search's planner and scorer asked for
+    backend_calls: int = 0  # of those, the ones the memo did not answer
+    scorer_calls: int = 0
     simulation_scores: dict[int, float] = field(default_factory=dict)
 
 
@@ -146,11 +148,8 @@ def _document_partner(
     there is no retriever, the draw misses, or the corpus is exhausted."""
     if retriever is None or not rng.random() < p_doc:
         return None
-    try:
-        doc = retriever.next(query_provider)
-    except ExhaustedCorpusError:
-        return None
-    return graph.add_document(doc.text)
+    doc = retriever.next(query_provider)
+    return None if doc is None else graph.add_document(doc.text)
 
 
 def expand(
@@ -228,42 +227,30 @@ Step = Callable[[ThoughtGraph, CountingGenerator, Callable[[], str]], tuple[int,
 def _search(query: str, ports: SearchPorts, config: EpisodeConfig, step: Step) -> SearchOutcome:
     """The episode every planner shares: add one thought per step until one
     scores at least the stop threshold (it is the answer) or the budget is
-    spent (the best mean score among generated nodes is). The calls go on
-    the ports' generator when it already counts (the example's ledger), on
-    a fresh CountingGenerator otherwise; the outcome reports this search's."""
-    graph = new_process(query)
+    spent (the best mean score among generated nodes is). The outcome counts
+    the ports' generator's calls when it already counts (every engine path
+    hands it the example's fresh ledger), a fresh CountingGenerator's
+    otherwise. A failure raises SearchError carrying the outcome so far."""
+    outcome = SearchOutcome(new_process(query))
+    graph = outcome.graph
     generator = counting(ports.generator)
-    calls_before, backend_before = generator.calls, generator.backend_calls
     provider = _query_provider(graph, ports.retriever, generator)
-    scorer_calls = 0
-    simulation_scores: dict[int, float] = {}
-    terminated = Termination.BUDGET_EXHAUSTED
-    best: int | None = None
     try:
         while graph.generated_count < config.max_steps:  # the one budget check
             child, score, calls = step(graph, generator, provider)
-            scorer_calls += calls
-            simulation_scores[child] = score
+            outcome.scorer_calls += calls
+            outcome.simulation_scores[child] = score
             if score >= config.stop_threshold:
-                terminated, best = Termination.THRESHOLD_REACHED, child
+                outcome.terminated_by, outcome.best_thought = Termination.THRESHOLD_REACHED, child
                 break
     except EngineError as exc:
-        raise SearchError(
-            f"search failed after {graph.generated_count} thoughts: {exc}",
-            graph=graph,
-            scorer_calls=scorer_calls,
-        ) from exc
-    if best is None:  # max_steps >= 1 guarantees at least one thought
-        best = _best_generated(graph)
-    return SearchOutcome(
-        graph=graph,
-        best_thought=best,
-        terminated_by=terminated,
-        generator_calls=generator.calls - calls_before,
-        backend_calls=generator.backend_calls - backend_before,
-        scorer_calls=scorer_calls,
-        simulation_scores=simulation_scores,
-    )
+        message = f"search failed after {graph.generated_count} thoughts: {exc}"
+        raise SearchError(message, outcome) from exc
+    finally:
+        outcome.generator_calls, outcome.backend_calls = generator.calls, generator.backend_calls
+    if outcome.best_thought is None:  # max_steps >= 1 guarantees at least one thought
+        outcome.best_thought = _best_generated(graph)
+    return outcome
 
 
 def run_search(

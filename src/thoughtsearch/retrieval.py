@@ -20,7 +20,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import CorpusError, ExhaustedCorpusError, SchemaError, canonical_json, decode_json
+from .errors import CorpusError, SchemaError, canonical_json, decode_json
 from .errors import is_json, json_field, read_json_lines, read_text
 
 INDEX_MAGIC = b"thoughtsearch-index v2\n"
@@ -311,11 +311,11 @@ class DocumentQueue:
             query_vectors=self.query_vectors,
         )
 
-    def next(self, query_provider: Callable[[], str]) -> Document:
-        """Pop the head document, refilling via a fresh retrieval when empty."""
+    def next(self, query_provider: Callable[[], str]) -> Document | None:
+        """Pop the head document, refilling when empty; None when none remains."""
         self.refill_if_empty(query_provider)
         if not self.pending:
-            raise ExhaustedCorpusError("no retrievable documents remain")
+            return None
         doc = self.pending.pop(0)
         self.served.add(doc.doc_id)
         return doc

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thoughtsearch.errors import CorpusError, ExhaustedCorpusError, SchemaError
+from thoughtsearch.errors import CorpusError, SchemaError
 from thoughtsearch.retrieval import (
     CorpusIndex,
     DocumentQueue,
@@ -355,8 +355,7 @@ def test_queue_refill_pattern_batch2_over_5_docs(tmp_path):
         seen.append(doc.doc_id)
     assert refill_at == [1, 3, 5]
     assert len(set(seen)) == 5  # no document served twice
-    with pytest.raises(ExhaustedCorpusError):
-        queue.next(provider)
+    assert queue.next(provider) is None
 
 
 def test_index_round_trip_and_embedder_id_check(tmp_path):
@@ -617,6 +616,5 @@ def test_queue_embeds_each_refill_text_once(tmp_path, monkeypatch):
     seen = [queue.next(lambda: "shared topic").doc_id for _ in range(5)]
     assert queue.refills == 3 and embedded == ["shared topic"]
     assert seen == want
-    with pytest.raises(ExhaustedCorpusError):  # nothing left: no embedding either
-        queue.next(lambda: "a new text")
+    assert queue.next(lambda: "a new text") is None  # nothing left: no embedding either
     assert embedded == ["shared topic"] and "a new text" not in queue.query_vectors
