@@ -5,6 +5,9 @@ protocol, for exercising the HTTP backend path end to end:
     python scripts/serve_sim_backend.py --port 8808
     thoughtsearch run --mode simulated --endpoint http://127.0.0.1:8808/complete ...
 
+The first line on stdout is `listening <port>`, the bound port, so
+`--port 0` serves on a free port and says which.
+
 Request:  {"prompt": str, "max_tokens": int, "logprob_tokens": [str]}
 Response: {"text": str, "token_logprobs": {str: float}}
 """
@@ -75,7 +78,9 @@ def main() -> int:
     parser.add_argument("--port", type=int, default=8808)
     args = parser.parse_args()
     server = ThreadingHTTPServer((args.host, args.port), Handler)
-    print(f"simulated backend listening on http://{args.host}:{args.port}/complete")
+    port = server.server_address[1]  # the bound port, also when --port is 0
+    print(f"listening {port}", flush=True)
+    print(f"simulated backend at http://{args.host}:{port}/complete", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

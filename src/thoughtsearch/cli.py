@@ -16,11 +16,12 @@ import dataclasses
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import harness, simenv
 from .config import ENV_API_KEY, TASK_MODES, EngineConfig, config_hash, load_config
-from .errors import ConfigError, EngineError, SchemaError
+from .errors import ConfigError, EngineError, SchemaError, utf8_text
 from .generate import HttpGenerator, SimulatedGenerator
 from .harness import EnginePorts, Method, QAExample, Task
 from .retrieval import ingest_corpus, load_index, save_index
@@ -124,7 +125,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_args_config(args)
-    if not args.query.strip():
+    if not utf8_text(args.query, "--query", ConfigError).strip():
         raise ConfigError(f"--query must not be blank, got {args.query!r}")
     method = Method(args.method)
     ports = _ports(config, [method])
@@ -227,11 +228,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         results = report.per_example
         n = len(results)
         generator_calls = sum(r.generator_calls for r in results)
-        failed = sum(1 for r in results if r.error)
+        failed_by = Counter(r.error_class for r in results if r.error)
+        failed = sum(failed_by.values())
         summary["methods"][method.value] = {
             "aggregate": report.aggregate,
             "n": n,
             "failed": failed,
+            "failed_by": dict(failed_by),
             "max_steps": report.max_steps,
             "generator_calls": generator_calls,
             "backend_calls": sum(r.backend_calls for r in results),

@@ -108,6 +108,7 @@ class ExampleResult:
     terminated_by: str = ""
     answer: str = ""
     error: str = ""
+    error_class: str = ""  # the failure's class: a SearchError's cause's, else its own
 
 
 @dataclass
@@ -161,14 +162,21 @@ def make_scorer(method: Method, example: QAExample, ports: EnginePorts, config: 
     raise ConfigError(f"method {method.value} has no scorer")
 
 
+def _index(method: Method, ports: EnginePorts) -> CorpusIndex:
+    if ports.index is None:
+        raise ConfigError(f"method {method.value} requires a corpus index")
+    return ports.index
+
+
 def example_search_ports(
     method: Method, example: QAExample, ports: EnginePorts, config: EngineConfig
 ) -> SearchPorts:
-    """Assemble per-example search ports: fresh queue, method-specific scorer."""
+    """Assemble per-example search ports: fresh queue (a method that
+    retrieves requires the index), method-specific scorer."""
     retriever = None
-    if PLANS[method].retrieves and ports.index is not None:
+    if PLANS[method].retrieves:
         retriever = DocumentQueue(
-            ports.index,
+            _index(method, ports),
             batch_size=config.doc_batch_size,
             filter_key=example.filter_key,
             query_mode=config.retrieval.query_mode,
@@ -256,8 +264,8 @@ def run_example(
         if trace_sink is not None:
             trace_sink(example, outcome)
         context = outcome.graph.node(outcome.best_thought).text
-    elif plan.retrieves and ports.index is not None:
-        docs = retrieve(ports.index, example.query, k=1, filter_key=example.filter_key)
+    elif plan.retrieves:
+        docs = retrieve(_index(method, ports), example.query, k=1, filter_key=example.filter_key)
         context = docs[0].text if docs else None
     pred = extract_answer(example.task, ledger.answer(example.query, context))
     return _row(
@@ -289,8 +297,10 @@ def run_benchmark(
             )
         except EngineError as exc:
             log.warning("example %s failed: %s", example.query_id, exc)
-            outcome = exc.outcome if isinstance(exc, SearchError) else None
-            return _row(example, ledger, outcome, correct=0, error=str(exc))
+            searched = isinstance(exc, SearchError)  # raised from the error that ended the search
+            error_class = type(exc.__cause__ if searched else exc).__name__
+            outcome = exc.outcome if searched else None
+            return _row(example, ledger, outcome, correct=0, error=str(exc), error_class=error_class)
 
     indexed = list(enumerate(examples))
     if config.workers > 1:

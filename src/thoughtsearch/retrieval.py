@@ -21,7 +21,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .errors import CorpusError, SchemaError, canonical_json, decode_json
-from .errors import is_json, json_field, read_json_lines, read_text
+from .errors import is_json, json_field, read_json_lines, read_text, utf8_text
 
 INDEX_MAGIC = b"thoughtsearch-index v2\n"
 
@@ -201,7 +201,7 @@ def _read_records(source: str | Path) -> list[tuple[str, str | None, str]]:
     """Yield (source_id, filter_key, text) from a directory of .txt files or
     a newline-delimited JSON record file with fields source_id (a string, or
     an integer read as its decimal string), filter_key (a string or null)
-    and text (a string)."""
+    and text (a string that encodes as UTF-8)."""
     path = Path(source)
     if path.is_dir():
         files = sorted(p for p in path.rglob("*.txt") if p.is_file())
@@ -216,7 +216,8 @@ def _read_records(source: str | Path) -> list[tuple[str, str | None, str]]:
                 if name == "text" or name in rec:  # json_field fails a non-object at "text"
                     json_field(rec, name, kinds, where, CorpusError)
             source_id = rec["source_id"] if "source_id" in rec else f"record-{lineno}"
-            records.append((str(source_id), rec.get("filter_key"), rec["text"]))
+            text = utf8_text(rec["text"], f"{where}.text", CorpusError)
+            records.append((str(source_id), rec.get("filter_key"), text))
         if not records:
             raise CorpusError(f"no records in {path}")
         return records

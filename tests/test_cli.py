@@ -501,6 +501,25 @@ def test_eval_counts_the_examples_that_failed(workspace, tmp_path, capsys):
         assert (entry["n"], entry["failed"]) == (3, failed)
 
 
+def test_eval_summary_counts_the_failures_per_error_class(workspace, tmp_path, capsys):
+    """summary.json's failed_by counts a method's failed examples by the
+    class of the error that failed each."""
+    _tmp, _corpus, examples, _index, _model = workspace
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {"generator": {"backend": "http", "endpoint": "http://127.0.0.1:9/nowhere", "timeout_s": 0.2, "retries": 0}}
+        )
+    )
+    argv = ["eval", "--examples", str(examples), "--methods", "llm_only", "--limit", "3"]
+    for extra, failed_by in (["--config", str(config)], {"TransportError": 3}), ([], {}):
+        out = tmp_path / f"reports{len(failed_by)}"
+        assert main([*argv, *extra, "--out", str(out)]) == 0
+        capsys.readouterr()
+        entry = json.loads((out / "summary.json").read_text())["methods"]["llm_only"]
+        assert entry["failed_by"] == failed_by
+
+
 def test_template_brace_that_is_not_a_slot_is_literal_text(workspace, tmp_path):
     """A SelfCritic body holding a JSON object and a stray brace runs: only
     the five slots are substituted."""
@@ -806,6 +825,8 @@ _MALFORMED_INPUTS = {
         "config.generator.backend must be one of ('simulated', 'http'), got 'htp'",
     ),
     "run_query_blank": ("run-query", "   ", 2, "--query must not be blank"),
+    # A byte that is not UTF-8 reaches argv as a lone surrogate.
+    "run_query_not_utf8": ("run-query", "need:k q\udcff", 2, "--query must encode as UTF-8"),
     "examples_query_blank": (
         "eval-examples", '{"query": " ", "answers": ["v"]}\n', 2, "input.json:1: field 'query' must not be blank"
     ),
@@ -880,6 +901,7 @@ _MALFORMED_INPUTS = {
     ),
     "corpus_record_not_object": ("ingest", "5\n", 3, ":1: record must be an object"),
     "corpus_text_not_string": ("ingest", '{"text": 5}\n', 3, ":1: record.text must be a string"),
+    "corpus_text_surrogate": ("ingest", r'{"text": "a\ud800 b"}' "\n", 3, ":1: record.text must encode as UTF-8"),
     "corpus_not_utf8": ("ingest", b"\xff\n", 3, _NOT_UTF8),
     "corpus_record_nested_deep": ("ingest", "[" * 200_000 + "\n", 3, ":1: bad JSON"),
     "corpus_source_id_null": (
@@ -928,8 +950,8 @@ def test_malformed_input_exits_with_documented_code(tmp_path, capsys, command, c
     bad = tmp_path / "input.json"
     if isinstance(content, bytes):
         bad.write_bytes(content)
-    else:
-        bad.write_text(content)
+    else:  # a run-query row's lone surrogate stands for the byte it escapes
+        bad.write_text(content, errors="surrogateescape")
     templates_config = tmp_path / "config.json"
     templates_config.write_text(json.dumps({"generator": {"template_file": str(bad)}}))
     run = ["run", "--query", "q", "--trace", str(tmp_path / "t.json")]
@@ -1047,6 +1069,44 @@ def test_backend_script_rejects_a_malformed_body_with_400(body):
         server.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+def test_backend_script_on_port_0_prints_the_port_it_bound(tmp_path):
+    """`serve_sim_backend.py --port 0` first prints `listening <port>`,
+    flushed, and serves completions on that port."""
+    import http.client
+    import os
+    import select
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, str(root / "scripts" / "serve_sim_backend.py"), "--port", "0"],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        line = proc.stdout.readline() if ready else ""
+        assert re.fullmatch(r"listening [1-9][0-9]*\n", line), line
+        conn = http.client.HTTPConnection("127.0.0.1", int(line.split()[1]), timeout=10)
+        try:
+            conn.request("POST", "/complete", json.dumps({"prompt": "need:k1 q\nANSWER :"}))
+            resp = conn.getresponse()
+            assert (resp.status, json.loads(resp.read())) == (200, {"text": "unknown"})
+        finally:
+            conn.close()
+    finally:
+        proc.terminate()
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
 
 def test_config_hash_echoed(workspace, tmp_path, capsys, monkeypatch):

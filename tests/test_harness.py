@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from thoughtsearch import simenv
 from thoughtsearch.config import SCORER_KINDS, default_config
-from thoughtsearch.errors import EngineError, SchemaError
+from thoughtsearch.errors import ConfigError, EngineError, GenerationError, SchemaError
 from thoughtsearch.generate import SimulatedGenerator
 from thoughtsearch.harness import (
     PLANS,
@@ -30,9 +30,11 @@ from thoughtsearch.harness import (
     load_examples,
     report_to_csv,
     run_benchmark,
+    run_example,
     train_scorer,
 )
 from thoughtsearch.retrieval import ingest_corpus
+from thoughtsearch.seeding import rng_from
 from thoughtsearch.templates import TemplateSet
 from tests.conftest import write_jsonl
 
@@ -154,6 +156,42 @@ def test_per_example_failure_is_recorded_not_raised(sim):
     # Four thoughts, one generator call each; the fourth score raised.
     row = failed[0]
     assert (row.thought_count, row.generator_calls, row.backend_calls, row.scorer_calls) == (4, 4, 4, 3)
+
+
+def test_a_failed_row_names_the_class_of_what_failed(sim, monkeypatch):
+    """A failed search's row names the class of the error that ended the
+    search, not SearchError; any other failure names its own class, and a
+    row that did not fail names none."""
+    suite, ports, config = sim
+
+    class DownScorer:
+        def score(self, graph, node_id, generator):
+            raise GenerationError("scorer down")
+
+    import thoughtsearch.harness as harness_mod
+
+    monkeypatch.setattr(harness_mod, "make_scorer", lambda *args: DownScorer())
+    searched = run_benchmark(suite.test[:2], Method.MCTS_ORACLE, ports, config)
+    baseline = run_benchmark(suite.test[:2], Method.LLM_ONLY, ports, config)
+    no_index = run_benchmark(suite.test[:2], Method.RAG, dataclasses.replace(ports, index=None), config)
+    assert [r.error_class for r in searched.per_example] == ["GenerationError"] * 2
+    assert [r.thought_count for r in searched.per_example] == [1, 1]
+    assert [(r.error, r.error_class) for r in baseline.per_example] == [("", "")] * 2
+    assert [r.error_class for r in no_index.per_example] == ["ConfigError"] * 2
+
+
+@pytest.mark.parametrize("method", [method for method, plan in PLANS.items() if plan.retrieves])
+def test_a_retrieving_method_without_an_index_fails_closed(sim, method):
+    """A method that retrieves, run over ports with no index, fails every
+    example naming the method: it neither answers closed-book nor searches
+    without documents."""
+    suite, ports, config = sim
+    no_index = dataclasses.replace(ports, index=None)
+    want = f"method {method.value} requires a corpus index"
+    with pytest.raises(ConfigError, match=want):
+        run_example(method, suite.test[0], no_index, config, rng_from(config.seed, 0))
+    report = run_benchmark(suite.test[:2], method, no_index, config)
+    assert [(r.error, r.thought_count, r.generator_calls) for r in report.per_example] == [(want, 0, 0)] * 2
 
 
 class _Recorder:

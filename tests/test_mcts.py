@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from thoughtsearch.config import EpisodeConfig
-from thoughtsearch.errors import ConfigError
+from thoughtsearch.errors import ConfigError, GenerationError, SearchError
 from thoughtsearch.generate import SimulatedGenerator, parse_facts
 from thoughtsearch.graph import Action, NodeKind, new_process
 from thoughtsearch.mcts import (
@@ -353,6 +353,31 @@ def test_run_search_budget_exhausted(constant_scorer):
     assert outcome.terminated_by == Termination.BUDGET_EXHAUSTED
     assert outcome.graph.generated_count == 10
     assert outcome.scorer_calls == 10
+
+
+@pytest.mark.parametrize("planner", [run_search, random_search])
+def test_a_failed_search_hands_back_its_outcome(planner):
+    """The SearchError of a failed search carries the outcome it reached:
+    its graph, the scores and scorer calls so far, and its ledger's counts."""
+
+    class FailsThirdCall:
+        calls = 0
+
+        def score(self, graph, node_id, generator):
+            self.calls += 1
+            if self.calls == 3:
+                raise GenerationError("scorer down")
+            return 0.0
+
+    ports = SearchPorts(generator=SimulatedGenerator(), scorer=FailsThirdCall())
+    with pytest.raises(SearchError, match="search failed after 3 thoughts: scorer down") as info:
+        planner("q", ports, EpisodeConfig(max_steps=10, stop_threshold=0.5))
+    outcome = info.value.outcome
+    assert isinstance(info.value.__cause__, GenerationError)
+    assert outcome.graph.generated_count == 3
+    assert (outcome.scorer_calls, outcome.simulation_scores) == (2, {1: 0.0, 2: 0.0})
+    assert outcome.generator_calls == 3 and 1 <= outcome.backend_calls <= 3
+    assert (outcome.best_thought, outcome.terminated_by) == (None, Termination.BUDGET_EXHAUSTED)
 
 
 def test_run_search_counters_affine_in_nodes(small_index, constant_scorer):
