@@ -13,27 +13,28 @@ import hashlib
 import math
 import os
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import count, repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import CorpusError, SchemaError, canonical_json, decode_json
-from .errors import is_json, json_field, read_json_lines, read_text, utf8_text
+from .errors import is_json, json_field, json_value, read_json_lines, read_text, utf8_text
 
-INDEX_MAGIC = b"thoughtsearch-index v2\n"
+INDEX_MAGIC = b"thoughtsearch-index v3\n"
 
 
 class Document(NamedTuple):
-    """One retrievable chunk of source text."""
+    """One retrievable chunk of source text; its id is its position in the
+    index."""
 
     doc_id: int
     text: str
     source_id: str
     filter_key: str | None
-    word_count: int
 
 
 def _tokens(text: str) -> list[str]:
@@ -93,7 +94,7 @@ class HashedEmbedder:
             if bucket is None:
                 bucket = self._bucket(token)
             vec[bucket] += count * idf.get(token, unseen)
-        norm = float(np.linalg.norm(vec))
+        norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's own form
         return vec / norm if norm else vec
 
 
@@ -111,12 +112,13 @@ def _tally(texts: Iterable[str]) -> _Tallies:
     """Every chunk's tally at once. Each text is split once into token ids,
     which follow first occurrence; one sort of the distinct (chunk, id) keys
     by their first position then puts each chunk's entries in Counter order."""
-    vocab: dict[str, int] = {}
+    ids_by_token = defaultdict(count().__next__)  # a new token takes the next id
     ids, lengths = array("q"), array("q")
     for text in texts:
         tokens = _tokens(text)
-        ids.extend([vocab.setdefault(token, len(vocab)) for token in tokens])
+        ids.extend(map(ids_by_token.__getitem__, tokens))
         lengths.append(len(tokens))
+    vocab = dict(ids_by_token)
     n, v = len(lengths), len(vocab)
     keys = np.repeat(np.arange(n, dtype=np.int64), lengths) * v + np.asarray(ids)
     keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
@@ -131,10 +133,10 @@ def _fit_idf(tallies: _Tallies, dim: int) -> HashedEmbedder:
     """Smooth IDF weights; a token's document frequency is the number of
     chunks whose tally holds it."""
     n_docs = len(tallies.sizes)
-    doc_freq = zip(tallies.vocab, np.bincount(tallies.ids, minlength=len(tallies.vocab)).tolist())
+    doc_freq = np.bincount(tallies.ids, minlength=len(tallies.vocab)).tolist()
     idf = {
-        token: math.log((1.0 + n_docs) / (1.0 + df)) + 1.0
-        for token, df in sorted(doc_freq)
+        token: math.log((1.0 + n_docs) / (1.0 + doc_freq[tallies.vocab[token]])) + 1.0
+        for token in sorted(tallies.vocab)
     }
     return HashedEmbedder(dim=dim, idf=idf, n_docs=n_docs)
 
@@ -142,16 +144,18 @@ def _fit_idf(tallies: _Tallies, dim: int) -> HashedEmbedder:
 def _embed_tallies(embedder: HashedEmbedder, tallies: _Tallies) -> np.ndarray:
     """One row per chunk, bit-equal to `embedder.embed` of its text: the same
     `count * weight` terms, added into each row in the same (Counter) order by
-    one `np.add.at`, then each row divided by the same `np.linalg.norm`. Every
-    token is in the embedder's vocabulary, which was fitted on these chunks."""
+    one `np.bincount`, which adds its weights in input order, then each row
+    divided by the same norm. Every token is in the embedder's vocabulary,
+    which was fitted on these chunks."""
     # Each vocabulary token's bucket and weight, at its id.
     n = len(tallies.vocab)
     bucket = np.fromiter(map(embedder._bucket, tallies.vocab), np.int64, n)
     weight = np.fromiter(map(embedder.idf.__getitem__, tallies.vocab), np.float64, n)
-    rows = np.repeat(np.arange(len(tallies.sizes)), tallies.sizes)
-    embeddings = np.zeros((len(tallies.sizes), embedder.dim), dtype=np.float64)
-    np.add.at(embeddings, (rows, bucket[tallies.ids]), tallies.counts * weight[tallies.ids])
-    norms = np.fromiter(map(np.linalg.norm, embeddings), np.float64, len(embeddings))
+    n_rows, dim = len(tallies.sizes), embedder.dim
+    cells = np.repeat(np.arange(n_rows, dtype=np.int64) * dim, tallies.sizes) + bucket[tallies.ids]
+    terms = tallies.counts * weight[tallies.ids]
+    embeddings = np.bincount(cells, terms, minlength=n_rows * dim).reshape(n_rows, dim)
+    norms = np.fromiter((math.sqrt(row.dot(row)) for row in embeddings), np.float64, n_rows)
     embeddings /= np.where(norms == 0.0, 1.0, norms)[:, None]
     return embeddings
 
@@ -160,9 +164,9 @@ def _embed_tallies(embedder: HashedEmbedder, tallies: _Tallies) -> np.ndarray:
 class CorpusIndex:
     """Immutable after ingestion; safe to share across concurrent searches.
 
-    documents[i].doc_id == i. `rows_by_key` maps each filter_key to the
-    ascending rows of its documents; it is derived here, on construction,
-    and never written to an index file.
+    documents[i].doc_id == i: a document's id is its position. `rows_by_key`
+    maps each filter_key to the ascending rows of its documents; it is
+    derived here, on construction, and never written to an index file.
     """
 
     documents: list[Document]
@@ -181,6 +185,13 @@ class CorpusIndex:
         return self.embedder.embedder_id
 
 
+def _documents(*columns: list) -> list[Document]:
+    """Documents from their text, source_id and filter_key columns, each
+    document's id its position. Each is made by `tuple.__new__`, as
+    `Document._make` makes it, with no Python call per document."""
+    return list(map(tuple.__new__, repeat(Document), zip(count(), *columns)))
+
+
 def chunk_words(text: str, size: int) -> list[str]:
     """Split on whitespace into consecutive chunks of exactly `size` words.
 
@@ -193,8 +204,10 @@ def chunk_words(text: str, size: int) -> list[str]:
     return [" ".join(words[i : i + size]) for i in range(0, len(words), size)]
 
 
-# A corpus record's fields: text is required, the others optional.
+# A corpus record's fields: text is required, the others optional. For
+# these kinds the JSON rule is an exact type test.
 _RECORD_FIELDS = {"text": (str,), "filter_key": (str, type(None)), "source_id": (str, int)}
+_KEY_KINDS, _ID_KINDS = _RECORD_FIELDS["filter_key"], _RECORD_FIELDS["source_id"]
 
 
 def _read_records(source: str | Path) -> list[tuple[str, str | None, str]]:
@@ -211,13 +224,25 @@ def _read_records(source: str | Path) -> list[tuple[str, str | None, str]]:
     if path.is_file():
         records = []
         for lineno, rec in read_json_lines(path, "corpus", CorpusError):
-            where = f"{path}:{lineno}: record"
-            for name, kinds in _RECORD_FIELDS.items():
-                if name == "text" or name in rec:  # json_field fails a non-object at "text"
-                    json_field(rec, name, kinds, where, CorpusError)
-            source_id = rec["source_id"] if "source_id" in rec else f"record-{lineno}"
-            text = utf8_text(rec["text"], f"{where}.text", CorpusError)
-            records.append((str(source_id), rec.get("filter_key"), text))
+            # The field kinds, tested inline; ASCII text always encodes. Any
+            # other record goes through the field rules, which raise for its
+            # first bad field or pass it unchanged.
+            if not (
+                type(rec) is dict
+                and type(text := rec.get("text")) is str
+                and text.isascii()
+                and type(rec.get("filter_key")) in _KEY_KINDS
+                and type(rec.get("source_id", "")) in _ID_KINDS
+            ):
+                where = f"{path}:{lineno}: record"
+                for name, kinds in _RECORD_FIELDS.items():
+                    if name == "text" or name in rec:  # json_field fails a non-object at "text"
+                        json_field(rec, name, kinds, where, CorpusError)
+                text = utf8_text(rec["text"], f"{where}.text", CorpusError)
+            source_id = rec.get("source_id")
+            records.append(
+                (f"record-{lineno}" if source_id is None else str(source_id), rec.get("filter_key"), text)
+            )
         if not records:
             raise CorpusError(f"no records in {path}")
         return records
@@ -230,18 +255,22 @@ def ingest_corpus(
     dim: int = 256,
 ) -> CorpusIndex:
     """Chunk every source text, fit IDF weights, and embed each chunk."""
-    documents: list[Document] = []
+    texts: list[str] = []
+    source_ids: list[str] = []
+    filter_keys: list[str | None] = []
     for source_id, filter_key, text in _read_records(source):
-        for chunk in chunk_words(text, chunk_size):
-            # A chunk is its words joined by single spaces: no second split.
-            word_count = chunk.count(" ") + 1
-            documents.append(Document(len(documents), chunk, source_id, filter_key, word_count))
-    if not documents:
+        chunks = chunk_words(text, chunk_size)
+        texts += chunks
+        source_ids += [source_id] * len(chunks)
+        filter_keys += [filter_key] * len(chunks)
+    if not texts:
         raise CorpusError(f"corpus at {source} produced no chunks")
-    tallies = _tally(d.text for d in documents)
+    tallies = _tally(texts)
     embedder = _fit_idf(tallies, dim)
     return CorpusIndex(
-        documents=documents, embeddings=_embed_tallies(embedder, tallies), embedder=embedder
+        documents=_documents(texts, source_ids, filter_keys),
+        embeddings=_embed_tallies(embedder, tallies),
+        embedder=embedder,
     )
 
 
@@ -327,44 +356,39 @@ class DocumentQueue:
         self.served.add(doc.doc_id)
 
 
-_MISSING = object()
-# In Document's field order. For these kinds the JSON rule is an exact type
-# test, which the column check below makes inline.
-_DOCUMENT_FIELDS = {
-    "doc_id": (int,),
-    "text": (str,),
-    "source_id": (str,),
-    "filter_key": (str, type(None)),
-    "word_count": (int,),
-}
+# The saved documents, one column per field, in Document's field order after
+# the id, which is the position. For these kinds the JSON rule is an exact
+# type test, which the column check below makes inline.
+_DOCUMENT_COLUMNS = {"text": (str,), "source_id": (str,), "filter_key": (str, type(None))}
+_V2_MAGIC = b"thoughtsearch-index v2\n"
 
 
-def _documents_from_list(records: list) -> list[Document]:
-    """Check the saved documents one field at a time across all of them: a
+def _documents_from_columns(columns: dict) -> list[Document]:
+    """Check the saved documents one column at a time, each whole: a
     per-document call per field would add a third to load_index's time."""
-    for i, rec in enumerate(records):
-        if type(rec) is not dict:
-            raise SchemaError(f"index.documents[{i}] must be an object")
-    columns = []
-    for name, kinds in _DOCUMENT_FIELDS.items():
-        column = [rec.get(name, _MISSING) for rec in records]
-        for i, value in enumerate(column):
-            if type(value) not in kinds:
-                json_field(records[i], name, kinds, f"index.documents[{i}]")  # raises
-        columns.append(column)
-    doc_ids = columns[0]
-    if doc_ids != list(range(len(doc_ids))):
-        i = next(i for i, doc_id in enumerate(doc_ids) if doc_id != i)
-        raise SchemaError(f"index.documents[{i}].doc_id is {doc_ids[i]}, expected its position {i}")
-    return list(map(Document._make, zip(*columns)))
+    found = []
+    for name, kinds in _DOCUMENT_COLUMNS.items():
+        column = json_field(columns, name, (list,), "index.documents")
+        if not set(map(type, column)) <= set(kinds):
+            i = next(i for i, value in enumerate(column) if type(value) not in kinds)
+            json_value(column[i], kinds, f"index.documents.{name}[{i}]")  # raises
+        if found and len(column) != len(found[0]):
+            raise SchemaError(
+                f"index.documents.{name} has {len(column)} entries, expected {len(found[0])} "
+                "(one per text)"
+            )
+        found.append(column)
+    return _documents(*found)
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write a deterministic, byte-stable index file (format version 2): the
+    """Write a deterministic, byte-stable index file (format version 3): the
     magic line, the header's byte length in ASCII and a newline, the
     canonical JSON header, then the embeddings as raw little-endian C-order
-    float64 bytes, whose sha256 the header holds."""
+    float64 bytes, whose sha256 the header holds. The header holds the
+    documents as columns; a document's id is its position."""
     body = np.ascontiguousarray(index.embeddings, dtype="<f8")
+    docs = index.documents
     header = {
         "embedder_id": index.embedder_id,
         "embedder": {
@@ -372,7 +396,11 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
             "n_docs": index.embedder.n_docs,
             "idf": index.embedder.idf,
         },
-        "documents": [d._asdict() for d in index.documents],
+        "documents": {
+            "text": [d.text for d in docs],
+            "source_id": [d.source_id for d in docs],
+            "filter_key": [d.filter_key for d in docs],
+        },
         "shape": list(body.shape),
         "sha256": hashlib.sha256(body).hexdigest(),
     }
@@ -383,14 +411,15 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
 
 
 def _read_header(f, path: str | Path) -> tuple[dict, int]:
-    """The JSON header of a version 2 index file, and the byte length of the
+    """The JSON header of a version 3 index file, and the byte length of the
     body that follows it, where `f` is left."""
     magic = f.read(len(INDEX_MAGIC))
     if magic != INDEX_MAGIC:
-        if magic.startswith(b"{"):
+        old = "1 (JSON)" if magic.startswith(b"{") else "2" if magic == _V2_MAGIC else None
+        if old:
             raise SchemaError(
-                f"{path} is a version 1 (JSON) index file; this version reads only "
-                "version 2 index files: re-ingest the corpus"
+                f"{path} is a version {old} index file; this version reads only "
+                "version 3 index files: re-ingest the corpus"
             )
         raise SchemaError(f"{path} does not start with the index magic line {INDEX_MAGIC!r}")
     line = f.readline(21)  # at most 20 digits and the newline
@@ -427,11 +456,13 @@ def _read_index(f, path: str | Path) -> CorpusIndex:
         raise SchemaError(
             f"index.embedder has dim {dim} and n_docs {n_docs}; need dim >= 1, 0 <= n_docs < 2**63"
         )
-    for token, weight in (idf or {}).items():
-        if not is_json(weight, float):
-            raise SchemaError(f"index.embedder.idf[{token!r}] = {weight!r} is not a finite number")
+    weights = (idf or {}).values()
+    if not (set(map(type, weights)) <= {float} and all(map(math.isfinite, weights))):
+        for token, weight in idf.items():  # the first weight that is not a finite number
+            if not is_json(weight, float):
+                raise SchemaError(f"index.embedder.idf[{token!r}] = {weight!r} is not a finite number")
     embedder = HashedEmbedder(dim=dim, idf=idf, n_docs=n_docs)
-    documents = _documents_from_list(json_field(record, "documents", (list,), "index"))
+    documents = _documents_from_columns(json_field(record, "documents", (dict,), "index"))
     shape = [len(documents), dim]
     if json_field(record, "shape", (list,), "index") != shape:
         raise SchemaError(

@@ -65,11 +65,11 @@ GOLDEN = {  # id: (method, rows sha256, trace bytes sha256)
 
 
 # sha256 of the fixture's index file (save_index) and model file (save_model).
-INDEX_FILE_SHA256 = "c844447c257a924fce661032866dcf9b73a4466f1cae3c278d4cc457ec5fa956"
+INDEX_FILE_SHA256 = "a88738ead2bcafdfa7d08e1ee628755221d5c74c128f5b9ac1fea50db23e0240"
 MODEL_FILE_SHA256 = "05eb63def41520205ae0b5b001e460ef28fbfb907971c98d63f982f1cf481b1e"
 # sha256 of the index file of the fixture's corpus at dim 7: most of its
 # tokens share a bucket, so each row's sums depend on the order of the adds.
-DIM7_INDEX_FILE_SHA256 = "f80e9e70b974b547a79d3e0b72043e9d6adeffb2931d940a722b5012e0c61b55"
+DIM7_INDEX_FILE_SHA256 = "56797193edfa656222a43800217164478e39dda67cfcce187cc2fb86ea67633f"
 # sha256 of the fixture's corpus file (write_records), examples file
 # (write_examples of train and test) and dataset file (save_dataset of the
 # samples train_scorer collects).

@@ -28,6 +28,8 @@ from thoughtsearch.harness import (
     accuracy_vs_size_curve,
     extract_answer,
     load_examples,
+    make_scorer,
+    oracle_metric_for,
     report_to_csv,
     run_benchmark,
     run_example,
@@ -406,3 +408,50 @@ def test_load_examples_rejects_a_repeated_id_naming_both_lines(tmp_path, first, 
 def test_load_examples_missing_file_is_schema_error(tmp_path):
     with pytest.raises(SchemaError, match="cannot read examples file"):
         load_examples(tmp_path / "absent.jsonl")
+
+
+def test_exact_oracle_metric_scores_only_a_whole_answer():
+    """The boolq and emrqa modes grade with exact match; the simulated mode
+    with token F1, which gives a partial answer partial credit."""
+    exact = oracle_metric_for(default_config("boolq"))
+    assert exact("30 mg", ["30 mg"]) == 1.0
+    assert exact("30", ["30 mg"]) == 0.0
+    assert oracle_metric_for(default_config("simulated"))("30", ["30 mg"]) == pytest.approx(2 / 3)
+
+
+class _Answering(SimulatedGenerator):
+    """Answers every question with one fixed completion."""
+
+    def __init__(self, completion):
+        self.completion = completion
+
+    def answer(self, query, context=None):
+        return self.completion
+
+
+@pytest.mark.parametrize(
+    "mode, task, gold, completion",
+    [
+        ("boolq", Task.BOOLEAN, "1", "I think 1 is right"),
+        ("emrqa", Task.EXTRACTIVE_MG, "30 mg", "The dose is 30 milligrams daily"),
+    ],
+)
+def test_oracle_parses_the_completion_into_the_task_answer_space(mode, task, gold, completion):
+    """make_scorer's oracle parses a boolean or milligram completion before
+    the exact metric grades it: the raw completion would score 0."""
+    from thoughtsearch.graph import Action, new_process
+
+    example = QAExample("q1", "what dose?", [gold], task)
+    config = default_config(mode)
+    scorer = make_scorer(Method.MCTS_ORACLE, example, EnginePorts(generator=None, templates=None), config)
+    graph = new_process(example.query)
+    node = graph.apply_transition(Action(0, 0), "a thought")
+    assert scorer.score(graph, node, _Answering(completion)) == 1.0
+    assert oracle_metric_for(config)(completion, [gold]) == 0.0
+    assert scorer.score(graph, node, _Answering("no answer here")) == 0.0
+
+
+def test_boolean_example_needs_gold_answers_0_or_1():
+    assert QAExample("q1", "is it?", ["0", "1"], Task.BOOLEAN).gold_answers == ["0", "1"]
+    with pytest.raises(ConfigError, match="example q1: boolean gold answers must be '0' or '1'"):
+        QAExample("q1", "is it?", ["yes"], Task.BOOLEAN)

@@ -15,11 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thoughtsearch.errors import CorpusError, SchemaError
+from thoughtsearch.errors import CorpusError, SchemaError, canonical_json, decode_json, json_field, utf8_text
 from thoughtsearch.retrieval import (
+    INDEX_MAGIC,
     CorpusIndex,
     DocumentQueue,
     HashedEmbedder,
+    _read_records,
     _tally,
     chunk_words,
     ingest_corpus,
@@ -75,7 +77,7 @@ def test_ingest_directory_and_empty_errors(tmp_path):
     (tmp_path / "b.txt").write_text(_words(5), encoding="utf-8")
     index = ingest_corpus(tmp_path, chunk_size=10, dim=64)
     assert len(index.documents) == 3  # 10+2 and 5
-    assert all(d.word_count <= 10 for d in index.documents)
+    assert all(len(d.text.split()) <= 10 for d in index.documents)
     with pytest.raises(CorpusError):
         ingest_corpus(tmp_path / "missing", chunk_size=10)
 
@@ -157,7 +159,7 @@ def test_ingested_rows_equal_embed_bit_for_bit(tmp_path_factory, records, chunk_
     assert index.embeddings.shape == (len(index.documents), dim)
     for doc, row in zip(index.documents, index.embeddings):
         assert row.tobytes() == index.embedder.embed(doc.text).tobytes()
-        assert doc.word_count == len(doc.text.split())
+        assert len(doc.text.split()) <= chunk_size
 
 
 def _reference_tally(texts):
@@ -189,6 +191,137 @@ def test_tally_equals_one_counter_per_text(texts):
     assert list(got.vocab.items()) == list(vocab.items())
     assert (got.ids.dtype, got.counts.dtype, got.sizes.dtype) == (np.int64, np.float64, np.int64)
     assert got.ids.tolist() == ids and got.counts.tolist() == counts and got.sizes.tolist() == sizes
+
+
+def _reference_records(path):
+    """The corpus record reader as one decode, one field check per field and
+    one UTF-8 check per line."""
+    records = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
+        if not line.strip():
+            continue
+        rec = decode_json(line, f"{path}:{lineno}: bad JSON", CorpusError)
+        where = f"{path}:{lineno}: record"
+        text = json_field(rec, "text", (str,), where, CorpusError)
+        for name, kinds in (("filter_key", (str, type(None))), ("source_id", (str, int))):
+            if name in rec:
+                json_field(rec, name, kinds, where, CorpusError)
+        utf8_text(text, f"{where}.text", CorpusError)
+        records.append((str(rec.get("source_id", f"record-{lineno}")), rec.get("filter_key"), text))
+    if not records:
+        raise CorpusError(f"no records in {path}")
+    return records
+
+
+def _records_or_error(read, path):
+    try:
+        return read(path)
+    except CorpusError as exc:
+        return f"CorpusError: {exc}"
+
+
+_ascii_text = st.text(st.characters(max_codepoint=127), max_size=10)
+_unicode_text = st.text(max_size=10) | st.sampled_from(["caf\u00e9 na\u00efve", "\u65e5\u672c \u8a9e", "x\u2028y"])
+_surrogate_text = st.sampled_from(["\ud800", "a \udfff b", "\udbff\udc00"])
+_wrong_kind = st.booleans() | st.floats(allow_nan=False, allow_infinity=False) | st.none() | st.lists(st.integers(0, 2), max_size=2)
+# Each field of a drawn record is of its kind or of a wrong one, or absent.
+_record = st.fixed_dictionaries(
+    {},
+    optional={
+        "text": _ascii_text | _unicode_text | _surrogate_text | _wrong_kind | st.integers(),
+        "source_id": _ascii_text | st.integers() | _surrogate_text | _wrong_kind,
+        "filter_key": _ascii_text | st.none() | _unicode_text | _wrong_kind | st.integers(),
+        "other": _wrong_kind,
+    },
+)
+_non_object = st.lists(st.integers(), max_size=2) | _ascii_text | st.integers() | st.none() | st.booleans()
+_raw_line = st.sampled_from(
+    ["", "   ", "{", "nul", '{"text": "a"} x', "[" * 100_000, "\ufeff" + '{"text": "a b"}', '{"text": "\\ud83d"}']
+)
+
+
+def _line(draw, value):
+    try:
+        line = json.dumps(value, ensure_ascii=draw(st.booleans()))
+        line.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate is written as its escape
+        line = json.dumps(value)
+    return draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", "\r"]))
+
+
+@st.composite
+def _record_lines(draw):
+    """Well-formed records, with one line of any kind among them."""
+    good = st.fixed_dictionaries(
+        {"text": _ascii_text | _unicode_text},
+        optional={"source_id": _ascii_text | st.integers(), "filter_key": st.none() | _ascii_text},
+    )
+    lines = [_line(draw, value) for value in draw(st.lists(good, max_size=4))]
+    kind = draw(st.sampled_from(["raw", "non-object", "record", "record"]))
+    line = draw(_raw_line) if kind == "raw" else _line(draw, draw(_record if kind == "record" else _non_object))
+    lines.insert(draw(st.integers(0, len(lines))), line)
+    return lines
+
+
+@given(lines=_record_lines())
+@example(lines=['{"text": "a b", "source_id": null}'])
+@example(lines=['{"text": true}'])
+@example(lines=['{"text": "a", "filter_key": 1.5}'])
+@example(lines=['{"text": "a", "source_id": ["s"]}'])
+@example(lines=['{"text": "\\udc00 b"}'])
+@settings(max_examples=300, deadline=None)
+def test_corpus_reader_matches_the_per_line_reference(tmp_path_factory, lines):
+    """The reader's inline field test passes exactly the records the field
+    rules pass, and any other record fails with the rules' own message:
+    non-objects, fields of the wrong kind, a missing text, non-ASCII text,
+    lone surrogates, a BOM, leading whitespace, CRLF line ends, nesting too
+    deep and blank lines."""
+    path = tmp_path_factory.mktemp("reader") / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _records_or_error(_read_records, path) == _records_or_error(_reference_records, path)
+
+
+_escaped_token = st.text(min_size=1, max_size=5) | st.sampled_from(
+    ['"quoted"', "back\\slash", "ctl\x01\x1f", "</end>", "\u00e9t\u00e9", "\u65e5\u672c", "\U0001f600"]
+)
+
+
+@given(
+    records=st.lists(
+        st.tuples(
+            st.lists(_escaped_token, min_size=1, max_size=8).map(" ".join).filter(str.split),
+            st.none() | st.sampled_from(["a", 'k"ey', "\u00e9"]),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    dim=st.sampled_from([1, 8]),
+)
+@settings(max_examples=60, deadline=None)
+def test_saved_index_is_magic_length_canonical_header_and_body(tmp_path_factory, records, dim):
+    """save_index writes the magic line, the header's byte length, the
+    canonical JSON header with the documents as columns, and the rows."""
+    tmp_path = tmp_path_factory.mktemp("layout")
+    corpus = [{"source_id": f"s{i}", "filter_key": key, "text": text} for i, (text, key) in enumerate(records)]
+    index = ingest_corpus(_corpus_file(tmp_path, corpus), chunk_size=3, dim=dim)
+    save_index(index, tmp_path / "index.bin")
+    body = index.embeddings.astype("<f8").tobytes()
+    header = canonical_json(
+        {
+            "embedder_id": index.embedder_id,
+            "embedder": {"dim": dim, "n_docs": len(index.documents), "idf": index.embedder.idf},
+            "documents": {
+                "text": [d.text for d in index.documents],
+                "source_id": [d.source_id for d in index.documents],
+                "filter_key": [d.filter_key for d in index.documents],
+            },
+            "shape": [len(index.documents), dim],
+            "sha256": hashlib.sha256(body).hexdigest(),
+        }
+    ).encode("utf-8")
+    assert (tmp_path / "index.bin").read_bytes() == INDEX_MAGIC + b"%d\n" % len(header) + header + body
+    loaded = load_index(tmp_path / "index.bin")
+    assert loaded.documents == index.documents and loaded.embedder == index.embedder
 
 
 def test_bucket_memo_holds_only_idf_tokens(tmp_path):
@@ -389,11 +522,11 @@ def test_rows_by_key_survives_round_trip(tmp_path):
     assert load_index(out).rows_by_key == index.rows_by_key
 
 
-MAGIC = b"thoughtsearch-index v2\n"
+MAGIC = b"thoughtsearch-index v3\n"
 
 
 def _read_index(path):
-    """The (header, embeddings) of a v2 index file; the rows are a copy."""
+    """The (header, embeddings) of a v3 index file; the rows are a copy."""
     data = path.read_bytes()
     assert data.startswith(MAGIC)
     length_line, rest = data[len(MAGIC) :].split(b"\n", 1)
@@ -404,7 +537,7 @@ def _read_index(path):
 
 
 def _write_index(path, header, rows, rehash=True):
-    """Write a header and rows as a v2 index file. With rehash the header's
+    """Write a header and rows as a v3 index file. With rehash the header's
     sha256 is recomputed, so that checks after the hash check still run."""
     body = np.ascontiguousarray(rows, dtype="<f8").tobytes()
     if rehash:
@@ -426,6 +559,12 @@ def test_index_file_layout(tmp_path):
     out = _small_index_file(tmp_path)
     header, rows = _read_index(out)
     assert sorted(header) == ["documents", "embedder", "embedder_id", "sha256", "shape"]
+    # The documents are columns; a document's id is its position.
+    assert header["documents"] == {
+        "text": [d.text for d in load_index(out).documents],
+        "source_id": ["s0", "s0", "s1", "s1"],
+        "filter_key": ["f"] * 4,
+    }
     assert header["shape"] == [4, 16] and rows.shape == (4, 16)
     assert header["sha256"] == hashlib.sha256(rows.tobytes()).hexdigest()
     # The header is canonical JSON, and the body is the file's tail.
@@ -436,11 +575,13 @@ def test_index_file_layout(tmp_path):
 
 
 def _add_document(header, rows):
-    header["documents"].append(dict(header["documents"][-1], doc_id=len(header["documents"])))
+    for column in header["documents"].values():
+        column.append(column[-1])
 
 
 def _drop_last_document(header, rows):
-    header["documents"].pop()
+    for column in header["documents"].values():
+        column.pop()
 
 
 def _drop_last_row(header, rows):
@@ -458,15 +599,19 @@ def _non_finite_row(header, rows):
         (lambda h, r: h.clear(), "missing field 'embedder'"),
         (lambda h, r: h["embedder"].pop("dim"), r"index.embedder missing field 'dim'"),
         (lambda h, r: h.pop("shape"), "missing field 'shape'"),
-        (lambda h, r: h["documents"][1].pop("text"), r"documents\[1\] missing field 'text'"),
+        (lambda h, r: h["documents"].pop("text"), r"index.documents missing field 'text'"),
         (_add_document, "shape"),
         (_drop_last_document, "shape"),
         (_drop_last_row, "shape"),
         (lambda h, r: h["shape"].__setitem__(1, 8), "shape"),
         (lambda h, r: r.reshape(-1)[:-3], "embeddings are 488 bytes, expected 4 x 16 x 8 = 512"),
-        (lambda h, r: h["documents"][3].__setitem__("doc_id", 0), r"documents\[3\].doc_id"),
-        (lambda h, r: h["documents"][0].__setitem__("filter_key", ["a"]), r"documents\[0\].filter_key"),
-        (lambda h, r: h["documents"][0].__setitem__("filter_key", 7), r"documents\[0\].filter_key"),
+        (lambda h, r: h["documents"]["source_id"].pop(), r"documents.source_id has 3 entries, expected 4"),
+        (lambda h, r: h["documents"]["filter_key"].__setitem__(0, ["a"]), r"documents.filter_key\[0\]"),
+        (lambda h, r: h["documents"]["filter_key"].__setitem__(0, 7), r"documents.filter_key\[0\]"),
+        (lambda h, r: h["documents"]["text"].__setitem__(2, None), r"documents.text\[2\] must be a string"),
+        (lambda h, r: h["documents"]["source_id"].__setitem__(3, 3), r"documents.source_id\[3\] must be a string"),
+        (lambda h, r: h.__setitem__("documents", [{"text": "x"}]), "index.documents must be an object"),
+        (lambda h, r: h["documents"].__setitem__("filter_key", None), "index.documents.filter_key must be a list"),
         (lambda h, r: h["embedder"]["idf"].__setitem__("w0", "x"), "idf"),
         (_non_finite_row, "row 2 is not finite"),
         (lambda h, r: h["embedder"].__setitem__("n_docs", 10**400), r"0 <= n_docs < 2\*\*63"),
@@ -481,9 +626,13 @@ def _non_finite_row(header, rows):
         "fewer-rows-than-documents",
         "shape-not-embedder-dim",
         "embeddings-truncated",
-        "doc-id-not-position",
+        "columns-of-unequal-length",
         "filter-key-unhashable",
         "filter-key-not-string",
+        "text-not-string",
+        "source-id-not-string",
+        "documents-as-records",
+        "column-not-list",
         "idf-not-numeric",
         "embeddings-not-finite",
         "n-docs-beyond-float",
@@ -514,11 +663,12 @@ def _header_length_past_eof(data):
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (lambda d: b"thoughtsearch-index v3\n" + d[len(MAGIC) :], "magic line"),
+        (lambda d: b"thoughtsearch-index v4\n" + d[len(MAGIC) :], "magic line"),
         (_header_length_past_eof, "runs past the end of the file"),
         (_flip_body_byte, "do not match index.sha256"),
         (lambda d: d + b"\0" * 8, "embeddings are 520 bytes"),
         (lambda d: b'{"version":1}\n', "version 1 .* re-ingest"),
+        (lambda d: b"thoughtsearch-index v2\n" + d[len(MAGIC) :], "version 2 index file.* re-ingest"),
         (lambda d: d[: len(MAGIC) + 2], "no header length"),
     ],
     ids=[
@@ -527,6 +677,7 @@ def _header_length_past_eof(data):
         "body-byte-flipped",
         "trailing-bytes",
         "v1-json-file",
+        "v2-file",
         "cut-in-header-length",
     ],
 )
@@ -540,7 +691,7 @@ def test_malformed_index_bytes_are_rejected_at_load(tmp_path, mutate, message):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_damaged_index_file_raises_only_schema_error(tmp_path_factory, data):
-    """A v2 file cut short anywhere, or with a few bytes flipped, either
+    """A v3 file cut short anywhere, or with a few bytes flipped, either
     loads or raises SchemaError; nothing else escapes load_index."""
     tmp_path = tmp_path_factory.mktemp("fuzz")
     out = _small_index_file(tmp_path)

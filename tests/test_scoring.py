@@ -394,6 +394,34 @@ def test_collect_offline_dataset_one_sample_per_node():
     assert all(s.emb_i.shape == (32,) for s in samples)
 
 
+def test_collect_offline_dataset_skips_a_failed_search(caplog):
+    """A search that raises SearchError adds no sample and stops no other
+    example's search."""
+    from thoughtsearch.config import EpisodeConfig
+    from thoughtsearch.errors import GenerationError
+    from thoughtsearch.harness import QAExample, Task
+    from thoughtsearch.mcts import SearchPorts
+
+    class FailingGenerator(SimulatedGenerator):
+        def generate_thought(self, parents, query):
+            raise GenerationError("backend down")
+
+    examples = [
+        QAExample(query_id=f"t{i}", query=f"need:k{i} find it", gold_answers=["v9"], task=Task.SIMULATED_FACT)
+        for i in range(3)
+    ]
+
+    def ports_factory(example, rng):
+        generator = FailingGenerator() if example.query_id == "t1" else SimulatedGenerator()
+        return SearchPorts(generator=generator, scorer=OracleScorer(example.gold_answers, best_token_f1))
+
+    config = EpisodeConfig(max_steps=4, stop_threshold=2.0)
+    with caplog.at_level("WARNING", logger="thoughtsearch.scoring"):
+        samples = collect_offline_dataset(examples, ports_factory, config, HashedEmbedder(dim=16), seed=0)
+    assert [s.query_id for s in samples] == ["t0"] * 4 + ["t2"] * 4
+    assert "skipping example t1: search failed after 0 thoughts: backend down" in caplog.text
+
+
 def test_collect_replay_byte_identical_dataset_file(tmp_path):
     from thoughtsearch.harness import QAExample, Task
     from thoughtsearch.config import EpisodeConfig
