@@ -155,6 +155,7 @@ def _embed_tallies(embedder: HashedEmbedder, tallies: _Tallies) -> np.ndarray:
     cells = np.repeat(np.arange(n_rows, dtype=np.int64) * dim, tallies.sizes) + bucket[tallies.ids]
     terms = tallies.counts * weight[tallies.ids]
     embeddings = np.bincount(cells, terms, minlength=n_rows * dim).reshape(n_rows, dim)
+    del cells, terms  # two words per tally entry, not held through the row loop
     norms = np.fromiter((math.sqrt(row.dot(row)) for row in embeddings), np.float64, n_rows)
     embeddings /= np.where(norms == 0.0, 1.0, norms)[:, None]
     return embeddings
