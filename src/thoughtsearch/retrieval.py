@@ -144,8 +144,8 @@ def _fit_idf(tallies: _Tallies, dim: int) -> HashedEmbedder:
 def _embed_tallies(embedder: HashedEmbedder, tallies: _Tallies) -> np.ndarray:
     """One row per chunk, bit-equal to `embedder.embed` of its text: the same
     `count * weight` terms, added into each row in the same (Counter) order by
-    one `np.bincount`, which adds its weights in input order, then each row
-    divided by the same norm. Every token is in the embedder's vocabulary,
+    one `np.add.at` over flat (row, bucket) cells, then each row divided by
+    the same norm. Every token is in the embedder's vocabulary,
     which was fitted on these chunks."""
     # Each vocabulary token's bucket and weight, at its id.
     n = len(tallies.vocab)
@@ -154,8 +154,8 @@ def _embed_tallies(embedder: HashedEmbedder, tallies: _Tallies) -> np.ndarray:
     n_rows, dim = len(tallies.sizes), embedder.dim
     cells = np.repeat(np.arange(n_rows, dtype=np.int64) * dim, tallies.sizes) + bucket[tallies.ids]
     terms = tallies.counts * weight[tallies.ids]
-    embeddings = np.bincount(cells, terms, minlength=n_rows * dim).reshape(n_rows, dim)
-    del cells, terms  # two words per tally entry, not held through the row loop
+    embeddings = np.zeros((n_rows, dim), dtype=np.float64)
+    np.add.at(embeddings.reshape(-1), cells, terms)
     norms = np.fromiter((math.sqrt(row.dot(row)) for row in embeddings), np.float64, n_rows)
     embeddings /= np.where(norms == 0.0, 1.0, norms)[:, None]
     return embeddings
