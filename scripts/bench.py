@@ -75,13 +75,14 @@ def compare(checkouts: dict[str, Path], better: dict[str, str], workload: str, a
 
     sides = {}
     for side in SIDES:
+        digests = [r["digests"] for r in runs[side]]
         sides[side] = {
             "checkout": str(checkouts[side]),
             "commit": commit_of(checkouts[side]),
             "correct": all(r["correct"] for r in runs[side]),
             "attempted": sum(r["attempted"] for r in runs[side]),
             "failed": sum(r["failed"] for r in runs[side]),
-            "digests": [dict(d) for d in dict.fromkeys(tuple(sorted(r["digests"].items())) for r in runs[side])],
+            "digests": [d for i, d in enumerate(digests) if d not in digests[:i]],  # each distinct once
             "metrics": {
                 name: dict(summary([r["metrics"][name]["value"] for r in runs[side]]), unit=m["unit"])
                 for name, m in runs[side][0]["metrics"].items()
