@@ -5,7 +5,7 @@ runs, and write the result as BENCH_<tag>.json:
     python3 scripts/bench.py --pair ../parent ../change --workload http_backend \\
         --pairs 10 --seconds 10 --tag head
 
-Each pair runs `perfbench/run.py` once in each checkout, at one seed, with
+Each pair runs `perfbench/run.py` once in each checkout, at its seed 77, with
 the first side alternating from pair to pair (Kalibera and Jones, "Rigorous
 Benchmarking in Reasonable Time", ISMM 2013). The two checkouts' absolute
 paths must have one length: the process's memory layout, and with it
@@ -34,13 +34,14 @@ from importlib import metadata
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SEED = 77  # perfbench/run.py's default seed, which every run uses
 DIGEST = re.compile(r"^digest rows=(\S+) traces=(\S+)$", re.M)
 
 
-def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One `perfbench/run.py` run in `checkout`: its result object (the
-    last stdout line) with the digests it printed."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+def perfbench(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
+    """One `perfbench/run.py` run in `checkout`, at its default seed: its
+    result object (the last stdout line) with the digests it printed."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -67,11 +68,11 @@ def compare(checkouts: dict[str, Path], better: dict[str, str], workload: str, a
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(args.pairs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            result = perfbench(checkouts[side], workload, args.seed, args.seconds, trace=0)
+            result = perfbench(checkouts[side], workload, args.seconds, trace=0)
             runs[side].append(result)
             print(f"{workload} pair {i + 1}/{args.pairs} {side}: " + " ".join(
                 f"{name}={m['value']:.6g}" for name, m in result["metrics"].items()), flush=True)
-    traced = {side: perfbench(checkouts[side], workload, args.seed, args.seconds, trace=1) for side in SIDES}
+    traced = {side: perfbench(checkouts[side], workload, args.seconds, trace=1) for side in SIDES}
 
     sides = {}
     for side in SIDES:
@@ -115,7 +116,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--seed", type=int, default=77)
     parser.add_argument("--tag", required=True, help="the output file is BENCH_<tag>.json")
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args(argv)
@@ -131,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     results = {name: compare(checkouts, better, name, args) for name in args.workload}
     record = {
         "tag": args.tag,
-        "seed": args.seed,
+        "seed": SEED,
         "seconds": args.seconds,
         "pairs": args.pairs,
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": metadata.version("numpy")},

@@ -134,11 +134,7 @@ def read_json_lines(path: str | Path, what: str, error=SchemaError):
     # Not splitlines: it also splits at U+2028, which a JSON string may hold.
     for lineno, line in enumerate(read_text(path, what, error).split("\n"), 1):
         if line.strip():
-            try:
-                value = json.loads(line)
-            except (ValueError, RecursionError):  # decode again, for the message
-                value = decode_json(line, f"{path}:{lineno}: bad JSON", error)
-            yield lineno, value
+            yield lineno, decode_json(line, f"{path}:{lineno}: bad JSON", error)
 
 
 def canonical_json(value) -> str:

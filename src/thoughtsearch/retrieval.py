@@ -457,11 +457,9 @@ def _read_index(f, path: str | Path) -> CorpusIndex:
         raise SchemaError(
             f"index.embedder has dim {dim} and n_docs {n_docs}; need dim >= 1, 0 <= n_docs < 2**63"
         )
-    weights = (idf or {}).values()
-    if not (set(map(type, weights)) <= {float} and all(map(math.isfinite, weights))):
-        for token, weight in idf.items():  # the first weight that is not a finite number
-            if not is_json(weight, float):
-                raise SchemaError(f"index.embedder.idf[{token!r}] = {weight!r} is not a finite number")
+    for token, weight in (idf or {}).items():
+        if not is_json(weight, float):
+            raise SchemaError(f"index.embedder.idf[{token!r}] = {weight!r} is not a finite number")
     embedder = HashedEmbedder(dim=dim, idf=idf, n_docs=n_docs)
     documents = _documents_from_columns(json_field(record, "documents", (dict,), "index"))
     shape = [len(documents), dim]

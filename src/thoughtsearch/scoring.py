@@ -187,11 +187,10 @@ def _best_split(
 
     Row f of `order` lists a node's rows in stable ascending order of
     feature f, and row f of `xs` holds their values of feature f; `total`
-    is the sum of y over those rows. Returns the row f of the best feature
-    and its threshold. A cut is valid only between two distinct values, so
-    the gain is computed only there. Features are scored a block at a time,
-    so the temporaries stay small, and ties between features go to the
-    first one.
+    is the sum of y over those rows. A cut is valid only between two
+    distinct values, so the gain is computed only there. Features are
+    scored a block at a time, so the temporaries stay small, and ties
+    between features go to the first one.
     """
     n = order.shape[1]
     if n < 2:
@@ -199,7 +198,6 @@ def _best_split(
     base = total * total / n
     left_n = np.arange(1, n)
     best_gain, best = 0.0, None
-    seen = -np.inf  # the highest peak of the blocks so far
     step = max(1, _SPLIT_BLOCK // n)
     for start in range(0, len(order), step):
         block = xs[start : start + step]
@@ -218,20 +216,12 @@ def _best_split(
         right_sum /= n - size
         gain += right_sum
         gain -= base
-        # Each feature's valid cuts are one run of `gain`, with one peak.
-        # best_gain only grows, and a peak that fails the test below is at
-        # most best_gain + 1e-12, so only a peak above every earlier peak
-        # can pass it: test those alone, in feature order.
+        # Each feature's valid cuts are one run of `gain`; score its peak.
         firsts = np.flatnonzero(np.diff(feat, prepend=-1))
-        ends = np.append(firsts[1:], len(gain))
-        peaks = np.maximum.reduceat(gain, firsts)
-        earlier = np.maximum.accumulate(np.concatenate(([seen], peaks[:-1])))
-        seen = max(seen, peaks.max())
-        for i in np.flatnonzero(peaks > earlier).tolist():
-            g = float(peaks[i])
+        ends = [*firsts[1:].tolist(), len(gain)]
+        for s, e, g in zip(firsts.tolist(), ends, np.maximum.reduceat(gain, firsts).tolist()):
             if g > best_gain + 1e-12:
                 best_gain = g
-                s, e = firsts[i], ends[i]
                 f, c = int(feat[s]), int(cut[s + np.argmax(gain[s:e])])
                 best = (start + f, _split_threshold(block[f, c], block[f, c + 1]))
     return best
@@ -246,41 +236,24 @@ def _split_threshold(lo: float, hi: float) -> float:
     return mid if lo <= mid < hi else lo
 
 
-def _child_columns(
-    order: np.ndarray, xs: np.ndarray, feats: np.ndarray, cells: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A child's part of its parent's `order`, `xs` and `feats`, where
-    `cells` are the flat positions of the child's rows, without the
-    features that are constant over those rows (their first sorted value
-    is their last): such a feature offers no cut, in the child or below."""
-    cells = cells.reshape(len(order), -1)
-    values = xs.take(cells)
-    keep = np.flatnonzero(values[:, 0] != values[:, -1])
-    return order.take(cells[keep]), values[keep], feats[keep]
-
-
 def _fit_tree(
     XT: np.ndarray,
     y: np.ndarray,
     order: np.ndarray,
     xs: np.ndarray,
-    feats: np.ndarray,
     max_depth: int,
 ) -> tuple[_Tree, np.ndarray]:
     """Fit one tree on the feature-major inputs XT; also return each
     training row's leaf value.
 
-    `order` holds, for each feature in `feats`, the rows in stable
-    ascending order of that feature, and `xs` their values; a feature left
-    out is constant over the rows. Each node keeps the part of those that
-    covers its own rows; since those rows ascend, that is exactly a fresh
-    stable argsort of the node's rows and its sorted values. A node drops
-    the features constant over its rows, and a node whose children are
-    leaves gives them only their rows."""
+    `order` is (n_features, n_rows): each feature's rows in stable ascending
+    order of that feature, and `xs` their values. Each node keeps the part
+    of both that covers its own rows; since those rows ascend, that is
+    exactly a fresh stable argsort of the node's rows and its sorted values."""
     feature, threshold, left, right, value = [], [], [], [], []
     fitted = np.empty(len(y), dtype=np.float64)
 
-    def build(rows: np.ndarray, columns: tuple[np.ndarray, ...] | None, depth: int) -> int:
+    def build(rows: np.ndarray, order: np.ndarray, xs: np.ndarray, depth: int) -> int:
         node_id = len(feature)
         feature.append(-1)
         threshold.append(0.0)
@@ -288,32 +261,30 @@ def _fit_tree(
         right.append(-1)
         value.append(float(y[rows].mean()))
         if depth < max_depth:
-            order, xs, feats = columns
-            del columns  # the children's parts replace it
             split = _best_split(y, order, xs, y[rows].sum())
             if split is not None:
                 f, t = split
-                goes_left = XT[feats[f]] <= t
-                mask = goes_left[rows]
-                feature[node_id] = int(feats[f])
+                goes_left = XT[f] <= t
+                mask, in_left = goes_left[rows], goes_left[order]
+                feature[node_id] = f
                 threshold[node_id] = t
-                if depth + 1 == max_depth:
-                    children = [(rows[mask], None), (rows[~mask], None)]
-                else:
-                    in_left = goes_left[order]
-                    children = [
-                        (rows[mask], _child_columns(order, xs, feats, np.flatnonzero(in_left))),
-                        (rows[~mask], _child_columns(order, xs, feats, np.flatnonzero(~in_left))),
-                    ]
-                    del in_left
-                del order, xs
+                # Flat cell indices and take: faster than 2-D boolean masks.
+                shape = (len(order), -1)
+                children = [
+                    (rows[side], order.take(cells).reshape(shape), xs.take(cells).reshape(shape))
+                    for side, cells in (
+                        (mask, np.flatnonzero(in_left)),
+                        (~mask, np.flatnonzero(~in_left)),
+                    )
+                ]
+                del order, xs, in_left  # the children's parts replace them
                 left[node_id] = build(*children[0], depth + 1)
                 right[node_id] = build(*children[1], depth + 1)
                 return node_id
         fitted[rows] = value[node_id]
         return node_id
 
-    build(np.arange(len(y)), (order, xs, feats), 0)
+    build(np.arange(len(y)), order, xs, 0)
     del build  # it refers to itself through its closure: a cycle per tree
     tree = _Tree(
         feature=np.asarray(feature, dtype=np.int64),
@@ -351,12 +322,9 @@ class GradientBoostedRegressor:
         XT = np.ascontiguousarray(X.T)
         order = np.argsort(XT, axis=1, kind="stable")
         xs = np.take_along_axis(XT, order, axis=1)
-        # A feature constant over every row offers no cut in any tree.
-        feats = np.flatnonzero(xs[:, :1] != xs[:, -1:])  # shape (F, 1), or (F, 0) without rows
-        order, xs = order[feats], xs[feats]
         for _ in range(self.n_rounds):
             residual = y - current
-            tree, fitted = _fit_tree(XT, residual, order, xs, feats, self.max_depth)
+            tree, fitted = _fit_tree(XT, residual, order, xs, self.max_depth)
             self.trees.append(tree)
             current += self.learning_rate * fitted
         self._forest = _compile_forest(self.trees, self.learning_rate)
