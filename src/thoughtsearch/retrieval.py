@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import mmap
 import os
 from array import array
 from collections import Counter, defaultdict
@@ -473,8 +474,13 @@ def _read_index(f, path: str | Path) -> CorpusIndex:
             f"{shape[0] * dim * 8}"
         )
     # The body goes straight into an aligned array of its own: the file is
-    # never held whole, and the rows are never copied.
-    embeddings = np.empty(shape, dtype="<f8")
+    # never held whole, and the rows are never copied. Its pages are an
+    # anonymous mapping, unmapped when the index is freed. From the C heap,
+    # a freed index's rows leave a hole that smaller allocations split, so
+    # a process that loads indexes in turn can keep one more index resident
+    # than it holds.
+    pages = mmap.mmap(-1, max(1, body_bytes), flags=mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0))
+    embeddings = np.frombuffer(pages, dtype="<f8", count=shape[0] * dim).reshape(shape)
     if f.readinto(embeddings) != body_bytes:
         raise SchemaError(f"{path}: the index file changed while it was read")
     if hashlib.sha256(embeddings).hexdigest() != json_field(record, "sha256", (str,), "index"):
