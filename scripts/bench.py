@@ -14,7 +14,8 @@ pairs, each side makes one `--trace 1` run for its per-layer metrics.
 
 The file holds, per workload and side: each end-to-end metric's runs,
 median and quartiles; the per-layer metrics of the traced run; the row and
-trace digests; and the git commit. Across sides it holds how many pairs
+trace digests; the checkout's directory name and the length of its path;
+and the git commit. Across sides it holds how many pairs
 the change won per metric (by the direction `BENCHMARK.json` gives), the
 gap between the medians and whether it exceeds the parent's interquartile
 range. It also records `nproc`, Python and numpy. Standard library only.
@@ -78,7 +79,8 @@ def compare(checkouts: dict[str, Path], better: dict[str, str], workload: str, a
     for side in SIDES:
         digests = [r["digests"] for r in runs[side]]
         sides[side] = {
-            "checkout": str(checkouts[side]),
+            "checkout": checkouts[side].name,
+            "path_length": len(str(checkouts[side])),
             "commit": commit_of(checkouts[side]),
             "correct": all(r["correct"] for r in runs[side]),
             "attempted": sum(r["attempted"] for r in runs[side]),
