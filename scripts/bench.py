@@ -10,15 +10,18 @@ the first side alternating from pair to pair (Kalibera and Jones, "Rigorous
 Benchmarking in Reasonable Time", ISMM 2013). The two checkouts' absolute
 paths must have one length: the process's memory layout, and with it
 `peak_rss_mb`, moves with the length of the path it runs from. After the
-pairs, each side makes one `--trace 1` run for its per-layer metrics.
+pairs come three `--trace 1` runs per side, alternating in the same way,
+for the per-layer metrics: each traced run times one cold set-up, so one
+run per side is one noisy sample.
 
 The file holds, per workload and side: each end-to-end metric's runs,
-median and quartiles; the per-layer metrics of the traced run; the row and
-trace digests; the checkout's directory name and the length of its path;
-and the git commit. Across sides it holds how many pairs
-the change won per metric (by the direction `BENCHMARK.json` gives), the
-gap between the medians and whether it exceeds the parent's interquartile
-range. It also records `nproc`, Python and numpy. Standard library only.
+median and quartiles; each per-layer metric's traced runs, median and
+quartiles; the row and trace digests; the checkout's directory name and
+the length of its path; and the git commit. Across sides it holds how many
+pairs the change won per metric (by the direction `BENCHMARK.json` gives),
+the gap between the medians and whether it exceeds the parent's
+interquartile range. It also records `nproc`, Python and numpy. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 SEED = 77  # perfbench/run.py's default seed, which every run uses
+TRACED_RUNS = 3  # --trace 1 runs per side
 DIGEST = re.compile(r"^digest rows=(\S+) traces=(\S+)$", re.M)
 
 
@@ -73,7 +77,10 @@ def compare(checkouts: dict[str, Path], better: dict[str, str], workload: str, a
             runs[side].append(result)
             print(f"{workload} pair {i + 1}/{args.pairs} {side}: " + " ".join(
                 f"{name}={m['value']:.6g}" for name, m in result["metrics"].items()), flush=True)
-    traced = {side: perfbench(checkouts[side], workload, args.seconds, trace=1) for side in SIDES}
+    traced: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for i in range(TRACED_RUNS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            traced[side].append(perfbench(checkouts[side], workload, args.seconds, trace=1))
 
     sides = {}
     for side in SIDES:
@@ -90,7 +97,10 @@ def compare(checkouts: dict[str, Path], better: dict[str, str], workload: str, a
                 name: dict(summary([r["metrics"][name]["value"] for r in runs[side]]), unit=m["unit"])
                 for name, m in runs[side][0]["metrics"].items()
             },
-            "per_layer": {name: m["value"] for name, m in traced[side]["metrics"].items()},
+            "per_layer": {
+                name: summary([r["metrics"][name]["value"] for r in traced[side]])
+                for name in traced[side][0]["metrics"]
+            },
         }
     compared = {}
     for name, direction in better.items():

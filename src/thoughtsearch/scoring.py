@@ -178,6 +178,7 @@ def _compile_forest(trees: Sequence[_Tree], learning_rate: float) -> _Forest:
 
 
 _SPLIT_BLOCK = 1 << 16  # (feature, row) cells scored at once by _best_split
+_TIE = 1e-12  # a feature's peak must beat the best so far by more than this
 
 
 def _best_split(
@@ -220,7 +221,7 @@ def _best_split(
         firsts = np.flatnonzero(np.diff(feat, prepend=-1))
         ends = [*firsts[1:].tolist(), len(gain)]
         for s, e, g in zip(firsts.tolist(), ends, np.maximum.reduceat(gain, firsts).tolist()):
-            if g > best_gain + 1e-12:
+            if g > best_gain + _TIE:
                 best_gain = g
                 f, c = int(feat[s]), int(cut[s + np.argmax(gain[s:e])])
                 best = (start + f, _split_threshold(block[f, c], block[f, c + 1]))
@@ -236,62 +237,216 @@ def _split_threshold(lo: float, hi: float) -> float:
     return mid if lo <= mid < hi else lo
 
 
+@dataclass(frozen=True)
+class _RankedCells:
+    """A fit's inputs, built once per fit for the histogram screen. Each
+    value is stored as its rank among its feature's distinct values, 0
+    always among them, shifted so that every feature's 0 has one rank,
+    `zero`. Only the nonzero cells are kept; a row's other cells are 0."""
+
+    XT: np.ndarray  # (n_features, n_rows): the inputs, feature-major
+    values: np.ndarray  # (width, n_features): the value of each rank, 0 where none
+    zero: int
+    row: np.ndarray  # each nonzero cell's row and rank, and its bin rank * n_features + feature
+    rank: np.ndarray
+    bin: np.ndarray
+    ordered: bool  # no value is NaN, so ranks order the values as _best_split does
+
+
+def _rank_cells(X: np.ndarray) -> _RankedCells:
+    n_features = X.shape[1]
+    row, feature = np.nonzero(X)
+    value = X[row, feature]
+    # The nonzero values and one 0 per feature, sorted by feature, then value.
+    features = np.concatenate([feature, np.arange(n_features)])
+    values = np.concatenate([value, np.zeros(n_features)])
+    order = np.lexsort((values, features))
+    f, v = features[order], values[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (f[1:] != f[:-1]) | (v[1:] != v[:-1])
+    distinct = np.cumsum(new) - 1
+    rank = np.empty_like(distinct)
+    rank[order] = distinct - distinct[np.searchsorted(f, np.arange(n_features))][f]
+    zero = int(rank[len(row) :].max(initial=0))
+    rank += zero - np.concatenate([rank[len(row) :][feature], rank[len(row) :]])
+    values = np.zeros((int(rank.max(initial=0)) + 1, n_features))
+    values[rank[order][new], f[new]] = v[new]
+    rank = rank[: len(row)]
+    return _RankedCells(
+        XT=np.ascontiguousarray(X.T),
+        values=values,
+        zero=zero,
+        row=row,
+        rank=rank,
+        bin=rank * n_features + feature,
+        ordered=not np.isnan(value).any(),
+    )
+
+
+def _survivors(peak: np.ndarray, eps: float) -> np.ndarray:
+    """The features whose peak could decide _best_split's scan, given each
+    feature's histogram peak (-inf where it has no cut), each within eps of
+    its exact peak. _best_split takes a feature only when its peak beats the
+    best so far by more than _TIE, so two kinds of feature leave:
+    - one whose peak is at most _TIE or at most an earlier feature's peak:
+      it is never taken;
+    - one before a feature whose peak beats 0 and every earlier peak by
+      more than _TIE: that feature is always taken, and the scan goes on
+      the same from there."""
+    high, low = peak + eps, peak - eps
+    keep = high > np.maximum.accumulate(np.concatenate([[_TIE], low[:-1]]))
+    sure = low > np.maximum.accumulate(np.concatenate([[0.0], high[:-1]])) + _TIE
+    if sure.any():
+        keep[: np.flatnonzero(sure)[-1]] = False
+    return np.flatnonzero(keep)
+
+
+def _exact_split(
+    cells: _RankedCells, y: np.ndarray, rows: np.ndarray, features: np.ndarray, total: float
+) -> tuple[int, float] | None:
+    """_best_split over some features of the node of `rows` (ascending):
+    a stable argsort of the node's rows by each of them."""
+    if not len(features):
+        return None
+    node_x = cells.XT[np.ix_(features, rows)]
+    order = np.argsort(node_x, axis=1, kind="stable")
+    split = _best_split(y, rows[order], np.take_along_axis(node_x, order, axis=1), total)
+    return None if split is None else (int(features[split[0]]), split[1])
+
+
+def _screened_splits(
+    cells: _RankedCells, y: np.ndarray, level: list[np.ndarray], total: np.ndarray, eps: np.ndarray
+) -> list[tuple[int, float] | None]:
+    """_best_split's result for each node of a tree level, given each
+    node's rows (ascending) and the sum of y over them, found by scoring
+    every cut from per-value histograms and checking exactly only the
+    features that could decide it.
+
+    One bincount over the level's nonzero cells gives each node's y sum and
+    row count per value; a feature's zero bin is its node's total minus the
+    rest. Prefix sums then give every valid cut's gain with _best_split's
+    operations, summed in another order, so that each lies within the
+    node's `eps` of _best_split's gain for the same cut (README, "Fitting
+    the estimator"). Where one feature's peak beats 0 and every other peak
+    by more than _TIE, and one of its cuts beats the rest by 2 eps, that is
+    the split: the threshold between the cut's two adjacent values.
+    Elsewhere the features that _survivors keeps go through _best_split.
+    """
+    width, n_features = cells.values.shape
+    k = len(level)
+    columns = k * n_features  # one per (node, feature), node-major
+    n = np.array([len(rows) for rows in level])
+    bins, row = cells.bin, cells.row
+    if k > 1:
+        node_of = np.zeros(len(y), dtype=np.int64)
+        for i, rows in enumerate(level):
+            node_of[rows] = i
+        node = node_of[row]
+        bins = bins + n_features * (cells.rank * (k - 1) + node)
+    if n.sum() < len(y):  # rows that stopped at a leaf higher up
+        inside = np.zeros(len(y), dtype=bool)
+        inside[np.concatenate(level)] = True
+        inside = inside[row]
+        bins, row = bins[inside], row[inside]
+    # hist[r, 0, c], hist[r, 1, c]: the y sum and row count of rank r in column c.
+    hist = np.empty((width, 2, columns))
+    hist[:, 0] = np.bincount(bins, y[row], minlength=width * columns).reshape(width, columns)
+    hist[:, 1] = np.bincount(bins, minlength=width * columns).reshape(width, columns)
+    hist[cells.zero] = np.repeat([total, n], n_features, axis=1) - hist.sum(axis=0)
+    nonempty = hist[:, 1] > 0
+    for r in range(1, width):  # prefix sums down each column, in rank order
+        hist[r] += hist[r - 1]
+    cut = nonempty & (hist[:, 1] < np.repeat(n, n_features))
+    rank, column = np.divmod(np.flatnonzero(cut), columns)
+    gain = np.full((width, columns), -np.inf)
+    left_sum, left_n = hist[rank, 0, column], hist[rank, 1, column]
+    at = column // n_features
+    right_sum, right_n = total[at] - left_sum, n[at] - left_n
+    base = (total * total / n)[at]
+    gain[rank, column] = np.square(left_sum) / left_n + np.square(right_sum) / right_n - base
+    peak = gain.max(axis=0).reshape(k, n_features)
+
+    # Where one feature's peak stands clear: its best cut, and its next value.
+    nodes = np.arange(k)
+    best = np.argmax(peak, axis=1)
+    top = peak[nodes, best]
+    peak[nodes, best] = -np.inf
+    clear = top - eps > np.maximum(peak.max(axis=1) + eps, 0.0) + _TIE
+    peak[nodes, best] = top
+    own = gain[:, nodes * n_features + best]
+    lo = np.argmax(own, axis=0)
+    top = own[lo, nodes]
+    own[lo, nodes] = -np.inf
+    clear &= own.max(axis=0) < top - 2 * eps
+    hi = np.argmax(nonempty[:, nodes * n_features + best] & (np.arange(width)[:, None] > lo), axis=0)
+
+    splits = []
+    for i, rows in enumerate(level):
+        if clear[i]:
+            f = int(best[i])
+            splits.append((f, _split_threshold(cells.values[lo[i], f], cells.values[hi[i], f])))
+        else:
+            splits.append(_exact_split(cells, y, rows, _survivors(peak[i], eps[i]), total[i]))
+    return splits
+
+
+_ROUNDING = 64 * 2.0**-53  # times n * max|y| * sum|y|: README, "Fitting the estimator"
+
+
 def _fit_tree(
-    XT: np.ndarray,
-    y: np.ndarray,
-    order: np.ndarray,
-    xs: np.ndarray,
-    max_depth: int,
+    cells: _RankedCells, y: np.ndarray, max_depth: int
 ) -> tuple[_Tree, np.ndarray]:
-    """Fit one tree on the feature-major inputs XT; also return each
-    training row's leaf value.
+    """Fit one tree to y; also return each training row's leaf value.
 
-    `order` is (n_features, n_rows): each feature's rows in stable ascending
-    order of that feature, and `xs` their values. Each node keeps the part
-    of both that covers its own rows; since those rows ascend, that is
-    exactly a fresh stable argsort of the node's rows and its sorted values."""
-    feature, threshold, left, right, value = [], [], [], [], []
+    The tree grows a level at a time, so one histogram pass scores every
+    node of a level, and each node hands its children only their rows. The
+    nodes are then numbered depth-first, left before right."""
+    magnitude = np.abs(y)
+    size, scale = magnitude.sum(), magnitude.max(initial=0.0)
+    every = np.arange(len(cells.XT))
+    # The bound holds below 2**24 rows, and sums under 1e150 square safely.
+    screened = cells.ordered and len(every) and len(y) < 1 << 24 and size < 1e150
+    nodes, splits, children = [np.arange(len(y))], [], []  # breadth-first
+    totals = [y.sum()]
+    for depth in range(max_depth + 1):
+        level, total = nodes[len(splits) :], np.array(totals[len(splits) :])
+        if depth == max_depth:
+            found = [None] * len(level)
+        elif screened:
+            eps = _ROUNDING * np.array([len(rows) for rows in level]) * scale * size
+            found = _screened_splits(cells, y, level, total, eps)
+        else:
+            found = [_exact_split(cells, y, rows, every, t) for rows, t in zip(level, total)]
+        for rows, split in zip(level, found):
+            splits.append(split)
+            if split is None:
+                children.append(None)
+                continue
+            mask = cells.XT[split[0], rows] <= split[1]
+            children.append((len(nodes), len(nodes) + 1))
+            nodes += [rows[mask], rows[~mask]]
+            totals += [y[nodes[-2]].sum(), y[nodes[-1]].sum()]
+        if len(nodes) == len(splits):
+            break
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        stack += children[i][::-1] if children[i] else ()
+    number = np.empty(len(nodes), dtype=np.int64)
+    number[order] = np.arange(len(nodes))
+    # np.mean is this sum over the count, so the bits equal y[rows].mean()'s.
+    value = [float(total / len(rows)) for total, rows in zip(totals, nodes)]
     fitted = np.empty(len(y), dtype=np.float64)
-
-    def build(rows: np.ndarray, order: np.ndarray, xs: np.ndarray, depth: int) -> int:
-        node_id = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(float(y[rows].mean()))
-        if depth < max_depth:
-            split = _best_split(y, order, xs, y[rows].sum())
-            if split is not None:
-                f, t = split
-                goes_left = XT[f] <= t
-                mask, in_left = goes_left[rows], goes_left[order]
-                feature[node_id] = f
-                threshold[node_id] = t
-                # Flat cell indices and take: faster than 2-D boolean masks.
-                shape = (len(order), -1)
-                children = [
-                    (rows[side], order.take(cells).reshape(shape), xs.take(cells).reshape(shape))
-                    for side, cells in (
-                        (mask, np.flatnonzero(in_left)),
-                        (~mask, np.flatnonzero(~in_left)),
-                    )
-                ]
-                del order, xs, in_left  # the children's parts replace them
-                left[node_id] = build(*children[0], depth + 1)
-                right[node_id] = build(*children[1], depth + 1)
-                return node_id
-        fitted[rows] = value[node_id]
-        return node_id
-
-    build(np.arange(len(y)), order, xs, 0)
-    del build  # it refers to itself through its closure: a cycle per tree
+    for rows, split, v in zip(nodes, splits, value):
+        if split is None:
+            fitted[rows] = v
     tree = _Tree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        value=np.asarray(value, dtype=np.float64),
+        feature=np.array([s[0] if s else -1 for s in splits], dtype=np.int64)[order],
+        threshold=np.array([s[1] if s else 0.0 for s in splits], dtype=np.float64)[order],
+        left=np.array([number[c[0]] if c else -1 for c in children], dtype=np.int64)[order],
+        right=np.array([number[c[1]] if c else -1 for c in children], dtype=np.int64)[order],
+        value=np.array(value, dtype=np.float64)[order],
     )
     return tree, fitted
 
@@ -319,12 +474,10 @@ class GradientBoostedRegressor:
         self.base = float(y.mean())
         self.trees = []
         current = np.full(len(y), self.base)
-        XT = np.ascontiguousarray(X.T)
-        order = np.argsort(XT, axis=1, kind="stable")
-        xs = np.take_along_axis(XT, order, axis=1)
+        cells = _rank_cells(X)
         for _ in range(self.n_rounds):
             residual = y - current
-            tree, fitted = _fit_tree(XT, residual, order, xs, self.max_depth)
+            tree, fitted = _fit_tree(cells, residual, self.max_depth)
             self.trees.append(tree)
             current += self.learning_rate * fitted
         self._forest = _compile_forest(self.trees, self.learning_rate)
@@ -475,6 +628,18 @@ def train_estimator(
         )
     X = np.stack([np.concatenate([s.emb_i, s.emb_j]) for s in dataset])
     y = np.asarray([s.reward for s in dataset], dtype=np.float64)
+    finite = np.isfinite(y) & np.isfinite(X).all(axis=1)
+    if not finite.all():  # a model fitted to them would not load
+        i = int(np.argmin(finite))
+        j = int(np.argmin(np.isfinite(X[i])))
+        what = (
+            f"reward = {y[i]}" if not np.isfinite(y[i])
+            else f"emb_i[{j}] = {X[i, j]}" if j < dim else f"emb_j[{j - dim}] = {X[i, j]}"
+        )
+        raise ConfigError(
+            f"sample {i} (query_id {dataset[i].query_id!r}) has {what}; "
+            "rewards and embeddings must be finite numbers"
+        )
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(y))

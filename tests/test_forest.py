@@ -1,6 +1,6 @@
-"""GBRT: the presorted fit grows the same trees as a per-node argsort fit,
-the compiled forest is bit-identical to a per-tree reference walk, and
-model files are fully checked when they load."""
+"""GBRT: the histogram-screened fit grows the same trees as a per-node
+argsort fit, the compiled forest is bit-identical to a per-tree reference
+walk, and model files are fully checked when they load."""
 
 from __future__ import annotations
 
@@ -242,6 +242,81 @@ def test_presorted_fit_grows_reference_trees(
     with mock.patch.object(scoring, "_SPLIT_BLOCK", block):
         model.fit(X, y)
     assert model.to_dict()["trees"] == reference_fit(X, y, n_rounds, max_depth)
+
+
+_WORDS = [f"w{i}" for i in range(40)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(50, 400),
+    duplicate_rows=st.integers(0, 40),
+    duplicate_columns=st.integers(0, 8),
+    scale=st.integers(-9, 9),
+    n_rounds=st.integers(1, 3),
+    max_depth=st.integers(1, 3),
+)
+def test_screened_fit_grows_reference_trees_on_hashed_pairs(
+    seed, n_rows, duplicate_rows, duplicate_columns, scale, n_rounds, max_depth
+):
+    """The estimator's inputs: two hashed embeddings of 64 buckets per row,
+    mostly 0 with few distinct values per column, rewards in {0, 0.5, 1},
+    with repeated rows and columns. Scaling the targets by 10**scale scales
+    every gain, the screen's margin with it, and the tie tolerance not."""
+    rng = np.random.default_rng(seed)
+    embedder = HashedEmbedder(dim=64)
+    text = lambda: " ".join(rng.choice(_WORDS, size=rng.integers(1, 9)))
+    X = np.array([np.concatenate([embedder.embed(text()), embedder.embed(text())]) for _ in range(n_rows)])
+    X = np.concatenate([X, X[rng.integers(0, n_rows, duplicate_rows)]])
+    X[:, rng.integers(0, 128, duplicate_columns)] = X[:, rng.integers(0, 128, duplicate_columns)]
+    y = rng.choice([0.0, 0.5, 1.0], size=len(X)) * 10.0**scale
+    model = GradientBoostedRegressor(n_rounds=n_rounds, max_depth=max_depth).fit(X, y)
+    assert model.to_dict()["trees"] == reference_fit(X, y, n_rounds, max_depth)
+
+
+def test_gains_within_the_screens_margin_go_to_the_exact_search():
+    """Feature 1's cut gains 3.4e-7 more than feature 0's, more than the
+    1e-12 tie tolerance and less than twice the screen's margin at this
+    scale (3.7e-7), so the histograms cannot tell them apart: both go to
+    _best_split, which takes the later feature."""
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+    y = np.array([3000.0, 1392.3048454133632, 0.0, 0.0])
+    checked = []
+    exact = scoring._best_split
+
+    def recording(y, order, xs, total):
+        checked.append(len(order))
+        return exact(y, order, xs, total)
+
+    with mock.patch.object(scoring, "_best_split", recording):
+        model = GradientBoostedRegressor(n_rounds=1, max_depth=1, learning_rate=1.0).fit(X, y)
+    assert checked == [2]
+    assert (model.trees[0].feature[0], model.trees[0].threshold[0]) == (1, 0.5)
+    assert model.to_dict()["trees"] == reference_fit(X, y, 1, 1, learning_rate=1.0)
+
+
+def test_a_later_peak_inside_the_tie_tolerance_does_not_displace_an_earlier_one():
+    """At this scale the screen's margin is about 1e-20, so the histograms
+    see feature 1 gain 5.2e-13 more than feature 0. That is inside the
+    1e-12 tie tolerance: feature 1 is not sure to be taken, and feature 0
+    keeps the split."""
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+    y = np.array([0.003, 0.0013923049954132631, 0.0, 0.0])
+    model = GradientBoostedRegressor(n_rounds=1, max_depth=1, learning_rate=1.0).fit(X, y)
+    assert (model.trees[0].feature[0], model.trees[0].threshold[0]) == (0, 0.5)
+    assert model.to_dict()["trees"] == reference_fit(X, y, 1, 1, learning_rate=1.0)
+
+
+def test_equal_cuts_of_one_feature_go_to_the_first_though_histogram_sums_differ():
+    """The cuts after 0 and after 1 gain the same, bit for bit, in sorted
+    order; summed by value, their gains round apart. So no cut stands clear
+    by the margin, and the exact search takes the first."""
+    X = np.array([[3.0], [0.0], [1.0], [0.0], [3.0], [1.0]])
+    y = np.array([0.0002, 0.0003, 0.0001, 0.0002, 0.0003, 0.0006666666666666666])
+    model = GradientBoostedRegressor(n_rounds=1, max_depth=1, learning_rate=1.0).fit(X, y)
+    assert (model.trees[0].feature[0], model.trees[0].threshold[0]) == (0, 0.5)
+    assert model.to_dict()["trees"] == reference_fit(X, y, 1, 1, learning_rate=1.0)
 
 
 def test_gain_ties_go_to_the_first_cut_of_the_first_feature():

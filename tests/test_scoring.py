@@ -288,6 +288,30 @@ def test_train_estimator_requires_min_samples():
         train_estimator(data, holdout_fraction=0.2)
 
 
+@pytest.mark.parametrize(
+    "index, field, value, message",
+    [
+        (3, "reward", math.nan, r"sample 3 \(query_id 'q3'\) has reward = nan;"),
+        (7, "reward", math.inf, r"sample 7 \(query_id 'q7'\) has reward = inf;"),
+        (5, "emb_j", math.nan, r"sample 5 \(query_id 'q5'\) has emb_j\[2\] = nan;"),
+    ],
+)
+def test_train_estimator_refuses_a_sample_that_is_not_finite(index, field, value, message):
+    """A model fitted to such a sample would save, then fail load_model's
+    finiteness check; training names the first such sample instead."""
+    data = [
+        OfflineSample(s.emb_i, s.emb_j.copy(), s.reward, query_id=f"q{i}")
+        for i, s in enumerate(_synthetic_dataset(n=20))
+    ]
+    if field == "reward":
+        data[index] = OfflineSample(data[index].emb_i, data[index].emb_j, value, f"q{index}")
+    else:
+        data[index].emb_j[2] = value
+    data[index + 1] = OfflineSample(data[index].emb_i, data[index].emb_j, math.nan, "later")
+    with pytest.raises(ConfigError, match=message):
+        train_estimator(data, holdout_fraction=0.2)
+
+
 def test_estimator_predict_constant_and_clamp():
     model = train_estimator(
         [
