@@ -20,8 +20,10 @@ quartiles; the row and trace digests; the checkout's directory name and
 the length of its path; and the git commit. Across sides it holds how many
 pairs the change won per metric (by the direction `BENCHMARK.json` gives),
 the gap between the medians and whether it exceeds the parent's
-interquartile range. It also records `nproc`, Python and numpy. Standard
-library only.
+interquartile range, and the run length and pair count it used. It also
+records `nproc`, Python and numpy. With --append, the workloads go into an
+existing file of the same tag, so that each can run its own pair count and
+length. Standard library only.
 """
 
 from __future__ import annotations
@@ -130,6 +132,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--tag", required=True, help="the output file is BENCH_<tag>.json")
     parser.add_argument("--out-dir", type=Path, default=Path("."))
+    parser.add_argument("--append", action="store_true",
+                        help="add these workloads to an existing BENCH_<tag>.json of the same host")
     args = parser.parse_args(argv)
 
     checkouts = dict(zip(SIDES, (p.resolve() for p in args.pair)))
@@ -140,16 +144,18 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
-    results = {name: compare(checkouts, better, name, args) for name in args.workload}
-    record = {
-        "tag": args.tag,
-        "seed": SEED,
-        "seconds": args.seconds,
-        "pairs": args.pairs,
-        "host": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": metadata.version("numpy")},
-        "workloads": results,
-    }
+    host = {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": metadata.version("numpy")}
     out = args.out_dir / f"BENCH_{args.tag}.json"
+    record = {"tag": args.tag, "seed": SEED, "host": host, "workloads": {}}
+    if args.append and out.exists():
+        record = json.loads(out.read_text(encoding="utf-8"))
+        if record["host"] != host:
+            parser.error(f"{out} was written on another host: {record['host']}")
+    results = {
+        name: dict(compare(checkouts, better, name, args), seconds=args.seconds, pairs=args.pairs)
+        for name in args.workload
+    }
+    record["workloads"].update(results)
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     for workload, result in results.items():
         print(f"{workload}: digests equal: {result['same_digests']}")

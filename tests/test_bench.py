@@ -1,10 +1,11 @@
-"""scripts/bench.py: the summary of a metric's runs, and the comparison of
-two checkouts, with every perfbench run stubbed."""
+"""scripts/bench.py: the summary of a metric's runs, the comparison of two
+checkouts and the file it writes, with every perfbench run stubbed."""
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -110,3 +111,27 @@ def test_compare_keeps_every_run_and_the_traced_medians(compared):
     assert parent["per_layer"]["scoring.train_s"]["median"] == 0.4
     assert change["per_layer"]["scoring.train_s"]["median"] == 0.2
     assert (parent["checkout"], parent["commit"], parent["attempted"]) == ("parent", "commit-parent", 20)
+
+
+def test_append_adds_workloads_with_their_own_run_settings(tmp_path, monkeypatch):
+    def perfbench(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
+        metrics = {"setup_s": {"value": seconds, "unit": "s"}}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics, "digests": {}}
+
+    monkeypatch.setattr(bench, "perfbench", perfbench)
+    monkeypatch.setattr(bench, "commit_of", lambda checkout: None)
+    checkouts = [tmp_path / "parent", tmp_path / "change"]
+    for checkout in checkouts:
+        checkout.mkdir()
+    spec = '{"end_to_end": [{"name": "setup_s", "better": "lower"}]}'
+    (tmp_path / "change" / "BENCHMARK.json").write_text(spec, encoding="utf-8")
+    common = ["--pair", *map(str, checkouts), "--tag", "t", "--out-dir", str(tmp_path)]
+    assert bench.main([*common, "--workload", "a", "--pairs", "3", "--seconds", "30"]) == 0
+    assert bench.main([*common, "--workload", "b", "--pairs", "1", "--seconds", "5", "--append"]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    settings = {name: (w["pairs"], w["seconds"]) for name, w in record["workloads"].items()}
+    assert settings == {"a": (3, 30.0), "b": (1, 5.0)}
+    assert record["workloads"]["a"]["sides"]["change"]["metrics"]["setup_s"]["runs"] == [30.0] * 3
+    # Without --append the file holds only the workloads of its own run.
+    assert bench.main([*common, "--workload", "b", "--pairs", "1", "--seconds", "5"]) == 0
+    assert list(json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))["workloads"]) == ["b"]
