@@ -65,6 +65,13 @@ def summary(values: list[float]) -> dict:
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
+def alternating(rounds: int):
+    """(round, side) for each run, the first side alternating from round to round."""
+    for i in range(rounds):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            yield i, side
+
+
 def commit_of(checkout: Path) -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
@@ -73,16 +80,14 @@ def commit_of(checkout: Path) -> str | None:
 def compare(checkouts: dict[str, Path], better: dict[str, str], workload: str, args) -> dict:
     """The alternating pairs and the traced runs of one workload, summed up."""
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for i in range(args.pairs):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            result = perfbench(checkouts[side], workload, args.seconds, trace=0)
-            runs[side].append(result)
-            print(f"{workload} pair {i + 1}/{args.pairs} {side}: " + " ".join(
-                f"{name}={m['value']:.6g}" for name, m in result["metrics"].items()), flush=True)
+    for i, side in alternating(args.pairs):
+        result = perfbench(checkouts[side], workload, args.seconds, trace=0)
+        runs[side].append(result)
+        print(f"{workload} pair {i + 1}/{args.pairs} {side}: " + " ".join(
+            f"{name}={m['value']:.6g}" for name, m in result["metrics"].items()), flush=True)
     traced: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for i in range(TRACED_RUNS):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            traced[side].append(perfbench(checkouts[side], workload, args.seconds, trace=1))
+    for _, side in alternating(TRACED_RUNS):
+        traced[side].append(perfbench(checkouts[side], workload, args.seconds, trace=1))
 
     sides = {}
     for side in SIDES:
