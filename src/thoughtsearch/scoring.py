@@ -239,13 +239,17 @@ def _split_threshold(lo: float, hi: float) -> float:
 
 @dataclass(frozen=True)
 class _RankedCells:
-    """A fit's inputs, built once per fit for the histogram screen. Each
-    value is stored as its rank among its feature's distinct values, 0
+    """A fit's inputs, built once per fit. `order` and `xs` hold each
+    feature's rows in stable ascending order of that feature, and their
+    values, as _best_split takes them. For the histogram screen, each value
+    is also stored as its rank among its feature's distinct values, 0
     always among them, shifted so that every feature's 0 has one rank,
-    `zero`. Only the nonzero cells are kept; a row's other cells are 0."""
+    `zero`; only the nonzero cells are kept, as a row's other cells are 0."""
 
     XT: np.ndarray  # (n_features, n_rows): the inputs, feature-major
-    values: np.ndarray  # (width, n_features): the value of each rank, 0 where none
+    order: np.ndarray  # (n_features, n_rows)
+    xs: np.ndarray  # (n_features, n_rows)
+    width: int  # the number of ranks
     zero: int
     row: np.ndarray  # each nonzero cell's row and rank, and its bin rank * n_features + feature
     rank: np.ndarray
@@ -255,26 +259,28 @@ class _RankedCells:
 
 def _rank_cells(X: np.ndarray) -> _RankedCells:
     n_features = X.shape[1]
+    XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1, kind="stable")
     row, feature = np.nonzero(X)
     value = X[row, feature]
     # The nonzero values and one 0 per feature, sorted by feature, then value.
     features = np.concatenate([feature, np.arange(n_features)])
     values = np.concatenate([value, np.zeros(n_features)])
-    order = np.lexsort((values, features))
-    f, v = features[order], values[order]
-    new = np.ones(len(order), dtype=bool)
+    by_value = np.lexsort((values, features))
+    f, v = features[by_value], values[by_value]
+    new = np.ones(len(by_value), dtype=bool)
     new[1:] = (f[1:] != f[:-1]) | (v[1:] != v[:-1])
     distinct = np.cumsum(new) - 1
     rank = np.empty_like(distinct)
-    rank[order] = distinct - distinct[np.searchsorted(f, np.arange(n_features))][f]
+    rank[by_value] = distinct - distinct[np.searchsorted(f, np.arange(n_features))][f]
     zero = int(rank[len(row) :].max(initial=0))
     rank += zero - np.concatenate([rank[len(row) :][feature], rank[len(row) :]])
-    values = np.zeros((int(rank.max(initial=0)) + 1, n_features))
-    values[rank[order][new], f[new]] = v[new]
     rank = rank[: len(row)]
     return _RankedCells(
-        XT=np.ascontiguousarray(X.T),
-        values=values,
+        XT=XT,
+        order=order,
+        xs=np.take_along_axis(XT, order, axis=1),
+        width=max(int(rank.max(initial=0)), zero) + 1,
         zero=zero,
         row=row,
         rank=rank,
@@ -283,56 +289,81 @@ def _rank_cells(X: np.ndarray) -> _RankedCells:
     )
 
 
-def _survivors(peak: np.ndarray, eps: float) -> np.ndarray:
-    """The features whose peak could decide _best_split's scan, given each
-    feature's histogram peak (-inf where it has no cut), each within eps of
-    its exact peak. _best_split takes a feature only when its peak beats the
-    best so far by more than _TIE, so two kinds of feature leave:
+def _survivors(peak: np.ndarray, eps: np.ndarray) -> list[np.ndarray]:
+    """The features whose peak could decide _best_split's scan, for each
+    node, given each (node, feature)'s histogram peak (-inf where it has no
+    cut), each within its node's eps of its exact peak. _best_split takes a
+    feature only when its peak beats the best so far by more than _TIE, so
+    two kinds of feature leave:
     - one whose peak is at most _TIE or at most an earlier feature's peak:
       it is never taken;
     - one before a feature whose peak beats 0 and every earlier peak by
       more than _TIE: that feature is always taken, and the scan goes on
       the same from there."""
-    high, low = peak + eps, peak - eps
-    keep = high > np.maximum.accumulate(np.concatenate([[_TIE], low[:-1]]))
-    sure = low > np.maximum.accumulate(np.concatenate([[0.0], high[:-1]])) + _TIE
-    if sure.any():
-        keep[: np.flatnonzero(sure)[-1]] = False
-    return np.flatnonzero(keep)
+    high, low = peak + eps[:, None], peak - eps[:, None]
+
+    def before(first: float, a: np.ndarray) -> np.ndarray:  # the largest of first and a's earlier entries
+        out = np.full(a.shape, first)
+        out[:, 1:] = np.maximum(np.maximum.accumulate(a[:, :-1], axis=1), first)
+        return out
+
+    keep = high > before(_TIE, low)
+    sure = low > before(0.0, high) + _TIE
+    last_sure = peak.shape[1] - 1 - np.argmax(sure[:, ::-1], axis=1)
+    keep &= ~sure.any(axis=1, keepdims=True) | (np.arange(peak.shape[1]) >= last_sure[:, None])
+    return [np.flatnonzero(node) for node in keep]
 
 
-def _exact_split(
-    cells: _RankedCells, y: np.ndarray, rows: np.ndarray, features: np.ndarray, total: float
-) -> tuple[int, float] | None:
-    """_best_split over some features of the node of `rows` (ascending):
-    a stable argsort of the node's rows by each of them."""
-    if not len(features):
-        return None
-    node_x = cells.XT[np.ix_(features, rows)]
-    order = np.argsort(node_x, axis=1, kind="stable")
-    split = _best_split(y, rows[order], np.take_along_axis(node_x, order, axis=1), total)
-    return None if split is None else (int(features[split[0]]), split[1])
+def _exact_splits(
+    y: np.ndarray,
+    level: list[np.ndarray],
+    features: list[np.ndarray],
+    total: np.ndarray,
+    sources: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[list[tuple[int, float] | None], list[tuple[np.ndarray, np.ndarray] | None]]:
+    """_best_split for each node of a tree level over its `features`, given
+    each node's rows, the sum of y over them, and its source: every
+    feature's rows in stable ascending order of that feature, and their
+    values, over rows that hold the node's (its parent's, or all). Kept
+    where they are the node's rows, they are a stable argsort of the node.
+    Also returns that of each node that took every feature, as a source for
+    its children, and None for the others."""
+    member = np.zeros(len(y), dtype=bool)
+    splits, sorted_rows = [], []
+    for rows, f, t, (order, xs) in zip(level, features, total, sources):
+        if not len(f):
+            splits.append(None)
+            sorted_rows.append(None)
+            continue
+        whole = len(f) == len(order)
+        if not whole:
+            order, xs = order[f], xs[f]
+        member[rows] = True
+        cells_in = np.flatnonzero(member[order])
+        member[rows] = False
+        shape = (len(f), -1)
+        order, xs = order.take(cells_in).reshape(shape), xs.take(cells_in).reshape(shape)
+        split = _best_split(y, order, xs, t)
+        splits.append(None if split is None else (int(f[split[0]]), split[1]))
+        sorted_rows.append((order, xs) if whole else None)
+    return splits, sorted_rows
 
 
-def _screened_splits(
+def _screen(
     cells: _RankedCells, y: np.ndarray, level: list[np.ndarray], total: np.ndarray, eps: np.ndarray
-) -> list[tuple[int, float] | None]:
-    """_best_split's result for each node of a tree level, given each
-    node's rows (ascending) and the sum of y over them, found by scoring
-    every cut from per-value histograms and checking exactly only the
-    features that could decide it.
+) -> list[np.ndarray]:
+    """The features that could decide _best_split's result for each node of
+    a tree level, given each node's rows and the sum of y over them, found
+    by scoring every cut from per-value histograms.
 
     One bincount over the level's nonzero cells gives each node's y sum and
     row count per value; a feature's zero bin is its node's total minus the
     rest. Prefix sums then give every valid cut's gain with _best_split's
     operations, summed in another order, so that each lies within the
     node's `eps` of _best_split's gain for the same cut (README, "Fitting
-    the estimator"). Where one feature's peak beats 0 and every other peak
-    by more than _TIE, and one of its cuts beats the rest by 2 eps, that is
-    the split: the threshold between the cut's two adjacent values.
-    Elsewhere the features that _survivors keeps go through _best_split.
+    the estimator"), and _survivors keeps what that margin cannot rule out.
     """
-    width, n_features = cells.values.shape
+    width, n_features = cells.width, len(cells.XT)
     k = len(level)
     columns = k * n_features  # one per (node, feature), node-major
     n = np.array([len(rows) for rows in level])
@@ -356,38 +387,15 @@ def _screened_splits(
     nonempty = hist[:, 1] > 0
     for r in range(1, width):  # prefix sums down each column, in rank order
         hist[r] += hist[r - 1]
-    cut = nonempty & (hist[:, 1] < np.repeat(n, n_features))
-    rank, column = np.divmod(np.flatnonzero(cut), columns)
-    gain = np.full((width, columns), -np.inf)
-    left_sum, left_n = hist[rank, 0, column], hist[rank, 1, column]
-    at = column // n_features
-    right_sum, right_n = total[at] - left_sum, n[at] - left_n
-    base = (total * total / n)[at]
-    gain[rank, column] = np.square(left_sum) / left_n + np.square(right_sum) / right_n - base
+    left_sum, left_n = hist[:, 0], hist[:, 1]
+    right_sum = np.repeat(total, n_features) - left_sum
+    right_n = np.repeat(n, n_features) - left_n
+    with np.errstate(divide="ignore", invalid="ignore"):  # where no cut lies
+        gain = np.square(left_sum) / left_n + np.square(right_sum) / right_n
+    gain -= np.repeat(total * total / n, n_features)
+    gain[~(nonempty & (right_n > 0))] = -np.inf
     peak = gain.max(axis=0).reshape(k, n_features)
-
-    # Where one feature's peak stands clear: its best cut, and its next value.
-    nodes = np.arange(k)
-    best = np.argmax(peak, axis=1)
-    top = peak[nodes, best]
-    peak[nodes, best] = -np.inf
-    clear = top - eps > np.maximum(peak.max(axis=1) + eps, 0.0) + _TIE
-    peak[nodes, best] = top
-    own = gain[:, nodes * n_features + best]
-    lo = np.argmax(own, axis=0)
-    top = own[lo, nodes]
-    own[lo, nodes] = -np.inf
-    clear &= own.max(axis=0) < top - 2 * eps
-    hi = np.argmax(nonempty[:, nodes * n_features + best] & (np.arange(width)[:, None] > lo), axis=0)
-
-    splits = []
-    for i, rows in enumerate(level):
-        if clear[i]:
-            f = int(best[i])
-            splits.append((f, _split_threshold(cells.values[lo[i], f], cells.values[hi[i], f])))
-        else:
-            splits.append(_exact_split(cells, y, rows, _survivors(peak[i], eps[i]), total[i]))
-    return splits
+    return _survivors(peak, eps)
 
 
 _ROUNDING = 64 * 2.0**-53  # times n * max|y| * sum|y|: README, "Fitting the estimator"
@@ -398,9 +406,13 @@ def _fit_tree(
 ) -> tuple[_Tree, np.ndarray]:
     """Fit one tree to y; also return each training row's leaf value.
 
-    The tree grows a level at a time, so one histogram pass scores every
-    node of a level, and each node hands its children only their rows. The
-    nodes are then numbered depth-first, left before right."""
+    The tree grows a level at a time, and the nodes are then numbered
+    depth-first, left before right. A level is screened where its
+    histograms, `cells.width` ranks per node and feature, hold no more
+    cells than the (feature, row) cells that an exact pass over every
+    feature reads; elsewhere every feature goes to _best_split. A node that
+    took every feature hands its children its rows in sorted order, to
+    filter for their own; other nodes' children filter the fit's."""
     magnitude = np.abs(y)
     size, scale = magnitude.sum(), magnitude.max(initial=0.0)
     every = np.arange(len(cells.XT))
@@ -408,16 +420,21 @@ def _fit_tree(
     screened = cells.ordered and len(every) and len(y) < 1 << 24 and size < 1e150
     nodes, splits, children = [np.arange(len(y))], [], []  # breadth-first
     totals = [y.sum()]
+    presorted = (cells.order, cells.xs)
+    sources = [presorted]  # those of the level's nodes
     for depth in range(max_depth + 1):
         level, total = nodes[len(splits) :], np.array(totals[len(splits) :])
         if depth == max_depth:
-            found = [None] * len(level)
-        elif screened:
-            eps = _ROUNDING * np.array([len(rows) for rows in level]) * scale * size
-            found = _screened_splits(cells, y, level, total, eps)
+            found = sorted_rows = [None] * len(level)
         else:
-            found = [_exact_split(cells, y, rows, every, t) for rows, t in zip(level, total)]
-        for rows, split in zip(level, found):
+            if screened and cells.width * len(level) <= sum(map(len, level)):
+                eps = _ROUNDING * np.array([len(rows) for rows in level]) * scale * size
+                features = _screen(cells, y, level, total, eps)
+            else:
+                features = [every] * len(level)
+            found, sorted_rows = _exact_splits(y, level, features, total, sources)
+        sources = []
+        for rows, split, source in zip(level, found, sorted_rows):
             splits.append(split)
             if split is None:
                 children.append(None)
@@ -426,6 +443,7 @@ def _fit_tree(
             children.append((len(nodes), len(nodes) + 1))
             nodes += [rows[mask], rows[~mask]]
             totals += [y[nodes[-2]].sum(), y[nodes[-1]].sum()]
+            sources += [source or presorted] * 2
         if len(nodes) == len(splits):
             break
     order, stack = [], [0]

@@ -275,6 +275,21 @@ def test_screened_fit_grows_reference_trees_on_hashed_pairs(
     assert model.to_dict()["trees"] == reference_fit(X, y, n_rounds, max_depth)
 
 
+@pytest.mark.parametrize("dense", [False, True])
+def test_a_level_is_screened_only_where_its_histograms_are_no_larger_than_its_cells(dense):
+    """Mostly-0 columns of 0s and 1s have 2 ranks, so the root's 40 rows
+    are screened. Columns of 40 distinct nonzero values have 41 ranks with
+    0, more than any level has rows: every level goes to _best_split on
+    every feature. The trees are the reference's either way."""
+    rng = np.random.default_rng(5)
+    X = rng.random((40, 2)) if dense else (rng.random((40, 2)) < 0.2).astype(float)
+    y = rng.choice([0.0, 0.5, 1.0], size=40)
+    with mock.patch.object(scoring, "_screen", wraps=scoring._screen) as screen:
+        model = GradientBoostedRegressor(n_rounds=2, max_depth=3).fit(X, y)
+    assert (screen.call_count == 0) == dense
+    assert model.to_dict()["trees"] == reference_fit(X, y, 2, 3)
+
+
 def test_gains_within_the_screens_margin_go_to_the_exact_search():
     """Feature 1's cut gains 3.4e-7 more than feature 0's, more than the
     1e-12 tie tolerance and less than twice the screen's margin at this
@@ -303,17 +318,6 @@ def test_a_later_peak_inside_the_tie_tolerance_does_not_displace_an_earlier_one(
     keeps the split."""
     X = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
     y = np.array([0.003, 0.0013923049954132631, 0.0, 0.0])
-    model = GradientBoostedRegressor(n_rounds=1, max_depth=1, learning_rate=1.0).fit(X, y)
-    assert (model.trees[0].feature[0], model.trees[0].threshold[0]) == (0, 0.5)
-    assert model.to_dict()["trees"] == reference_fit(X, y, 1, 1, learning_rate=1.0)
-
-
-def test_equal_cuts_of_one_feature_go_to_the_first_though_histogram_sums_differ():
-    """The cuts after 0 and after 1 gain the same, bit for bit, in sorted
-    order; summed by value, their gains round apart. So no cut stands clear
-    by the margin, and the exact search takes the first."""
-    X = np.array([[3.0], [0.0], [1.0], [0.0], [3.0], [1.0]])
-    y = np.array([0.0002, 0.0003, 0.0001, 0.0002, 0.0003, 0.0006666666666666666])
     model = GradientBoostedRegressor(n_rounds=1, max_depth=1, learning_rate=1.0).fit(X, y)
     assert (model.trees[0].feature[0], model.trees[0].threshold[0]) == (0, 0.5)
     assert model.to_dict()["trees"] == reference_fit(X, y, 1, 1, learning_rate=1.0)
